@@ -13,23 +13,22 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .terms import (
-    Abs, App, Bound, Const, Free, FunType, NOT, O, OR, Signature, SimpleType,
-    Term, TermError, TRUE, FALSE, app, arg_types, bound, canon, const,
-    eq_const, eta_long, fn, free, lam, neg, pi_const, replace_at,
-    result_type, spine, subterm_at, subterm_positions, substitute,
+    Const, Free, FunType, NOT, O, OR, Signature, SimpleType, Term, TermError,
+    TRUE, FALSE, app, bound, canon, const, eq_const, eta_long, fn, head_of,
+    is_eta_var, lam, neg, pi_const, replace_at, spine, subterm_at,
+    subterm_positions, substitute,
 )
 from .clauses import (
-    Clause, Literal, head_of, literal, prop_literal, rename_clause,
+    Clause, Literal, literal, match_literal, match_terms, prop_literal,
 )
 from .cnf import ordered_free_vars, skolem_term
-from .unification import general_bindings, is_eta_var
+from .unification import general_bindings
 
 
 @dataclass
 class RuleApplication:
     rule: str
     clause: Clause
-    premises: tuple = ()
     detail: dict = field(default_factory=dict)
 
 
@@ -38,7 +37,7 @@ class RuleApplication:
 # ---------------------------------------------------------------------------
 
 def para(c: Clause, i: int, side: int, pi: tuple,
-         d: Clause, j: int, swap: bool, sig: Signature) -> Clause:
+         d: Clause, j: int, swap: bool) -> Clause:
     """Rewrite subterm pi of side `side` of literal i of c using equation
     literal j of d (l and r exchanged when swap is set).
 
@@ -97,9 +96,9 @@ def para_candidates(c: Clause, d: Clause, sig: Signature) -> Iterator[RuleApplic
                     for pi, sub in subterm_positions(s):
                         if sub.ty is not l.ty or not _para_target(sub):
                             continue
-                        clause = para(c, i, side, pi, d, j, swap, sig)
+                        clause = para(c, i, side, pi, d, j, swap)
                         yield RuleApplication(
-                            "paramod_ordered", clause, (),
+                            "paramod_ordered", clause,
                             {"i": i, "side": side, "pos": pi,
                              "j": j, "swap": swap})
 
@@ -144,7 +143,7 @@ def eqfac_candidates(c: Clause) -> Iterator[RuleApplication]:
                         continue
                     clause = eqfac(c, i, j, swap_i, swap_j)
                     yield RuleApplication(
-                        "eqfactor_ordered", clause, (),
+                        "eqfactor_ordered", clause,
                         {"i": i, "j": j, "swap_i": swap_i, "swap_j": swap_j})
 
 
@@ -182,7 +181,7 @@ def prim_subst(c: Clause, i: int, sig: Signature,
         constrained = Clause(list(c.literals) + [literal(eta_long(h), g, False)])
         solved = apply_subst_clause(c, {h: g})
         out.append(RuleApplication(
-            "prim_subst", solved, (),
+            "prim_subst", solved,
             {"i": i, "head": head.name, "binding": g,
              "constrained": constrained, "var": h}))
     return out
@@ -273,7 +272,7 @@ def inj_rule(c: Clause, sig: Signature, done: set) -> Optional[RuleApplication]:
         return None
     done.add(f.name)
     aty = f.ty.arg
-    rty = result_type_one(f.ty)
+    rty = f.ty.res
     base = f"{f.name}_inv"
     name = base
     k = 0
@@ -284,11 +283,7 @@ def inj_rule(c: Clause, sig: Signature, done: set) -> Optional[RuleApplication]:
     sig.declare(name, inv.ty, system=True)
     z = sig.fresh_free(aty)
     clause = Clause([literal(app(inv, app(f, z)), z, True)])
-    return RuleApplication("inj", clause, (), {"symbol": f.name})
-
-
-def result_type_one(ty: FunType) -> SimpleType:
-    return ty.res
+    return RuleApplication("inj", clause, {"symbol": f.name})
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +335,6 @@ def _try_der(lits: list):
 
 def _rewrite_once(t: Term, l: Term, r: Term):
     """Rewrite the first closed instance of l in t to the matching r."""
-    from .clauses import match_terms
     for pi, sub in subterm_positions(t):
         if sub.loose or sub.ty is not l.ty:
             continue
@@ -369,7 +363,6 @@ def simplify(c: Clause, units=()) -> SimplifyOutcome:
     units is a sequence of (id, unit Clause) used for oriented rewriting
     and contextual unit cutting; both record the unit id they used.
     """
-    from .clauses import match_literal
     lits = list(c.literals)
     changed = False
     used = []

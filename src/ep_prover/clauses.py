@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .terms import (
-    Abs, App, Bound, Const, Free, Term, TRUE, canon, spine, type_str,
+    Abs, Bound, Const, Free, Term, TRUE, canon, distinct_bound_args, head_of,
+    invert_pattern, same_rigid_head, spine, substitute, type_str,
 )
 
 
@@ -98,25 +99,6 @@ class Clause:
 EMPTY_CLAUSE = Clause(())
 
 
-def strip_binders(t: Term):
-    """Peel the leading abstraction prefix; returns (depth, body)."""
-    n = 0
-    while isinstance(t, Abs):
-        t = t.body
-        n += 1
-    return n, t
-
-
-def head_of(t: Term) -> Term:
-    _, body = strip_binders(t)
-    h, _ = spine(body)
-    return h
-
-
-def is_unification_constraint(lit: Literal) -> bool:
-    return not lit.pos
-
-
 def is_flex_flex(lit: Literal) -> bool:
     """Negative literal whose both sides have free-variable heads."""
     return (not lit.pos
@@ -152,16 +134,19 @@ def _term_sig(t: Term, names: Optional[dict], out: list):
             _term_sig(a, names, out)
 
 
-def alpha_key(c: Clause) -> tuple:
+def alpha_key(c: Clause, term_sig=_term_sig) -> tuple:
     """Hashable clause key invariant under free-variable renaming.
 
     Literals are ordered by a name-blind structural key, then free
     variables are numbered by first occurrence in that order.
+    `term_sig(t, names, out)` appends the signature of t to out, numbering
+    renameable symbols through `names`, or leaving them blind when
+    `names` is None.
     """
     def blind(l: Literal) -> tuple:
         acc = ["+" if l.pos else "-"]
-        _term_sig(l.lhs, None, acc)
-        _term_sig(l.rhs, None, acc)
+        term_sig(l.lhs, None, acc)
+        term_sig(l.rhs, None, acc)
         return tuple(acc)
 
     order = sorted(range(len(c.literals)),
@@ -171,8 +156,8 @@ def alpha_key(c: Clause) -> tuple:
     for i in order:
         l = c.literals[i]
         out.append("+" if l.pos else "-")
-        _term_sig(l.lhs, names, out)
-        _term_sig(l.rhs, names, out)
+        term_sig(l.lhs, names, out)
+        term_sig(l.rhs, names, out)
     return tuple(out)
 
 
@@ -182,14 +167,9 @@ def rename_clause(c: Clause, sig) -> tuple:
     if not fvs:
         return c, {}
     ren = {v: sig.fresh_free(v.ty) for v in fvs}
-    lits = [Literal(canon_sub(l.lhs, ren), canon_sub(l.rhs, ren), l.pos)
+    lits = [Literal(substitute(l.lhs, ren), substitute(l.rhs, ren), l.pos)
             for l in c.literals]
     return Clause(lits), ren
-
-
-def canon_sub(t: Term, ren: dict) -> Term:
-    from .terms import substitute
-    return substitute(t, ren)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +196,6 @@ def match_terms(pattern: Term, target: Term, binding: dict,
         return match_terms(pattern.body, target.body, binding, bindable)
     ph, pargs = spine(pattern)
     if isinstance(ph, Free) and ph in binding:
-        from .terms import canon as _canon, substitute
         # resolve already-bound variables; bounded because a chain of
         # acyclic bindings resolves in at most len(binding) rounds
         reduced = pattern
@@ -224,7 +203,7 @@ def match_terms(pattern: Term, target: Term, binding: dict,
             relevant = {v: binding[v] for v in reduced.fvs if v in binding}
             if not relevant:
                 break
-            reduced = _canon(substitute(reduced, relevant))
+            reduced = substitute(reduced, relevant)
         else:
             return None
         if reduced is target:
@@ -243,23 +222,11 @@ def match_terms(pattern: Term, target: Term, binding: dict,
             new[ph] = target
             return new
         # pattern case: X applied to distinct bound variables
-        if not all(isinstance(a, Bound) for a in pargs):
+        if not distinct_bound_args(pargs):
             return None
-        idxs = [a.index for a in pargs]
-        if len(set(idxs)) != len(idxs):
+        img = invert_pattern(pargs, target)
+        if img is None:
             return None
-        from .terms import bound as mk_bound, lam, canon as _canon, substitute
-        # target's loose vars must be among the pattern's arguments
-        n = len(pargs)
-        # build lambda binding: X := \x1..xn. target with indices remapped
-        remap = {idx: n - 1 - k for k, idx in enumerate(idxs)}
-        img_body = _remap_bounds(target, remap, 0)
-        if img_body is None:
-            return None
-        img = img_body
-        for a in reversed(pargs):
-            img = lam(a.ty, img)
-        img = _canon(img)
         bound_to = binding.get(ph)
         if bound_to is not None:
             return binding if bound_to is img else None
@@ -268,51 +235,13 @@ def match_terms(pattern: Term, target: Term, binding: dict,
         return new
     # rigid head: constant, bound variable, or a non-bindable free
     th, targs = spine(target)
-    if isinstance(ph, Const):
-        if not (isinstance(th, Const) and th is ph):
-            return None
-    elif isinstance(ph, Bound):
-        if not (isinstance(th, Bound) and th.index == ph.index):
-            return None
-    elif isinstance(ph, Free):
-        if th is not ph:
-            return None
-    else:
-        return None
-    if len(pargs) != len(targs):
+    if not same_rigid_head(ph, th) or len(pargs) != len(targs):
         return None
     for pa, ta in zip(pargs, targs):
         binding = match_terms(pa, ta, binding, bindable)
         if binding is None:
             return None
     return binding
-
-
-def _remap_bounds(t: Term, remap: dict, depth: int):
-    """Rewrite loose bound indices through remap; None if one is missing."""
-    from .terms import bound as mk_bound, lam, app
-    if t.loose <= depth:
-        return t
-    if isinstance(t, Bound):
-        j = t.index - depth
-        if j in remap:
-            return mk_bound(remap[j] + depth, t.ty)
-        return None
-    if isinstance(t, Abs):
-        body = _remap_bounds(t.body, remap, depth + 1)
-        return None if body is None else lam(t.var_ty, body)
-    if isinstance(t, App):
-        h = _remap_bounds(t.head, remap, depth)
-        if h is None:
-            return None
-        args = []
-        for a in t.args:
-            r = _remap_bounds(a, remap, depth)
-            if r is None:
-                return None
-            args.append(r)
-        return app(h, *args)
-    return t
 
 
 def match_literal(pl: Literal, tl: Literal, binding: dict,

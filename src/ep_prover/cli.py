@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .terms import Abs, App, Const, Term, type_str
+from .terms import Term, const, constants, substitute_raw, type_str
 from .tptp import (
     InferenceRecord, ParseError, Problem, ProofLine,
     UnsupportedInputError, parse_problem, print_clause, print_formula,
     print_proof, print_szs, render_file_source, render_inference,
 )
+from .cnf import DefinitionError, definition_parts
 from .modal import embed, uses_modal_operators
 from .saturation import ProverConfig, Result, extract_proof, saturate
 
@@ -51,21 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="S5 accessibility encoding for modal problems")
     ap.add_argument("--include-dir", default=None,
                     help="directory for TPTP include resolution")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="reserved; the search is deterministic")
     return ap
 
 
-def _collect_consts(t: Term, out: dict):
-    if isinstance(t, Const):
-        if t.name not in _BUILTIN_NAMES:
-            out.setdefault(t.name, t.ty)
-    elif isinstance(t, Abs):
-        _collect_consts(t.body, out)
-    elif isinstance(t, App):
-        _collect_consts(t.head, out)
-        for a in t.args:
-            _collect_consts(a, out)
+def _add_consts(t: Term, out: dict):
+    """Record the non-builtin constants of t in first-occurrence order."""
+    for k in constants(t):
+        if k.name not in _BUILTIN_NAMES:
+            out.setdefault(k.name, k.ty)
 
 
 def _record_terms(d):
@@ -82,18 +76,14 @@ def build_proof_lines(result: Result, problem: Problem) -> list:
     definitions, and the derivation records in dependency order."""
     proof = extract_proof(result.records, result.empty_id)
 
-    definitions = {}
-    for f in problem.formulas:
-        if f.role == "definition":
-            k = next(iter(_collect_one_name(f.formula)), None)
-            if k is not None:
-                definitions[k] = f
+    definitions = {definition_parts(f)[0]: f for f in problem.formulas
+                   if f.role == "definition"}
 
     # constants of the derivation, then close over definition bodies
     consts: dict = {}
     for d in proof:
         for t in _record_terms(d):
-            _collect_consts(t, consts)
+            _add_consts(t, consts)
     used_defs = []
     queue = [n for n in consts if n in definitions]
     while queue:
@@ -102,7 +92,7 @@ def build_proof_lines(result: Result, problem: Problem) -> list:
             continue
         used_defs.append(n)
         body: dict = {}
-        _collect_consts(definitions[n].formula, body)
+        _add_consts(definitions[n].formula, body)
         for m in body:
             consts.setdefault(m, body[m])
             if m in definitions and m not in used_defs:
@@ -154,24 +144,17 @@ def build_proof_lines(result: Result, problem: Problem) -> list:
     return lines
 
 
-def _collect_one_name(def_formula: Term):
-    """The constant a definition equation defines."""
-    from .terms import spine
-    h, args = spine(def_formula)
-    if isinstance(h, Const) and h.name == "=" and len(args) == 2:
-        dh, _ = spine(args[0])
-        while isinstance(dh, Abs):
-            dh, _ = spine(dh.body)
-        if isinstance(dh, Const):
-            yield dh.name
-
-
 def _print_binding(t: Term, names: dict) -> str:
-    from .terms import const, substitute_raw
     mapping = {v: const(n, v.ty) for v, n in names.items() if v in t.fvs}
     if mapping:
         t = substitute_raw(t, mapping)
     return print_formula(t)
+
+
+def _error(name: str, message: str) -> int:
+    print(print_szs("Error", name))
+    print(message, file=sys.stderr)
+    return 2
 
 
 def run(args) -> int:
@@ -180,9 +163,7 @@ def run(args) -> int:
         with open(args.problem, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        print(print_szs("Error", name))
-        print(f"cannot read problem file: {e}", file=sys.stderr)
-        return 2
+        return _error(name, f"cannot read problem file: {e}")
     try:
         problem = parse_problem(text, name, args.include_dir)
         if problem.logic_spec is not None:
@@ -191,9 +172,9 @@ def run(args) -> int:
             raise UnsupportedInputError(
                 "modal operators used without a logic specification")
     except ParseError as e:
-        print(print_szs("Error", name))
-        print(str(e), file=sys.stderr)
-        return 2
+        return _error(name, str(e))
+    except RecursionError:
+        return _error(name, "input nested too deeply")
 
     config = ProverConfig(
         time_limit=args.timeout,
@@ -202,7 +183,10 @@ def run(args) -> int:
         ps_limit=args.ps_limit,
         enable_inj=not args.no_inj,
     )
-    result = saturate(problem, config)
+    try:
+        result = saturate(problem, config)
+    except DefinitionError as e:
+        return _error(name, str(e))
     print(print_szs(result.status, name))
     if args.proof and result.empty_id is not None:
         print(print_proof(build_proof_lines(result, problem), name))

@@ -13,12 +13,16 @@ from typing import Optional
 
 from .terms import (
     Abs, App, Bound, Const, Free, FunType, O, PI_NAME, SIGMA_NAME, Signature,
-    SimpleType, Term, TermError, app, arg_types, bound, canon, conj, const,
-    disj, eq_const, equality, exists, fn, forall, free, fun_type, iff, implies,
-    lam, match_quant, neg, pi_const, result_type, shift, sigma_const, spine,
-    FALSE, TRUE, NOT, OR, AND, IMPLIES, IFF,
+    SimpleType, Term, app, arg_types, canon, conj, constants, disj, equality,
+    exists, fn, forall, iff, implies, is_eta_var, lam, match_quant, neg,
+    result_type, shift, spine, FALSE, NOT, OR, AND, IMPLIES, IFF,
 )
-from .clauses import Clause, Literal, literal, prop_literal
+from .clauses import Clause, literal, prop_literal
+
+
+# Subformulas whose clausification would yield more clauses than this are
+# named by a fresh predicate; 0 switches naming off.
+NAMING_THRESHOLD = 16
 
 
 @dataclass
@@ -28,7 +32,6 @@ class PreprocessConfig:
     replace_defined_eq: bool = True
     exhaustive_inst_types: frozenset = field(
         default_factory=lambda: frozenset((O, fn(O, res=O))))
-    naming_threshold: int = 16
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +184,7 @@ def _name_subformula(lits: list, i: int, sig: Signature):
 
 
 def normalize(c: Clause, sig: Signature,
-              naming_threshold: int = 16) -> set:
+              naming_threshold: int = NAMING_THRESHOLD) -> set:
     """Exhaustive clausification of a clause into proper CNF clauses."""
     results = set()
     work = [list(c.literals)]
@@ -327,25 +330,34 @@ def miniscope(f: Term) -> Term:
 # Definition expansion
 # ---------------------------------------------------------------------------
 
-class CyclicDefinitionError(Exception):
-    pass
+class DefinitionError(Exception):
+    """A definition that cannot be expanded: not an equation defining a
+    constant, or part of a cycle."""
 
 
-def _def_deps(body: Term, names: set) -> set:
-    out = set()
+class CyclicDefinitionError(DefinitionError):
+    """Definitions that refer to each other or to themselves."""
 
-    def walk(t: Term):
-        if isinstance(t, Const) and t.name in names:
-            out.add(t.name)
-        elif isinstance(t, Abs):
-            walk(t.body)
-        elif isinstance(t, App):
-            walk(t.head)
-            for a in t.args:
-                walk(a)
 
-    walk(body)
-    return out
+def definition_parts(f) -> tuple:
+    """(defined name, canonical body) of a definition formula."""
+    k = formula_kind(f.formula)
+    if k is None or k[0] != "eq":
+        raise DefinitionError(f"definition {f.name} is not an equation")
+    lhs = k[1]
+    # the defined symbol may be eta-expanded on the left
+    h = lhs if isinstance(lhs, Const) else is_eta_var(lhs, Const)
+    if h is None:
+        raise DefinitionError(
+            f"definition {f.name} does not define a constant")
+    return h.name, canon(k[2])
+
+
+def definition_map(formulas) -> dict:
+    """Unfolded {name: body} map of the definition formulas."""
+    defs = dict(definition_parts(f) for f in formulas
+                if f.role == "definition")
+    return expand_definition_map(defs) if defs else {}
 
 
 def replace_consts(t: Term, mapping: dict) -> Term:
@@ -376,7 +388,8 @@ def expand_definition_map(defs: dict) -> dict:
         if state.get(n) == 1:
             raise CyclicDefinitionError(f"cyclic definition involving {n}")
         state[n] = 1
-        for d in sorted(_def_deps(defs[n], names)):
+        for d in sorted({c.name for c in constants(defs[n])
+                         if c.name in names}):
             visit(d)
         state[n] = 2
         order.append(n)
@@ -467,10 +480,3 @@ def replace_defined_equalities_term(t: Term) -> Term:
             if m is not None:
                 return equality(m[0], m[1])
     return t
-
-
-def replace_defined_equalities(c: Clause) -> Clause:
-    lits = [Literal(canon(replace_defined_equalities_term(l.lhs)),
-                    canon(replace_defined_equalities_term(l.rhs)), l.pos)
-            for l in c.literals]
-    return Clause(lits)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .terms import (
-    Abs, App, Bound, Const, FALSE, FunType, O, Signature, SimpleType,
-    Term, TRUE, app, base_type, bound, canon, conj, const, disj, equality,
-    exists, forall, fun_type, iff, implies, lam, neg, shift, spine,
+    Abs, Bound, Const, FALSE, FunType, O, Signature, SimpleType, Term, TRUE,
+    app, base_type, bound, conj, const, constants, disj, equality, exists,
+    forall, fun_type, iff, implies, lam, neg, shift, spine,
 )
 from .tptp import (
     AnnotatedFormula, LogicSpec, Problem, UnsupportedInputError,
@@ -167,16 +167,11 @@ class EmbeddingOutput:
 
 
 def uses_modal_operators(prob: Problem) -> bool:
-    def scan(t: Term) -> bool:
-        if isinstance(t, Const):
-            return t.name in ("$box", "$dia")
-        if isinstance(t, Abs):
-            return scan(t.body)
-        if isinstance(t, App):
-            return scan(t.head) or any(scan(a) for a in t.args)
-        return False
-    return any(isinstance(f.formula, Term) and scan(f.formula)
-               for f in prob.formulas if f.role not in ("type", "logic"))
+    return any(k.name in ("$box", "$dia")
+               for f in prob.formulas
+               if f.role not in ("type", "logic")
+               and isinstance(f.formula, Term)
+               for k in constants(f.formula))
 
 
 class _Translator:

@@ -13,20 +13,22 @@ import re
 from typing import Optional
 
 from .terms import (
-    Abs, App, Bound, Const, Free, FunType, O, Signature, Subst, Term,
-    TRUE, canon, neg, spine, type_str,
+    Abs, App, Const, FALSE, FunType, LOGICAL_NAMES, O, Signature, Subst,
+    Term, TRUE, base_types_in, canon, constants, neg, spine, type_str,
 )
 from .clauses import (
     Clause, Literal, _term_sig, alpha_key, literal, prop_literal,
+    rename_clause,
 )
 from .cnf import (
-    expand_definition_map, expand_term, miniscope, normalize,
+    NAMING_THRESHOLD, definition_map, expand_term, miniscope, normalize,
     replace_defined_equalities_term,
 )
 from .calculus import (
     bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext, inj_rule,
     para_candidates, prim_subst, simplify,
 )
+from .saturation import extract_proof
 from .unification import _Clash, simplify_pairs
 from .tptp import RULE_VOCABULARY
 
@@ -48,17 +50,6 @@ _MINTED = re.compile(r"sk\d+|\w+_inv\d*")
 def _is_mintable(name: str) -> bool:
     """Skolem-style constants freshly minted during the run."""
     return _MINTED.fullmatch(name) is not None
-
-
-def _const_names(t: Term):
-    if isinstance(t, Const):
-        yield t.name
-    elif isinstance(t, Abs):
-        yield from _const_names(t.body)
-    elif isinstance(t, App):
-        yield from _const_names(t.head)
-        for a in t.args:
-            yield from _const_names(a)
 
 
 def blind_key(c: Clause) -> tuple:
@@ -83,22 +74,7 @@ def blind_key(c: Clause) -> tuple:
         else:
             _term_sig(t, names, out)
 
-    def blind(l: Literal) -> tuple:
-        acc = ["+" if l.pos else "-"]
-        walk(l.lhs, None, acc)
-        walk(l.rhs, None, acc)
-        return tuple(acc)
-
-    order = sorted(range(len(c.literals)),
-                   key=lambda i: blind(c.literals[i]))
-    names: dict = {}
-    out: list = []
-    for i in order:
-        l = c.literals[i]
-        out.append("+" if l.pos else "-")
-        walk(l.lhs, names, out)
-        walk(l.rhs, names, out)
-    return tuple(out)
+    return alpha_key(c, walk)
 
 
 class ReplayError(Exception):
@@ -106,10 +82,11 @@ class ReplayError(Exception):
 
 
 class ProofChecker:
-    def __init__(self, records: dict, problem=None):
+    def __init__(self, records: dict, problem=None,
+                 naming_threshold: int = NAMING_THRESHOLD):
         self.records = records
         self.problem = problem
-        self.sig = Signature()
+        self.naming_threshold = naming_threshold   # as in the checked run
         self._defs = None
 
     def _scratch_sig(self, *clauses) -> Signature:
@@ -124,8 +101,8 @@ class ProofChecker:
                     top = max(top, int(m.group(1)))
             for l in c.literals:
                 for t in (l.lhs, l.rhs):
-                    for name in _const_names(t):
-                        m = re.fullmatch(r"sk(\d+)", name)
+                    for k in constants(t):
+                        m = re.fullmatch(r"sk(\d+)", k.name)
                         if m:
                             sk_top = max(sk_top, int(m.group(1)))
         sig._fv = top
@@ -134,14 +111,8 @@ class ProofChecker:
 
     def _definition_map(self) -> dict:
         if self._defs is None:
-            from .saturation import Saturation
-            defs = {}
-            if self.problem is not None:
-                for f in self.problem.formulas:
-                    if f.role == "definition":
-                        name, body = Saturation._definition_parts(f)
-                        defs[name] = body
-            self._defs = expand_definition_map(defs) if defs else {}
+            self._defs = ({} if self.problem is None
+                          else definition_map(self.problem.formulas))
         return self._defs
 
     def check(self, proof: list) -> list:
@@ -201,7 +172,7 @@ class ProofChecker:
             start = Clause([prop_literal(p.formula, True)])
         else:
             start = p.clause
-        out = normalize(start, self._scratch_sig(), 16)
+        out = normalize(start, self._scratch_sig(), self.naming_threshold)
         keys = {blind_key(c) for c in out}
         if blind_key(d.clause) not in keys:
             raise ReplayError("clausification does not produce this clause")
@@ -227,7 +198,6 @@ class ProofChecker:
 
     def _r_paramod_ordered(self, d, parents):
         want = blind_key(d.clause)
-        from .clauses import rename_clause
         a = parents[0].clause
         b = parents[-1].clause
         for c, e in ((a, b), (b, a)):
@@ -268,7 +238,8 @@ class ProofChecker:
     def _r_prim_subst(self, d, parents):
         want = blind_key(d.clause)
         c = parents[0].clause
-        types = self._clause_types(c, d.clause)
+        types = base_types_in(t.ty for x in (c, d.clause)
+                              for l in x.literals for t in (l.lhs, l.rhs))
         for i in range(len(c.literals)):
             for ra in prim_subst(c, i, self._scratch_sig(c, d.clause), types):
                 if blind_key(ra.detail["constrained"]) == want:
@@ -276,22 +247,6 @@ class ProofChecker:
                 if blind_key(ra.clause) == want:
                     return
         raise ReplayError("no primitive substitution matches")
-
-    @staticmethod
-    def _clause_types(*clauses) -> tuple:
-        tys = set()
-        for c in clauses:
-            for l in c.literals:
-                for t in (l.lhs, l.rhs):
-                    stack = [t.ty]
-                    while stack:
-                        ty = stack.pop()
-                        if isinstance(ty, FunType):
-                            stack.extend((ty.arg, ty.res))
-                        else:
-                            tys.add(ty)
-        tys.discard(O)
-        return tuple(sorted(tys, key=lambda ty: ty.uid))
 
     def _r_rewrite(self, d, parents):
         self._replay_simplify(d, parents)
@@ -353,8 +308,7 @@ _BINARY = {
 
 
 def _contains_logical(t: Term) -> bool:
-    from .terms import LOGICAL_NAMES
-    return any(n in LOGICAL_NAMES for n in _const_names(t))
+    return any(k.name in LOGICAL_NAMES for k in constants(t))
 
 
 def _collect_atoms(t: Term, atoms: list) -> bool:
@@ -363,7 +317,6 @@ def _collect_atoms(t: Term, atoms: list) -> bool:
     Returns False when the term falls outside the propositional
     fragment (a connective hidden inside an application, say).
     """
-    from .terms import FALSE
     if t is TRUE or t is FALSE:
         return True
     h, args = spine(t)
@@ -384,7 +337,6 @@ def _collect_atoms(t: Term, atoms: list) -> bool:
 
 
 def _eval_bool(t: Term, val: dict) -> bool:
-    from .terms import FALSE
     if t is TRUE:
         return True
     if t is FALSE:
@@ -480,9 +432,8 @@ def check_ground_steps(records: dict, proof: list) -> list:
 
 def replay_proof(result, problem=None) -> list:
     """Convenience wrapper: full structural replay plus ground checks."""
-    from .saturation import extract_proof
     proof = extract_proof(result.records, result.empty_id)
-    checker = ProofChecker(result.records, problem)
+    checker = ProofChecker(result.records, problem, result.naming_threshold)
     out = checker.check(proof)
     out.extend(check_ground_steps(result.records, proof))
     return out

@@ -14,26 +14,34 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .terms import (
-    Const, Free, FunType, O, Signature, Term, TRUE, canon, eta_long, neg,
+    FunType, I, O, Signature, Term, base_types_in, canon, neg,
 )
 from .clauses import (
     Clause, Literal, alpha_key, clause_weight, is_empty_clause,
     is_flex_flex, literal, prop_literal, rename_clause, subsumes,
 )
-from . import cnf as cnf_mod
 from .cnf import (
-    PreprocessConfig, expand_definition_map, expand_term, miniscope,
-    normalize, replace_defined_equalities_term,
+    NAMING_THRESHOLD, PreprocessConfig, definition_map, expand_term,
+    formula_kind, miniscope, normalize, replace_defined_equalities_term,
 )
 from .calculus import (
-    RuleApplication, apply_subst_clause, bool_ext, eqfac_candidates,
-    exhaustive_instantiate, func_ext, inj_rule, para_candidates, prim_subst,
-    simplify,
+    bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext, inj_rule,
+    para_candidates, prim_subst, simplify,
 )
 from .unification import (
     FAIL, NOT_PATTERN, pattern_unify, pre_unify,
 )
-from .tptp import Problem, AnnotatedFormula
+from .tptp import Problem
+
+
+# Given-clause heuristic: every AGE_RATIO-th pick is the oldest clause,
+# the others the lightest.
+AGE_RATIO = 5
+# Clauses heavier than this are not kept; a run that dropped one can no
+# longer claim saturation.
+MAX_CLAUSE_WEIGHT = 200
+# The run gives up once this many derivation records exist.
+MAX_CLAUSES = 200000
 
 
 @dataclass
@@ -42,11 +50,8 @@ class ProverConfig:
     unif_depth: int = 8
     unifiers_per_inference: int = 4
     ps_limit: int = 3
-    age_ratio: int = 5
-    naming_threshold: int = 16
+    naming_threshold: int = NAMING_THRESHOLD
     enable_inj: bool = True
-    max_clause_weight: int = 200
-    max_clauses: int = 200000
 
 
 @dataclass
@@ -71,6 +76,7 @@ class Result:
     empty_id: Optional[int] = None
     signature: Optional[Signature] = None
     definitions: tuple = ()          # names of definition formulas used
+    naming_threshold: int = NAMING_THRESHOLD  # clausification of the run
 
 
 class Saturation:
@@ -89,6 +95,13 @@ class Saturation:
         self.inj_done: set = set()
         self.empty_id: Optional[int] = None
         self.picks = 0
+        self.dropped_heavy = False    # the weight cut discarded a clause
+        # primitive substitution instantiates quantifiers and equations at
+        # the problem's types; only the parser and the modal embedding
+        # declare non-system constants, so these are fixed for the run
+        self.inst_types = base_types_in(
+            ty for name, ty in self.sig.constants.items()
+            if name not in self.sig.system) or (I,)
 
     # -- record keeping -----------------------------------------------------
 
@@ -115,14 +128,9 @@ class Saturation:
     def preprocess(self) -> Optional[str]:
         """Turn the problem into initial clauses; returns an early status."""
         prob = self.problem
-        defs = {}
-        self.def_names = []
-        for f in prob.formulas:
-            if f.role == "definition":
-                name, body = self._definition_parts(f)
-                defs[name] = body
-                self.def_names.append(f.name)
-        expanded_defs = expand_definition_map(defs) if defs else {}
+        self.def_names = [f.name for f in prob.formulas
+                          if f.role == "definition"]
+        expanded_defs = definition_map(prob.formulas)
 
         work = []
         for f in prob.formulas:
@@ -188,25 +196,6 @@ class Saturation:
             self.insert_new(d)
         return None
 
-    @staticmethod
-    def _definition_parts(f: AnnotatedFormula):
-        from .terms import spine
-        from .cnf import formula_kind
-        k = formula_kind(f.formula)
-        if k is None or k[0] != "eq":
-            raise ValueError(
-                f"definition {f.name} is not an equation")
-        lhs, rhs = k[1], k[2]
-        h, args = spine(lhs)
-        if not isinstance(h, Const) or args:
-            # defined symbol may be eta-expanded on the left
-            h2 = _eta_const(lhs)
-            if h2 is None:
-                raise ValueError(
-                    f"definition {f.name} does not define a constant")
-            h = h2
-        return h.name, canon(rhs)
-
     # -- clause intake ------------------------------------------------------
 
     def insert_new(self, d: Derived):
@@ -256,8 +245,8 @@ class Saturation:
             return
         if is_empty_clause(c) and self.empty_id is None:
             self.empty_id = d.id
-        if clause_weight(c) > self.config.max_clause_weight \
-                and not is_empty_clause(c):
+        if clause_weight(c) > MAX_CLAUSE_WEIGHT and not is_empty_clause(c):
+            self.dropped_heavy = True
             return
         for pid in self.P:
             if subsumes(self.records[pid].clause, c):
@@ -314,19 +303,16 @@ class Saturation:
         try:
             self.preprocess()
         except RecursionError:
-            return Result("GaveUp", self.records, None, self.sig,
-                          tuple(self.def_names))
+            return self._result("GaveUp")
         while True:
             if self.empty_id is not None:
                 return self._refutation_result()
             if self.out_of_time():
-                return Result("Timeout", self.records, None, self.sig,
-                              tuple(self.def_names))
+                return self._result("Timeout")
             if not self.U:
                 return self._saturated_result()
-            if self._next_id > self.config.max_clauses:
-                return Result("GaveUp", self.records, None, self.sig,
-                              tuple(self.def_names))
+            if self._next_id > MAX_CLAUSES:
+                return self._result("GaveUp")
             gid = self._select()
             g = self.records[gid]
             # forward simplification against current units
@@ -354,7 +340,7 @@ class Saturation:
 
     def _select(self) -> int:
         self.picks += 1
-        if self.picks % self.config.age_ratio == 0:
+        if self.picks % AGE_RATIO == 0:
             best = min(self.U)
         else:
             best = min(self.U, key=lambda i: (
@@ -392,10 +378,8 @@ class Saturation:
                                  func_ext(g.clause, i, self.sig), 0))
         # primitive substitution
         if g.ps_depth < self.config.ps_limit:
-            inst_types = tuple(sorted(
-                self._problem_types(), key=lambda ty: ty.uid))
             for i in range(len(g.clause.literals)):
-                for ra in prim_subst(g.clause, i, self.sig, inst_types):
+                for ra in prim_subst(g.clause, i, self.sig, self.inst_types):
                     produced.append(("prim_subst", (gid,),
                                      ra.detail["constrained"], 1))
         # injectivity
@@ -410,55 +394,28 @@ class Saturation:
             self.insert_new(self.record(rule, status, parents, clause=clause,
                                         ps_extra=ps_extra))
 
-    def _problem_types(self):
-        tys = set()
-        for name, ty in self.sig.constants.items():
-            if name in self.sig.system:
-                continue
-            stack = [ty]
-            while stack:
-                t = stack.pop()
-                if isinstance(t, FunType):
-                    stack.extend((t.arg, t.res))
-                else:
-                    tys.add(t)
-        tys.discard(O)
-        from .terms import base_type
-        if not tys:
-            tys = {base_type("$i")}
-        return tys
-
     # -- results ------------------------------------------------------------
+
+    def _result(self, status: str, empty_id: Optional[int] = None) -> Result:
+        return Result(status, self.records, empty_id, self.sig,
+                      tuple(self.def_names), self.config.naming_threshold)
 
     def _refutation_result(self) -> Result:
         status = classify_refutation(self.records, self.empty_id,
                                      self.problem.conjecture() is not None)
-        return Result(status, self.records, self.empty_id, self.sig,
-                      tuple(self.def_names))
+        return self._result(status, self.empty_id)
 
     def _saturated_result(self) -> Result:
+        """Satisfiable or CounterSatisfiable only when the saturation is
+        complete: every processed clause is ground and no clause was
+        dropped by the weight cut."""
+        ground = all(not self.records[p].clause.free_vars() for p in self.P)
+        if not ground or self.dropped_heavy:
+            return self._result("GaveUp")
         has_conj = any(r.rule == "neg_conjecture"
                        for r in self.records.values())
-        ground = all(not self.records[p].clause.free_vars() for p in self.P)
-        if ground:
-            status = "CounterSatisfiable" if has_conj else "Satisfiable"
-        else:
-            status = "GaveUp"
-        return Result(status, self.records, None, self.sig,
-                      tuple(self.def_names))
-
-
-def _eta_const(t: Term):
-    from .terms import Abs, App, spine
-    body = t
-    depth = 0
-    while isinstance(body, Abs):
-        body = body.body
-        depth += 1
-    h, args = spine(body)
-    if isinstance(h, Const) and t is eta_long(h):
-        return h
-    return None
+        return self._result("CounterSatisfiable" if has_conj
+                            else "Satisfiable")
 
 
 def _ground_bool_eq(c: Clause):
@@ -471,7 +428,6 @@ def _ground_bool_eq(c: Clause):
 
 
 def _needs_cnf(c: Clause) -> bool:
-    from .cnf import formula_kind
     for l in c.literals:
         if l.lhs is l.rhs:
             return True

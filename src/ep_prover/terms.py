@@ -109,6 +109,20 @@ def type_str(ty: SimpleType) -> str:
     return " > ".join(rendered)
 
 
+def base_types_in(types) -> tuple:
+    """Base types other than $o that occur in the given types, by uid."""
+    found = set()
+    stack = list(types)
+    while stack:
+        ty = stack.pop()
+        if isinstance(ty, FunType):
+            stack.extend((ty.arg, ty.res))
+        else:
+            found.add(ty)
+    found.discard(O)
+    return tuple(sorted(found, key=lambda ty: ty.uid))
+
+
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
@@ -260,6 +274,51 @@ def spine(t: Term) -> tuple:
     if isinstance(t, App):
         return t.head, t.args
     return t, ()
+
+
+def strip_binders(t: Term) -> tuple:
+    """Binder types and body of the leading abstraction prefix."""
+    tys = []
+    while isinstance(t, Abs):
+        tys.append(t.var_ty)
+        t = t.body
+    return tys, t
+
+
+def head_of(t: Term) -> Term:
+    """Head symbol of t under its leading binders."""
+    return spine(strip_binders(t)[1])[0]
+
+
+def same_rigid_head(hs: Term, ht: Term) -> bool:
+    """True if rigid head hs (a constant, a bound variable or a free
+    variable treated as a constant) is also the head ht."""
+    if isinstance(hs, Bound):
+        return isinstance(ht, Bound) and ht.index == hs.index
+    return isinstance(hs, (Const, Free)) and hs is ht
+
+
+def is_eta_var(t: Term, kind=Free):
+    """The atom of class `kind` (by default a free variable) whose
+    eta-expansion t is, if there is one."""
+    h = head_of(t)
+    if isinstance(h, kind) and t is eta_long(h):
+        return h
+    return None
+
+
+def constants(t: Term) -> Iterator[Const]:
+    """Constant occurrences of t in preorder, heads before arguments."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Const):
+            yield s
+        elif isinstance(s, Abs):
+            stack.append(s.body)
+        elif isinstance(s, App):
+            stack.extend(reversed(s.args))
+            stack.append(s.head)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +489,59 @@ def canon(t: Term) -> Term:
     return eta_long(beta_normalize(t))
 
 
-def has_beta_redex(t: Term) -> bool:
-    if isinstance(t, App):
-        if isinstance(t.head, Abs):
-            return True
-        return any(has_beta_redex(a) for a in t.args)
+# ---------------------------------------------------------------------------
+# Pattern inversion
+# ---------------------------------------------------------------------------
+
+def distinct_bound_args(args) -> bool:
+    """True if args are pairwise distinct bound variables, the argument
+    shape of a flexible head in Miller's pattern fragment."""
+    seen = set()
+    for a in args:
+        if not isinstance(a, Bound) or a.index in seen:
+            return False
+        seen.add(a.index)
+    return True
+
+
+def invert_pattern(args: tuple, target: Term) -> Optional[Term]:
+    """The solution for X of X args = target, where args are distinct
+    bound variables: the abstraction of target over args.  None when
+    target reaches a bound variable that is not among args."""
+    n = len(args)
+    remap = {a.index: n - 1 - k for k, a in enumerate(args)}
+    body = _remap_bounds(target, remap, 0)
+    if body is None:
+        return None
+    for a in reversed(args):
+        body = lam(a.ty, body)
+    return canon(body)
+
+
+def _remap_bounds(t: Term, remap: dict, depth: int):
+    """Rewrite loose bound indices through remap; None if one is missing."""
+    if t.loose <= depth:
+        return t
+    if isinstance(t, Bound):
+        j = t.index - depth
+        if j in remap:
+            return bound(remap[j] + depth, t.ty)
+        return None
     if isinstance(t, Abs):
-        return has_beta_redex(t.body)
-    return False
+        body = _remap_bounds(t.body, remap, depth + 1)
+        return None if body is None else lam(t.var_ty, body)
+    if isinstance(t, App):
+        h = _remap_bounds(t.head, remap, depth)
+        if h is None:
+            return None
+        args = []
+        for a in t.args:
+            r = _remap_bounds(a, remap, depth)
+            if r is None:
+                return None
+            args.append(r)
+        return app(h, *args)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +590,6 @@ class Subst:
         if v not in new:
             new[v] = canon(r)
         return Subst(new)
-
-    def compose(self, other: "Subst") -> "Subst":
-        """Result applies self first, then other."""
-        new = {v: other.apply(img) for v, img in self.map.items()}
-        for v, img in other.map.items():
-            if v not in new:
-                new[v] = img
-        return Subst(new)
-
-    def restrict(self, fvs) -> "Subst":
-        return Subst({v: r for v, r in self.map.items() if v in fvs})
 
     def items(self):
         return self.map.items()
@@ -608,6 +701,3 @@ class Signature:
     def fresh_free(self, ty: SimpleType) -> Free:
         self._fv += 1
         return free(f"V{self._fv}", ty)
-
-    def problem_base_types(self) -> list:
-        return sorted(self.base_types)

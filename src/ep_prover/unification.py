@@ -9,15 +9,14 @@ Flex-flex pairs are never solved here, they are returned as residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .terms import (
-    Abs, App, Bound, Const, Free, FunType, SimpleType, Subst, Term,
-    app, arg_types, bound, canon, const, eta_long, fun_type, lam,
-    result_type, spine,
+    Const, Free, SimpleType, Subst, Term, app, arg_types, bound, canon,
+    distinct_bound_args, fn, head_of, invert_pattern, is_eta_var, lam,
+    result_type, same_rigid_head, spine, strip_binders,
 )
-from .clauses import _remap_bounds
 
 
 DEFAULT_DEPTH = 8
@@ -44,34 +43,21 @@ class _Clash(Exception):
     """Definitive non-unifiability found during simplification."""
 
 
-def strip_prefix(t: Term):
-    """Binder types and body of the leading abstraction prefix."""
-    tys = []
-    while isinstance(t, Abs):
-        tys.append(t.var_ty)
-        t = t.body
-    return tys, t
-
-
 def _wrap(binders: list, t: Term) -> Term:
     for ty in reversed(binders):
         t = lam(ty, t)
     return t
 
 
-def is_eta_var(t: Term) -> Optional[Free]:
-    """The free variable t is an eta-expansion of, if it is one."""
-    _, body = strip_prefix(t)
-    h, _ = spine(body)
-    if isinstance(h, Free) and t is eta_long(h):
-        return h
-    return None
-
-
-def _head_kind(t: Term):
-    _, body = strip_prefix(t)
-    h, _ = spine(body)
-    return h
+def _decompose(binders: list, hs: Term, sargs: tuple, ht: Term,
+               targs: tuple, work: list) -> bool:
+    """Rigid-rigid step: False on a head clash, else push the argument
+    pairs, each under the shared binders, onto work."""
+    if not same_rigid_head(hs, ht):
+        return False
+    for sa, ta in zip(sargs, targs):
+        work.append((_wrap(binders, sa), _wrap(binders, ta)))
+    return True
 
 
 def simplify_pairs(pairs: list, subst: Subst):
@@ -87,23 +73,15 @@ def simplify_pairs(pairs: list, subst: Subst):
         s, t = subst.apply(s), subst.apply(t)
         if s is t:
             continue
-        binders, sb = strip_prefix(s)
-        _, tb = strip_prefix(t)
+        binders, sb = strip_binders(s)
+        _, tb = strip_binders(t)
         hs, sargs = spine(sb)
         ht, targs = spine(tb)
         s_flex = isinstance(hs, Free)
         t_flex = isinstance(ht, Free)
         if not s_flex and not t_flex:
-            if isinstance(hs, Const):
-                if hs is not ht:
-                    raise _Clash
-            elif isinstance(hs, Bound):
-                if not (isinstance(ht, Bound) and ht.index == hs.index):
-                    raise _Clash
-            else:
+            if not _decompose(binders, hs, sargs, ht, targs, work):
                 raise _Clash
-            for sa, ta in zip(sargs, targs):
-                work.append((_wrap(binders, sa), _wrap(binders, ta)))
             continue
         # Bind: one side is (eta-equivalent to) a bare free variable
         xv = is_eta_var(s)
@@ -142,7 +120,7 @@ def general_bindings(var_ty: SimpleType, rigid_head: Optional[Term],
     xs = [bound(n - 1 - k, ats[k]) for k in range(n)]
 
     def fresh_applied(goal: SimpleType) -> Term:
-        h = sig.fresh_free(fun_type_chain(ats, goal))
+        h = sig.fresh_free(fn(*ats, res=goal))
         return app(h, *xs) if xs else h
 
     out = []
@@ -157,13 +135,6 @@ def general_bindings(var_ty: SimpleType, rigid_head: Optional[Term],
         body = app(xs[i], *[fresh_applied(g) for g in proj_args])
         out.append(canon(_wrap(ats, body)))
     return out
-
-
-def fun_type_chain(ats: list, res: SimpleType) -> SimpleType:
-    ty = res
-    for a in reversed(ats):
-        ty = fun_type(a, ty)
-    return ty
 
 
 def pre_unify(pairs: list, sig, depth: int = DEFAULT_DEPTH,
@@ -191,8 +162,8 @@ def pre_unify(pairs: list, sig, depth: int = DEFAULT_DEPTH,
             outcome.exhausted = True
             return
         s, t = flex_rigid[0]
-        fv = _head_kind(s)
-        rigid = _head_kind(t)
+        fv = head_of(s)
+        rigid = head_of(t)
         head = rigid if isinstance(rigid, Const) else None
         for b in general_bindings(fv.ty, head, sig):
             if len(outcome.unifiers) >= limit:
@@ -225,8 +196,7 @@ NOT_PATTERN = "not_pattern"
 
 def occurs_rigidly(v: Free, t: Term) -> bool:
     """True if v occurs in t outside the arguments of any flexible head."""
-    _, body = strip_prefix(t)
-    h, args = spine(body)
+    h, args = spine(strip_binders(t)[1])
     if h is v:
         return True
     if isinstance(h, Free):
@@ -249,43 +219,25 @@ def pattern_unify(pairs: list, sig):
         s, t = subst.apply(s), subst.apply(t)
         if s is t:
             continue
-        binders, sb = strip_prefix(s)
-        _, tb = strip_prefix(t)
+        binders, sb = strip_binders(s)
+        _, tb = strip_binders(t)
         hs, sargs = spine(sb)
         ht, targs = spine(tb)
         if not isinstance(hs, Free) and not isinstance(ht, Free):
-            if isinstance(hs, Const):
-                if hs is not ht:
-                    return FAIL
-            elif isinstance(hs, Bound):
-                if not (isinstance(ht, Bound) and ht.index == hs.index):
-                    return FAIL
-            else:
+            if not _decompose(binders, hs, sargs, ht, targs, work):
                 return FAIL
-            for sa, ta in zip(sargs, targs):
-                work.append((_wrap(binders, sa), _wrap(binders, ta)))
             continue
         if not isinstance(hs, Free):
-            s, t = t, s
-            binders2, sb = strip_prefix(s)
-            _, tb = strip_prefix(t)
-            hs, sargs = spine(sb)
-            ht, targs = spine(tb)
+            t, tb, hs, sargs = s, sb, ht, targs
         # flexible side: hs applied to sargs under binders
-        if not all(isinstance(a, Bound) for a in sargs):
-            return NOT_PATTERN
-        idxs = [a.index for a in sargs]
-        if len(set(idxs)) != len(idxs):
+        if not distinct_bound_args(sargs):
             return NOT_PATTERN
         if hs in t.fvs:
             return FAIL if occurs_rigidly(hs, tb) else NOT_PATTERN
-        m = len(sargs)
-        remap = {idx: m - 1 - k for k, idx in enumerate(idxs)}
-        img_body = _remap_bounds(tb, remap, 0)
-        if img_body is None:
+        img = invert_pattern(sargs, tb)
+        if img is None:
             # t mentions a binder the flexible head cannot see; deciding
             # this needs pruning, so hand the pair to full pre-unification
             return NOT_PATTERN
-        img = canon(_wrap([a.ty for a in sargs], img_body))
         subst = subst.bind(hs, img)
     return subst

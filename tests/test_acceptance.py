@@ -25,7 +25,7 @@ from ep_prover.tptp import (
     AnnotatedFormula, Problem, RULE_VOCABULARY, parse_problem,
 )
 from ep_prover.unification import (
-    Unifier, _Clash, _head_kind, general_bindings, pre_unify,
+    Unifier, _Clash, general_bindings, pre_unify,
     simplify_pairs,
 )
 
@@ -371,8 +371,8 @@ def _enumerate_unifiers(pairs, depth):
         if d >= depth:
             return
         s, t = fr[0]
-        v = _head_kind(s)
-        r = _head_kind(t)
+        v = head_of(s)
+        r = head_of(t)
         head = r if isinstance(r, Const) else None
         for b in general_bindings(v.ty, head, sig):
             search(fr + ff, subst.bind(v, b), d + 1)
@@ -507,6 +507,11 @@ def test_proof_output_byte_identical_across_runs():
         outs = [run_cli(path, "-p", *extra).stdout for _ in range(3)]
         assert outs[0] == outs[1] == outs[2], path
         assert "% SZS output start CNFRefutation" in outs[0], path
+        # tests/golden holds the proofs printed before the refactoring of
+        # the term walkers and unifier; any change to the search shows here
+        name = path.rsplit("/", 1)[-1][:-2]
+        with open(f"tests/golden/{name}.out") as f:
+            assert outs[0] == f.read(), path
 
 
 # ---------------------------------------------------------------------------

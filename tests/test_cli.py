@@ -32,9 +32,49 @@ def test_proof_output_brackets_and_rules():
     assert "negated_conjecture" in r.stdout
 
 
-def test_counter_satisfiable_exit_zero():
-    r = run_cli(f"{PROBLEMS}/corpus/prop_k.p", "-t", "30")
+def test_counter_satisfiable_exit_zero(tmp_path):
+    f = tmp_path / "csat.p"
+    f.write_text("thf(p_type, type, (p: $o)). thf(goal, conjecture, p).")
+    r = run_cli(str(f), "-t", "30")
     assert r.returncode == 0
+    assert r.stdout.splitlines()[0] == \
+        "% SZS status CounterSatisfiable for csat.p"
+
+
+def _assert_input_error(r):
+    assert r.returncode == 2
+    assert r.stdout.splitlines()[0].startswith("% SZS status Error for ")
+    assert r.stderr.strip()
+    assert "Traceback" not in r.stderr
+
+
+def test_cyclic_definitions_are_error(tmp_path):
+    f = tmp_path / "cyc.p"
+    f.write_text("thf(q_type, type, (q: $o)). thf(r_type, type, (r: $o)).\n"
+                 "thf(q_def, definition, ( q = r )).\n"
+                 "thf(r_def, definition, ( r = q )).\n"
+                 "thf(goal, conjecture, q).")
+    _assert_input_error(run_cli(str(f)))
+
+
+def test_non_equation_definition_is_error(tmp_path):
+    f = tmp_path / "def.p"
+    f.write_text("thf(q_type, type, (q: $o)).\n"
+                 "thf(q_def, definition, ( q & q )).\n"
+                 "thf(goal, conjecture, q).")
+    _assert_input_error(run_cli(str(f)))
+
+
+def test_deeply_nested_term_is_error(tmp_path):
+    t = "a"
+    for _ in range(3000):
+        t = f"( f @ {t} )"
+    f = tmp_path / "deep.p"
+    f.write_text("thf(f_type, type, (f: $i > $i)).\n"
+                 "thf(a_type, type, (a: $i)).\n"
+                 "thf(p_type, type, (p: $i > $o)).\n"
+                 f"thf(goal, conjecture, ( ( p @ {t} ) => ( p @ {t} ) )).")
+    _assert_input_error(run_cli(str(f)))
 
 
 def test_missing_file_is_error():

@@ -21,6 +21,16 @@ def test_valid_proof_replays_cleanly():
     assert replay_proof(res, prob) == []
 
 
+def test_replay_uses_the_runs_naming_threshold():
+    path = "problems/corpus/prop_equiv_comm.p"
+    prob = parse_problem(open(path).read(), "prop_equiv_comm.p")
+    res = saturate(prob, ProverConfig(time_limit=30, naming_threshold=2))
+    assert res.status == "Theorem"
+    assert any(d.rule == "cnf"
+               for d in extract_proof(res.records, res.empty_id))
+    assert replay_proof(res, prob) == []
+
+
 def test_corrupted_clause_is_detected():
     prob, res = run("problems/sur_cantor.p")
     proof = extract_proof(res.records, res.empty_id)

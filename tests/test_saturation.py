@@ -36,6 +36,22 @@ def test_counter_satisfiable_conjecture():
     assert res.status == "CounterSatisfiable"
 
 
+def test_weight_cut_prevents_a_saturation_verdict():
+    # p @ t |- p @ t with t = 120 nested (g @ _ @ a): both input clauses
+    # exceed the clause-weight cut, so the search cannot claim saturation
+    t = "a"
+    for _ in range(120):
+        t = f"( g @ {t} @ a )"
+    res = prove(f"""
+    thf(g_type, type, (g: $i > $i > $i)).
+    thf(a_type, type, (a: $i)).
+    thf(p_type, type, (p: $i > $o)).
+    thf(ax, axiom, ( p @ {t} )).
+    thf(c, conjecture, ( p @ {t} )).
+    """)
+    assert res.status == "GaveUp"
+
+
 def test_satisfiable_axioms_only():
     res = prove("""
     thf(p_type, type, (p: $o)).

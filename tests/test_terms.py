@@ -101,13 +101,6 @@ def test_subst_bind_composes():
     assert s.apply(y) is c
 
 
-def test_subst_restrict():
-    x, y = free("X", I), free("Y", I)
-    c = const("c", I)
-    s = Subst({x: c, y: c}).restrict({x})
-    assert dict(s.items()) == {x: c}
-
-
 def test_signature_fresh_names():
     sig = Signature()
     sig.declare("c", I)
