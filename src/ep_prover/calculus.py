@@ -9,7 +9,7 @@ and a candidate enumerator used by the saturation loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .terms import (
@@ -23,13 +23,6 @@ from .clauses import (
 )
 from .cnf import ordered_free_vars, skolem_term
 from .unification import general_bindings
-
-
-@dataclass
-class RuleApplication:
-    rule: str
-    clause: Clause
-    detail: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +67,7 @@ def _para_target(sub: Term) -> bool:
     return True
 
 
-def para_candidates(c: Clause, d: Clause, sig: Signature) -> Iterator[RuleApplication]:
+def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
     """All paramodulation inferences from equations of d into c."""
     for j, lit_d in enumerate(d.literals):
         if not lit_d.pos:
@@ -96,11 +89,7 @@ def para_candidates(c: Clause, d: Clause, sig: Signature) -> Iterator[RuleApplic
                     for pi, sub in subterm_positions(s):
                         if sub.ty is not l.ty or not _para_target(sub):
                             continue
-                        clause = para(c, i, side, pi, d, j, swap)
-                        yield RuleApplication(
-                            "paramod_ordered", clause,
-                            {"i": i, "side": side, "pos": pi,
-                             "j": j, "swap": swap})
+                        yield para(c, i, side, pi, d, j, swap)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +115,7 @@ def eqfac(c: Clause, i: int, j: int, swap_i: bool, swap_j: bool) -> Clause:
     return Clause(lits)
 
 
-def eqfac_candidates(c: Clause) -> Iterator[RuleApplication]:
+def eqfac_candidates(c: Clause) -> Iterator[Clause]:
     n = len(c.literals)
     for i in range(n):
         for j in range(n):
@@ -141,10 +130,7 @@ def eqfac_candidates(c: Clause) -> Iterator[RuleApplication]:
                     u = lj.rhs if swap_j else lj.lhs
                     if s.ty is not u.ty:
                         continue
-                    clause = eqfac(c, i, j, swap_i, swap_j)
-                    yield RuleApplication(
-                        "eqfactor_ordered", clause,
-                        {"i": i, "j": j, "swap_i": swap_i, "swap_j": swap_j})
+                    yield eqfac(c, i, j, swap_i, swap_j)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +146,7 @@ def prim_subst(c: Clause, i: int, sig: Signature,
 
     For each candidate head (negation, disjunction, and universal
     quantification / equality at the given types) produces the clause
-    with the approximating constraint plus the eagerly solved instance.
+    with the approximating constraint.
     """
     lit = c.literals[i]
     if not lit.is_shorthand:
@@ -178,12 +164,8 @@ def prim_subst(c: Clause, i: int, sig: Signature,
         if not gbs:
             continue
         g = gbs[0]  # the imitation binding
-        constrained = Clause(list(c.literals) + [literal(eta_long(h), g, False)])
-        solved = apply_subst_clause(c, {h: g})
-        out.append(RuleApplication(
-            "prim_subst", solved,
-            {"i": i, "head": head.name, "binding": g,
-             "constrained": constrained, "var": h}))
+        out.append(Clause(list(c.literals)
+                          + [literal(eta_long(h), g, False)]))
     return out
 
 
@@ -265,7 +247,7 @@ def match_injectivity(c: Clause) -> Optional[Const]:
     return hx
 
 
-def inj_rule(c: Clause, sig: Signature, done: set) -> Optional[RuleApplication]:
+def inj_rule(c: Clause, sig: Signature, done: set) -> Optional[Clause]:
     """Postulate a left inverse for a symbol inferred to be injective."""
     f = match_injectivity(c)
     if f is None or f.name in done:
@@ -282,8 +264,7 @@ def inj_rule(c: Clause, sig: Signature, done: set) -> Optional[RuleApplication]:
     inv = const(name, fn(rty, res=aty))
     sig.declare(name, inv.ty, system=True)
     z = sig.fresh_free(aty)
-    clause = Clause([literal(app(inv, app(f, z)), z, True)])
-    return RuleApplication("inj", clause, {"symbol": f.name})
+    return Clause([literal(app(inv, app(f, z)), z, True)])
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .terms import Term, const, constants, substitute_raw, type_str
+from .terms import (
+    LOGICAL_NAMES, Term, const, constants, substitute_raw, type_str,
+)
 from .tptp import (
-    InferenceRecord, ParseError, Problem, ProofLine,
+    MODAL_OPERATORS, InferenceRecord, ParseError, Problem, ProofLine,
     UnsupportedInputError, parse_problem, print_clause, print_formula,
     print_proof, print_szs, render_file_source, render_inference,
 )
@@ -24,10 +26,7 @@ from .saturation import ProverConfig, Result, extract_proof, saturate
 SUCCESS_STATUSES = ("Theorem", "Unsatisfiable", "ContradictoryAxioms",
                     "CounterSatisfiable", "Satisfiable")
 
-_BUILTIN_NAMES = frozenset({
-    "~", "|", "&", "=>", "<=>", "=", "!!", "??",
-    "$true", "$false", "$box", "$dia",
-})
+_BUILTIN_NAMES = LOGICAL_NAMES | MODAL_OPERATORS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +166,7 @@ def run(args) -> int:
     try:
         problem = parse_problem(text, name, args.include_dir)
         if problem.logic_spec is not None:
-            problem = embed(problem, args.modal_s5).problem
+            problem = embed(problem, args.modal_s5)
         elif uses_modal_operators(problem):
             raise UnsupportedInputError(
                 "modal operators used without a logic specification")
@@ -198,9 +197,13 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.timeout <= 0:
-        build_parser().error("timeout must be positive")
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if not args.timeout > 0:    # also rejects nan
+        ap.error("timeout must be positive")
+    if min(args.unif_depth, args.unifiers, args.ps_limit) < 0:
+        ap.error("--unif-depth, --unifiers and --ps-limit must not be "
+                 "negative")
     return run(args)
 
 

@@ -38,6 +38,28 @@ class PreprocessConfig:
 # Formula structure
 # ---------------------------------------------------------------------------
 
+# Propositional connectives by head constant, fully applied.
+_CONNECTIVES = {NOT: "not", OR: "or", AND: "and", IMPLIES: "imp", IFF: "iff"}
+
+# [connective]^polarity clausifies to these clauses, each a list of
+# (operand, polarity) with operands numbered as in formula_kind's tuple.
+_CLAUSES = {
+    ("not", True): ([(1, False)],),
+    ("not", False): ([(1, True)],),
+    ("or", True): ([(1, True), (2, True)],),
+    ("or", False): ([(1, False)], [(2, False)]),
+    ("and", True): ([(1, True)], [(2, True)]),
+    ("and", False): ([(1, False), (2, False)],),
+    ("imp", True): ([(1, False), (2, True)],),
+    ("imp", False): ([(1, True)], [(2, False)]),
+    ("iff", True): ([(1, False), (2, True)], [(1, True), (2, False)]),
+    ("iff", False): ([(1, True), (2, True)], [(1, False), (2, False)]),
+}
+
+# Term builder of each connective.
+_BUILDERS = {"not": neg, "or": disj, "and": conj, "imp": implies, "iff": iff}
+
+
 def formula_kind(t: Term):
     """Top connective of a Boolean term, or None for an atom.
 
@@ -46,16 +68,9 @@ def formula_kind(t: Term):
     h, args = spine(t)
     if not isinstance(h, Const):
         return None
-    if h is NOT and len(args) == 1:
-        return ("not", args[0])
-    if h is OR and len(args) == 2:
-        return ("or", args[0], args[1])
-    if h is AND and len(args) == 2:
-        return ("and", args[0], args[1])
-    if h is IMPLIES and len(args) == 2:
-        return ("imp", args[0], args[1])
-    if h is IFF and len(args) == 2:
-        return ("iff", args[0], args[1])
+    tag = _CONNECTIVES.get(h)
+    if tag is not None:
+        return (tag,) + args if t.ty is O else None
     if h.name == "=" and len(args) == 2:
         return ("eq", args[0], args[1])
     if h.name == PI_NAME and len(args) == 1 and isinstance(args[0], Abs):
@@ -121,27 +136,15 @@ def _estimate(t: Term, pos: bool) -> int:
     k = formula_kind(t)
     if k is None or k[0] == "eq":
         return 1
-    tag = k[0]
-    if tag == "not":
-        return _estimate(k[1], not pos)
-    if tag in ("all", "ex"):
+    if k[0] in ("all", "ex"):
         return _estimate(k[1].body, pos)
-    s, u = k[1], k[2]
-    if tag == "or":
-        return (_estimate(s, True) * _estimate(u, True) if pos
-                else _estimate(s, False) + _estimate(u, False))
-    if tag == "and":
-        return (_estimate(s, True) + _estimate(u, True) if pos
-                else _estimate(s, False) * _estimate(u, False))
-    if tag == "imp":
-        return (_estimate(s, False) * _estimate(u, True) if pos
-                else _estimate(s, True) + _estimate(u, False))
-    # iff
-    if pos:
-        return (_estimate(s, False) * _estimate(u, True)
-                + _estimate(s, True) * _estimate(u, False))
-    return (_estimate(s, True) * _estimate(u, True)
-            + _estimate(s, False) * _estimate(u, False))
+    total = 0
+    for lits in _CLAUSES[k[0], pos]:
+        n = 1
+        for j, p in lits:
+            n *= _estimate(k[j], p)
+        total += n
+    return total
 
 
 def _name_subformula(lits: list, i: int, sig: Signature):
@@ -155,14 +158,12 @@ def _name_subformula(lits: list, i: int, sig: Signature):
     if k is None or k[0] in ("not", "eq", "all", "ex"):
         return None
     tag, s, u = k
-    if tag in ("or", "and"):
-        pols = [(l.pos,), (l.pos,)]
-    elif tag == "imp":
-        pols = [(not l.pos,), (l.pos,)]
-    else:
-        pols = [(True, False), (True, False)]
+    clauses = _CLAUSES[tag, l.pos]
     cands = []
-    for idx, (child, ps) in enumerate(zip((s, u), pols)):
+    for idx, child in enumerate((s, u), 1):
+        # the polarities the child occurs with in the clausified literal
+        ps = tuple(p for p in (True, False)
+                   if any((idx, p) in c for c in clauses))
         est = max(_estimate(child, p) for p in ps)
         cands.append((est, idx, child, ps))
     cands.sort(key=lambda c: (-c[0], c[1]))
@@ -178,9 +179,8 @@ def _name_subformula(lits: list, i: int, sig: Signature):
         defs.append([prop_literal(atom, False), prop_literal(child, True)])
     if False in ps:
         defs.append([prop_literal(child, False), prop_literal(atom, True)])
-    parts = [atom if j == idx else c for j, c in enumerate((s, u))]
-    builder = {"or": disj, "and": conj, "imp": implies, "iff": iff}[tag]
-    return defs, prop_literal(builder(*parts), l.pos)
+    parts = [atom if j == idx else c for j, c in enumerate((s, u), 1)]
+    return defs, prop_literal(_BUILDERS[tag](*parts), l.pos)
 
 
 def normalize(c: Clause, sig: Signature,
@@ -227,40 +227,9 @@ def normalize(c: Clause, sig: Signature,
             tag = k[0]
             if tag == "eq":
                 work.append(rest + [literal(k[1], k[2], l.pos)])
-            elif tag == "not":
-                work.append(rest + [prop_literal(k[1], not l.pos)])
-            elif tag == "or":
-                if l.pos:
-                    work.append(rest + [prop_literal(k[1], True),
-                                        prop_literal(k[2], True)])
-                else:
-                    work.append(rest + [prop_literal(k[1], False)])
-                    work.append(rest + [prop_literal(k[2], False)])
-            elif tag == "and":
-                if l.pos:
-                    work.append(rest + [prop_literal(k[1], True)])
-                    work.append(rest + [prop_literal(k[2], True)])
-                else:
-                    work.append(rest + [prop_literal(k[1], False),
-                                        prop_literal(k[2], False)])
-            elif tag == "imp":
-                if l.pos:
-                    work.append(rest + [prop_literal(k[1], False),
-                                        prop_literal(k[2], True)])
-                else:
-                    work.append(rest + [prop_literal(k[1], True)])
-                    work.append(rest + [prop_literal(k[2], False)])
-            elif tag == "iff":
-                if l.pos:
-                    work.append(rest + [prop_literal(k[1], False),
-                                        prop_literal(k[2], True)])
-                    work.append(rest + [prop_literal(k[1], True),
-                                        prop_literal(k[2], False)])
-                else:
-                    work.append(rest + [prop_literal(k[1], True),
-                                        prop_literal(k[2], True)])
-                    work.append(rest + [prop_literal(k[1], False),
-                                        prop_literal(k[2], False)])
+            elif tag in _BUILDERS:
+                for cl in _CLAUSES[tag, l.pos]:
+                    work.append(rest + [prop_literal(k[j], p) for j, p in cl])
             elif tag in ("all", "ex"):
                 body_abs = k[1]
                 if (tag == "all") == l.pos:
@@ -289,11 +258,8 @@ def miniscope(f: Term) -> Term:
     if k is None:
         return f
     tag = k[0]
-    if tag == "not":
-        return neg(miniscope(k[1]))
-    if tag in ("or", "and", "imp", "iff"):
-        builder = {"or": disj, "and": conj, "imp": implies, "iff": iff}[tag]
-        return builder(miniscope(k[1]), miniscope(k[2]))
+    if tag in _BUILDERS:
+        return _BUILDERS[tag](*[miniscope(x) for x in k[1:]])
     if tag == "eq":
         return f
     body_abs = k[1]
@@ -307,10 +273,10 @@ def miniscope(f: Term) -> Term:
         btag = bk[0]
         split_over = "and" if tag == "all" else "or"
         if btag == split_over:
-            builder = conj if btag == "and" else disj
-            return builder(miniscope(mk(ty, bk[1])), miniscope(mk(ty, bk[2])))
+            return _BUILDERS[btag](miniscope(mk(ty, bk[1])),
+                                   miniscope(mk(ty, bk[2])))
         if btag == ("or" if tag == "all" else "and"):
-            builder = disj if btag == "or" else conj
+            builder = _BUILDERS[btag]
             x, y = bk[1], bk[2]
             if not uses_bound(x, 0):
                 return builder(miniscope(shift(x, -1)), miniscope(mk(ty, y)))

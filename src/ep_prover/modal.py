@@ -9,16 +9,16 @@ modal system contributes the matching frame axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .terms import (
     Abs, Bound, Const, FALSE, FunType, O, Signature, SimpleType, Term, TRUE,
-    app, base_type, bound, conj, const, constants, disj, equality, exists,
-    forall, fun_type, iff, implies, lam, neg, shift, spine,
+    app, arg_types, base_type, bound, canon, conj, const, constants,
+    equality, exists, forall, fun_type, implies, lam, shift, spine,
 )
 from .tptp import (
-    AnnotatedFormula, LogicSpec, Problem, UnsupportedInputError,
+    MODAL_OPERATORS, AnnotatedFormula, LogicSpec, Problem,
+    UnsupportedInputError,
 )
+from .cnf import formula_kind
 
 
 MWORLD = base_type("mworld")
@@ -27,16 +27,10 @@ REL_TY = fun_type(MWORLD, fun_type(MWORLD, O))
 
 MREL = const("mrel", REL_TY)
 
-# lifted connectives, applied pointwise at a world
-_CONNECTIVE_TYPES = {
-    "mnot": fun_type(W2O, W2O),
-    "mand": fun_type(W2O, fun_type(W2O, W2O)),
-    "mor": fun_type(W2O, fun_type(W2O, W2O)),
-    "mimplies": fun_type(W2O, fun_type(W2O, W2O)),
-    "mequiv": fun_type(W2O, fun_type(W2O, W2O)),
-    "mdia": fun_type(W2O, W2O),
-    "mbox": fun_type(W2O, W2O),
-}
+# Name of the lifted constant that replaces each connective and modal
+# operator; the connectives are lifted pointwise at a world.
+_LIFTED = {"~": "mnot", "&": "mand", "|": "mor", "=>": "mimplies",
+           "<=>": "mequiv", "$box": "mbox", "$dia": "mdia"}
 
 _PROP_TY = fun_type(REL_TY, O)
 
@@ -90,32 +84,26 @@ def _property_body(name: str) -> Term:
     raise ValueError(f"unknown relation property {name}")
 
 
-def _connective_body(name: str, universal: bool) -> Term:
-    """Defining lambda term for a lifted connective constant."""
+def _connective_body(c: Const, universal: bool) -> Term:
+    """Defining lambda term for the lifted form of connective c."""
     def at(f_idx, w_idx):
         return app(bound(f_idx, W2O), _w(w_idx))
 
-    if name == "mnot":
-        return lam(W2O, lam(MWORLD, neg(at(1, 0))))
-    if name == "mand":
-        return lam(W2O, lam(W2O, lam(MWORLD, conj(at(2, 0), at(1, 0)))))
-    if name == "mor":
-        return lam(W2O, lam(W2O, lam(MWORLD, disj(at(2, 0), at(1, 0)))))
-    if name == "mimplies":
-        return lam(W2O, lam(W2O, lam(MWORLD, implies(at(2, 0), at(1, 0)))))
-    if name == "mequiv":
-        return lam(W2O, lam(W2O, lam(MWORLD, iff(at(2, 0), at(1, 0)))))
-    if name == "mdia":
+    if c.name == "$dia":
         if universal:
             return lam(W2O, lam(MWORLD, exists(MWORLD, at(2, 0))))
         return lam(W2O, lam(MWORLD, exists(
             MWORLD, conj(app(MREL, _w(1), _w(0)), at(2, 0)))))
-    if name == "mbox":
+    if c.name == "$box":
         if universal:
             return lam(W2O, lam(MWORLD, forall(MWORLD, at(2, 0))))
         return lam(W2O, lam(MWORLD, forall(
             MWORLD, implies(app(MREL, _w(1), _w(0)), at(2, 0)))))
-    raise ValueError(f"unknown connective {name}")
+    n = len(arg_types(c.ty))
+    body = lam(MWORLD, app(c, *[at(n - i, 0) for i in range(n)]))
+    for _ in range(n):
+        body = lam(W2O, body)
+    return body
 
 
 MVALID = const("mvalid", fun_type(W2O, O))
@@ -160,14 +148,8 @@ def quantifier_name(kind: str, lifted: SimpleType) -> str:
 # Embedding
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EmbeddingOutput:
-    problem: Problem
-    provenance: dict = field(default_factory=dict)  # name -> AnnotatedFormula
-
-
 def uses_modal_operators(prob: Problem) -> bool:
-    return any(k.name in ("$box", "$dia")
+    return any(k.name in MODAL_OPERATORS
                for f in prob.formulas
                if f.role not in ("type", "logic")
                and isinstance(f.formula, Term)
@@ -178,17 +160,10 @@ class _Translator:
     """Lifts terms of the modal source problem into the world-indexed
     classical signature, recording which helper constants were used."""
 
-    def __init__(self, sig: Signature, universal: bool):
-        self.sig = sig
-        self.universal = universal
-        self.connectives: list = []    # usage order
+    def __init__(self):
+        self.connectives: list = []    # source connectives, usage order
         self.quantifiers: list = []    # (kind, lifted type) usage order
         self.user_consts: dict = {}
-
-    def _connective(self, name: str) -> Term:
-        if name not in self.connectives:
-            self.connectives.append(name)
-        return const(name, _CONNECTIVE_TYPES[name])
 
     def _quantifier(self, kind: str, lifted: SimpleType) -> Term:
         key = (kind, lifted)
@@ -214,16 +189,8 @@ class _Translator:
         return app(self.term(h), *[self.term(a) for a in args])
 
     def _logical(self, h: Const, args: tuple):
+        """Lifted equation or quantification; None for other heads."""
         name = h.name
-        if name == "~" and len(args) == 1:
-            return app(self._connective("mnot"), self.term(args[0]))
-        binary = {"&": "mand", "|": "mor", "=>": "mimplies",
-                  "<=>": "mequiv"}
-        if name in binary and len(args) == 2:
-            return app(self._connective(binary[name]),
-                       self.term(args[0]), self.term(args[1]))
-        if name in ("$box", "$dia") and len(args) == 1:
-            return app(self._connective("m" + name[1:]), self.term(args[0]))
         if name == "=" and len(args) == 2:
             a, b = self.term(args[0]), self.term(args[1])
             # rigid terms: equality does not depend on the world
@@ -237,17 +204,13 @@ class _Translator:
         return None
 
     def _constant(self, t: Const) -> Term:
-        name = t.name
-        if name == "~":
-            return self._connective("mnot")
-        if name in ("&", "|", "=>", "<=>"):
-            binary = {"&": "mand", "|": "mor", "=>": "mimplies",
-                      "<=>": "mequiv"}
-            return self._connective(binary[name])
-        if name in ("$box", "$dia"):
-            return self._connective("m" + name[1:])
         lifted = lift_type(t.ty)
-        self.user_consts[name] = lifted
+        name = _LIFTED.get(t.name)
+        if name is None:
+            name = t.name
+            self.user_consts[name] = lifted
+        elif t not in self.connectives:
+            self.connectives.append(t)
         return const(name, lifted)
 
 
@@ -275,7 +238,7 @@ def frame_axioms(spec: LogicSpec) -> list:
     return out
 
 
-def embed(prob: Problem, s5_mode: str = "relational") -> EmbeddingOutput:
+def embed(prob: Problem, s5_mode: str = "relational") -> Problem:
     """Translate a modal problem into classical HOL.
 
     `s5_mode` selects between the relational S5 axiomatization and the
@@ -290,50 +253,47 @@ def embed(prob: Problem, s5_mode: str = "relational") -> EmbeddingOutput:
     sig = Signature()
     sig.declare_base_type("mworld")
     for bt in prob.signature.base_types:
-        if not bt.startswith("$") and bt != "mworld":
+        if not bt.startswith("$"):
             sig.declare_base_type(bt)
 
-    tr = _Translator(sig, universal)
+    tr = _Translator()
     axioms = [] if universal else frame_axioms(spec)
 
     translated = []
     for f in prob.formulas:
-        if f.role in ("type", "logic", "definition"):
+        if f.role in ("type", "logic"):
             continue
-        lifted = tr.term(f.formula)
-        if spec.consequence == "global" or f.role == "conjecture":
-            wrapped = app(MVALID, lifted)
+        k = formula_kind(f.formula)
+        if f.role == "definition" and k is not None and k[0] == "eq":
+            # both sides lifted, so it still defines the constant; other
+            # definitions are rejected by definition expansion
+            wrapped = canon(equality(tr.term(k[1]), tr.term(k[2])))
+        elif spec.consequence == "global" or f.role == "conjecture":
+            wrapped = app(MVALID, tr.term(f.formula))
         else:
-            wrapped = app(lifted, const("cw", MWORLD))
+            wrapped = app(tr.term(f.formula), const("cw", MWORLD))
             sig.declare("cw", MWORLD)
         translated.append(AnnotatedFormula(
             f.name, f.role, wrapped, f.source))
 
-    provenance = {}
     formulas = []
 
     def emit(name: str, ty: SimpleType, body=None):
         sig.declare(name, ty)
-        provenance[name + "_type"] = AnnotatedFormula(
-            name + "_type", "type", (name, ty))
         if body is not None:
-            df = AnnotatedFormula(
+            formulas.append(AnnotatedFormula(
                 name + "_def", "definition",
-                equality(const(name, ty), body))
-            provenance[name + "_def"] = df
-            formulas.append(df)
+                equality(const(name, ty), body)))
 
-    provenance["mworld_type"] = AnnotatedFormula(
-        "mworld_type", "type", ("mworld", "$tType"))
     if not universal:
         emit("mrel", REL_TY)
     for ax in axioms:
         p = ax.name[len("mrel_"):]
         emit(p, _PROP_TY, _property_body(p))
     emit("mvalid", fun_type(W2O, O), MVALID_BODY)
-    for name in tr.connectives:
-        emit(name, _CONNECTIVE_TYPES[name],
-             _connective_body(name, universal))
+    for c in tr.connectives:
+        emit(_LIFTED[c.name], lift_type(c.ty),
+             _connective_body(c, universal))
     exists_first = sorted(tr.quantifiers, key=lambda k: k[0] == "forall")
     for kind, lifted in exists_first:
         qname = quantifier_name(kind, lifted)
@@ -343,17 +303,21 @@ def embed(prob: Problem, s5_mode: str = "relational") -> EmbeddingOutput:
             lifted, app(bound(2, fun_type(lifted, W2O)),
                         bound(0, lifted), _w(1)))))
         emit(qname, qty, body)
+
+    # a source symbol named like one of ours would be merged with it
+    source_names = set(prob.signature.constants) | prob.signature.base_types
+    clash = sorted(source_names & (set(sig.constants) | {"mworld"}))
+    if clash:
+        raise UnsupportedInputError(
+            f"symbol {clash[0]} is reserved by the modal embedding")
     for name, ty in sorted(tr.user_consts.items()):
         sig.declare(name, ty)
 
     formulas.extend(axioms)
     formulas.extend(translated)
-    for ax in axioms:
-        provenance[ax.name] = ax
-
     out = Problem(sig, formulas, None, prob.name)
     _check_no_residue(out)
-    return EmbeddingOutput(out, provenance)
+    return out
 
 
 def _check_no_residue(prob: Problem):

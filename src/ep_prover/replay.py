@@ -14,15 +14,15 @@ from typing import Optional
 
 from .terms import (
     Abs, App, Const, FALSE, FunType, LOGICAL_NAMES, O, Signature, Subst,
-    Term, TRUE, base_types_in, canon, constants, neg, spine, type_str,
+    Term, TRUE, base_types_in, canon, constants, neg, type_str,
 )
 from .clauses import (
     Clause, Literal, _term_sig, alpha_key, literal, prop_literal,
     rename_clause,
 )
 from .cnf import (
-    NAMING_THRESHOLD, definition_map, expand_term, miniscope, normalize,
-    replace_defined_equalities_term,
+    NAMING_THRESHOLD, definition_map, expand_term, formula_kind, miniscope,
+    normalize, replace_defined_equalities_term,
 )
 from .calculus import (
     bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext, inj_rule,
@@ -30,18 +30,7 @@ from .calculus import (
 )
 from .saturation import extract_proof
 from .unification import _Clash, simplify_pairs
-from .tptp import RULE_VOCABULARY
-
-
-_EXPECTED_STATUS = {
-    "input": "axiom", "neg_conjecture": "cth",
-    "defexp_and_simp_and_etaexpand": "thm", "miniscope": "thm",
-    "cnf": "esa", "func_ext": "esa", "bool_ext": "thm",
-    "paramod_ordered": "thm", "eqfactor_ordered": "thm",
-    "pre_uni": "thm", "pattern_uni": "thm", "rewrite": "thm",
-    "simp": "thm", "prim_subst": "thm", "inj": "esa",
-    "instantiate": "thm",
-}
+from .tptp import RULE_VOCABULARY, rule_status
 
 
 _MINTED = re.compile(r"sk\d+|\w+_inv\d*")
@@ -126,8 +115,7 @@ class ProofChecker:
             if any(p not in seen for p in d.parents):
                 complaints.append(f"{d.id}: parent out of order")
             seen.add(d.id)
-            expected = _EXPECTED_STATUS.get(d.rule)
-            if expected is not None and d.status != expected:
+            if d.status != rule_status(d.rule):
                 complaints.append(
                     f"{d.id}: status {d.status} for rule {d.rule}")
             try:
@@ -191,9 +179,9 @@ class ProofChecker:
 
     def _r_eqfactor_ordered(self, d, parents):
         want = blind_key(d.clause)
-        for ra in eqfac_candidates(parents[0].clause):
-            if blind_key(ra.clause) == want:
-                return
+        if any(blind_key(x) == want
+               for x in eqfac_candidates(parents[0].clause)):
+            return
         raise ReplayError("no factoring inference produces this clause")
 
     def _r_paramod_ordered(self, d, parents):
@@ -203,9 +191,8 @@ class ProofChecker:
         for c, e in ((a, b), (b, a)):
             sig = self._scratch_sig(a, b, d.clause)
             variant, _ = rename_clause(e, sig)
-            for ra in para_candidates(c, variant, sig):
-                if blind_key(ra.clause) == want:
-                    return
+            if any(blind_key(x) == want for x in para_candidates(c, variant)):
+                return
         raise ReplayError("no paramodulation inference produces this clause")
 
     def _r_bool_ext(self, d, parents):
@@ -230,9 +217,9 @@ class ProofChecker:
         raise ReplayError("no functional extensionality step matches")
 
     def _r_inj(self, d, parents):
-        ra = inj_rule(parents[0].clause,
-                      self._scratch_sig(parents[0].clause, d.clause), set())
-        if ra is None or blind_key(ra.clause) != blind_key(d.clause):
+        c = inj_rule(parents[0].clause,
+                     self._scratch_sig(parents[0].clause, d.clause), set())
+        if c is None or blind_key(c) != blind_key(d.clause):
             raise ReplayError("injectivity postulate does not replay")
 
     def _r_prim_subst(self, d, parents):
@@ -241,11 +228,9 @@ class ProofChecker:
         types = base_types_in(t.ty for x in (c, d.clause)
                               for l in x.literals for t in (l.lhs, l.rhs))
         for i in range(len(c.literals)):
-            for ra in prim_subst(c, i, self._scratch_sig(c, d.clause), types):
-                if blind_key(ra.detail["constrained"]) == want:
-                    return
-                if blind_key(ra.clause) == want:
-                    return
+            out = prim_subst(c, i, self._scratch_sig(c, d.clause), types)
+            if any(blind_key(x) == want for x in out):
+                return
         raise ReplayError("no primitive substitution matches")
 
     def _r_rewrite(self, d, parents):
@@ -299,16 +284,23 @@ class ProofChecker:
 # Ground propositional validation
 # ---------------------------------------------------------------------------
 
-_BINARY = {
-    "|": lambda a, b: a or b,
-    "&": lambda a, b: a and b,
-    "=>": lambda a, b: (not a) or b,
-    "<=>": lambda a, b: a == b,
+# Truth function of each connective; a Boolean equation is an equivalence.
+_TRUTH = {
+    "not": lambda a: not a,
+    "or": lambda a, b: a or b,
+    "and": lambda a, b: a and b,
+    "imp": lambda a, b: (not a) or b,
+    "iff": lambda a, b: a is b,
+    "eq": lambda a, b: a is b,
 }
 
 
-def _contains_logical(t: Term) -> bool:
-    return any(k.name in LOGICAL_NAMES for k in constants(t))
+def _propositional(t: Term):
+    """formula_kind of t when its top symbol has a truth function."""
+    k = formula_kind(t)
+    if k is None or k[0] not in _TRUTH:
+        return None
+    return None if k[0] == "eq" and k[1].ty is not O else k
 
 
 def _collect_atoms(t: Term, atoms: list) -> bool:
@@ -319,17 +311,10 @@ def _collect_atoms(t: Term, atoms: list) -> bool:
     """
     if t is TRUE or t is FALSE:
         return True
-    h, args = spine(t)
-    if isinstance(h, Const):
-        if h.name == "~" and len(args) == 1:
-            return _collect_atoms(args[0], atoms)
-        if h.name in _BINARY and len(args) == 2:
-            return (_collect_atoms(args[0], atoms)
-                    and _collect_atoms(args[1], atoms))
-        if h.name == "=" and len(args) == 2 and args[0].ty is O:
-            return (_collect_atoms(args[0], atoms)
-                    and _collect_atoms(args[1], atoms))
-    if t.ty is not O or _contains_logical(t):
+    k = _propositional(t)
+    if k is not None:
+        return all(_collect_atoms(x, atoms) for x in k[1:])
+    if t.ty is not O or any(c.name in LOGICAL_NAMES for c in constants(t)):
         return False
     if t not in atoms:
         atoms.append(t)
@@ -341,15 +326,9 @@ def _eval_bool(t: Term, val: dict) -> bool:
         return True
     if t is FALSE:
         return False
-    h, args = spine(t)
-    if isinstance(h, Const):
-        if h.name == "~" and len(args) == 1:
-            return not _eval_bool(args[0], val)
-        if h.name in _BINARY and len(args) == 2:
-            return _BINARY[h.name](_eval_bool(args[0], val),
-                                   _eval_bool(args[1], val))
-        if h.name == "=" and len(args) == 2 and args[0].ty is O:
-            return _eval_bool(args[0], val) is _eval_bool(args[1], val)
+    k = _propositional(t)
+    if k is not None:
+        return _TRUTH[k[0]](*[_eval_bool(x, val) for x in k[1:]])
     return val[t]
 
 

@@ -31,7 +31,7 @@ from .calculus import (
 from .unification import (
     FAIL, NOT_PATTERN, pattern_unify, pre_unify,
 )
-from .tptp import Problem
+from .tptp import Problem, rule_status
 
 
 # Given-clause heuristic: every AGE_RATIO-th pick is the oldest clause,
@@ -75,7 +75,6 @@ class Result:
     records: dict = field(default_factory=dict)
     empty_id: Optional[int] = None
     signature: Optional[Signature] = None
-    definitions: tuple = ()          # names of definition formulas used
     naming_threshold: int = NAMING_THRESHOLD  # clausification of the run
 
 
@@ -105,14 +104,15 @@ class Saturation:
 
     # -- record keeping -----------------------------------------------------
 
-    def record(self, rule: str, status: str, parents: tuple = (),
+    def record(self, rule: str, parents: tuple = (),
                clause: Optional[Clause] = None, formula: Optional[Term] = None,
                role: str = "plain", source=None, bindings=(),
                ps_extra: int = 0) -> Derived:
         self._next_id += 1
         parent_recs = [self.records[p] for p in parents]
         d = Derived(
-            self._next_id, rule, status, tuple(parents), clause, formula,
+            self._next_id, rule, rule_status(rule), tuple(parents), clause,
+            formula,
             role, source, tuple(bindings),
             max([r.ps_depth for r in parent_recs], default=0) + ps_extra,
             any(r.from_conjecture for r in parent_recs)
@@ -128,8 +128,6 @@ class Saturation:
     def preprocess(self) -> Optional[str]:
         """Turn the problem into initial clauses; returns an early status."""
         prob = self.problem
-        self.def_names = [f.name for f in prob.formulas
-                          if f.role == "definition"]
         expanded_defs = definition_map(prob.formulas)
 
         work = []
@@ -138,17 +136,17 @@ class Saturation:
                 continue
             src = (prob.name, f.name)
             if f.role == "conjecture":
-                inp = self.record("input", "axiom", (), formula=f.formula,
+                inp = self.record("input", (), formula=f.formula,
                                   role="conjecture", source=src)
-                cur = self.record("neg_conjecture", "cth", (inp.id,),
+                cur = self.record("neg_conjecture", (inp.id,),
                                   formula=canon(neg(f.formula)),
                                   role="negated_conjecture")
             elif f.role == "negated_conjecture":
-                cur = self.record("neg_conjecture", "cth", (),
+                cur = self.record("neg_conjecture", (),
                                   formula=f.formula,
                                   role="negated_conjecture", source=src)
             else:
-                cur = self.record("input", "axiom", (), formula=f.formula,
+                cur = self.record("input", (), formula=f.formula,
                                   role="axiom", source=src)
             work.append(cur)
 
@@ -161,13 +159,13 @@ class Saturation:
             if self.pre.replace_defined_eq:
                 t2 = canon(replace_defined_equalities_term(t2))
             if t2 is not t:
-                cur = self.record("defexp_and_simp_and_etaexpand", "thm",
-                                  (cur.id,), formula=t2)
+                cur = self.record("defexp_and_simp_and_etaexpand", (cur.id,),
+                                  formula=t2)
                 t = t2
             if self.pre.miniscope:
                 t2 = canon(miniscope(t))
                 if t2 is not t:
-                    cur = self.record("miniscope", "thm", (cur.id,),
+                    cur = self.record("miniscope", (cur.id,),
                                       formula=t2)
                     t = t2
             start = Clause([prop_literal(t, True)])
@@ -175,7 +173,7 @@ class Saturation:
                 normalize(start, self.sig, self.config.naming_threshold),
                 key=lambda c: c._key)
             for c in produced:
-                clauses.append(self.record("cnf", "esa", (cur.id,), clause=c))
+                clauses.append(self.record("cnf", (cur.id,), clause=c))
 
         # exhaustive instantiation of finite-typed variables
         final = []
@@ -190,7 +188,7 @@ class Saturation:
                 continue
             for inst in sorted(exhaustive_instantiate(d.clause, v),
                                key=lambda c: c._key):
-                queue.append(self.record("instantiate", "thm", (d.id,),
+                queue.append(self.record("instantiate", (d.id,),
                                          clause=inst))
         for d in final:
             self.insert_new(d)
@@ -212,7 +210,7 @@ class Saturation:
                                            self.config.naming_threshold),
                                  key=lambda x: x._key):
                     if nc != c:
-                        stack.append(self.record("cnf", "esa", (cur.id,),
+                        stack.append(self.record("cnf", (cur.id,),
                                                  clause=nc))
                     else:
                         self._enqueue(cur)
@@ -222,8 +220,7 @@ class Saturation:
                 continue
             if out.changed:
                 rule = "rewrite" if "rewrite" in out.rules else "simp"
-                cur = self.record(rule, "thm",
-                                  (cur.id,) + tuple(out.used_units),
+                cur = self.record(rule, (cur.id,) + tuple(out.used_units),
                                   clause=out.clause)
                 stack.append(cur)
                 continue
@@ -232,7 +229,7 @@ class Saturation:
             gi = _ground_bool_eq(out.clause)
             if gi is not None:
                 for half in bool_ext(out.clause, gi):
-                    stack.append(self.record("bool_ext", "thm", (cur.id,),
+                    stack.append(self.record("bool_ext", (cur.id,),
                                              clause=half))
                 continue
             self._enqueue(cur)
@@ -293,7 +290,7 @@ class Saturation:
         fvs = d.clause.free_vars()
         binds = [(v, t) for v, t in sorted(
             subst.items(), key=lambda it: it[0].name) if v in fvs]
-        self.insert_new(self.record(rule, "thm", (d.id,), clause=nc,
+        self.insert_new(self.record(rule, (d.id,), clause=nc,
                                     bindings=binds))
 
     # -- main loop ----------------------------------------------------------
@@ -321,8 +318,7 @@ class Saturation:
                 continue
             if out.changed:
                 rule = "rewrite" if "rewrite" in out.rules else "simp"
-                g = self.record(rule, "thm",
-                                (gid,) + tuple(out.used_units),
+                g = self.record(rule, (gid,) + tuple(out.used_units),
                                 clause=out.clause)
                 self.seen.setdefault(alpha_key(g.clause), g.id)
                 gid = g.id
@@ -352,20 +348,20 @@ class Saturation:
         g = self.records[gid]
         produced = []
         # factoring
-        for ra in eqfac_candidates(g.clause):
-            produced.append((ra.rule, (gid,), ra.clause, 0))
+        for c in eqfac_candidates(g.clause):
+            produced.append(("eqfactor_ordered", (gid,), c, 0))
         # paramodulation with every processed clause (including itself)
         for pid in list(self.P):
             if self.out_of_time():
                 break
             p = self.records[pid]
             variant, _ = rename_clause(p.clause, self.sig)
-            for ra in para_candidates(g.clause, variant, self.sig):
-                produced.append((ra.rule, (gid, pid), ra.clause, 0))
+            for c in para_candidates(g.clause, variant):
+                produced.append(("paramod_ordered", (gid, pid), c, 0))
             if pid != gid:
                 variant_g, _ = rename_clause(g.clause, self.sig)
-                for ra in para_candidates(p.clause, variant_g, self.sig):
-                    produced.append((ra.rule, (pid, gid), ra.clause, 0))
+                for c in para_candidates(p.clause, variant_g):
+                    produced.append(("paramod_ordered", (pid, gid), c, 0))
         # extensionality
         for i, l in enumerate(g.clause.literals):
             if l.is_shorthand:
@@ -379,26 +375,24 @@ class Saturation:
         # primitive substitution
         if g.ps_depth < self.config.ps_limit:
             for i in range(len(g.clause.literals)):
-                for ra in prim_subst(g.clause, i, self.sig, self.inst_types):
-                    produced.append(("prim_subst", (gid,),
-                                     ra.detail["constrained"], 1))
+                for c in prim_subst(g.clause, i, self.sig, self.inst_types):
+                    produced.append(("prim_subst", (gid,), c, 1))
         # injectivity
         if self.config.enable_inj:
-            ra = inj_rule(g.clause, self.sig, self.inj_done)
-            if ra is not None:
-                produced.append(("inj", (gid,), ra.clause, 0))
+            c = inj_rule(g.clause, self.sig, self.inj_done)
+            if c is not None:
+                produced.append(("inj", (gid,), c, 0))
         for rule, parents, clause, ps_extra in produced:
             if self.out_of_time() or self.empty_id is not None:
                 return
-            status = "esa" if rule in ("func_ext", "inj") else "thm"
-            self.insert_new(self.record(rule, status, parents, clause=clause,
+            self.insert_new(self.record(rule, parents, clause=clause,
                                         ps_extra=ps_extra))
 
     # -- results ------------------------------------------------------------
 
     def _result(self, status: str, empty_id: Optional[int] = None) -> Result:
         return Result(status, self.records, empty_id, self.sig,
-                      tuple(self.def_names), self.config.naming_threshold)
+                      self.config.naming_threshold)
 
     def _refutation_result(self) -> Result:
         status = classify_refutation(self.records, self.empty_id,

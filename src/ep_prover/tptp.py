@@ -165,7 +165,8 @@ ROLE_ALIASES = {
     "type": "type", "logic": "logic",
 }
 
-MODAL_OP_TYPES = {"$box": None, "$dia": None}  # filled lazily (needs O)
+# The modal operators, each of type $o > $o.
+MODAL_OPERATORS = frozenset({"$box", "$dia"})
 
 
 def _unquote(s: str) -> str:
@@ -320,7 +321,7 @@ class Parser:
         if text == "$false":
             ts.next()
             return FALSE
-        if text in ("$box", "$dia"):
+        if text in MODAL_OPERATORS:
             ts.next()
             return const(text, fun_type(O, O))
         if tok.kind == "upper":
@@ -565,19 +566,15 @@ class TermPrinter:
         if isinstance(t, Bound):
             return env[-1 - t.index]
         h, args = spine(t)
-        if isinstance(h, Const) and h is NOT and len(args) == 1 \
-                and self._is_equation(args[0]):
+        if h is NOT and len(args) == 1 and self._is_equation(args[0]):
             return "( " + self._flat(t, env) + " )"
-        if isinstance(t, Abs) or (isinstance(h, Const) and h is NOT) \
-                or match_quant(t, PI_NAME) or match_quant(t, SIGMA_NAME):
+        if self._is_prefixed(t):
             return self._bare(t, env)
         return "( " + self._flat(t, env) + " )"
 
     def _eq_operand(self, t: Term, env: list) -> str:
         # binders and negations must be bracketed next to an equality sign
-        h, _ = spine(t)
-        if isinstance(t, Abs) or (isinstance(h, Const) and h is NOT) \
-                or match_quant(t, PI_NAME) or match_quant(t, SIGMA_NAME):
+        if self._is_prefixed(t):
             return "( " + self._bare(t, env) + " )"
         return self._operand(t, env)
 
@@ -585,6 +582,13 @@ class TermPrinter:
     def _is_equation(t: Term) -> bool:
         h, args = spine(t)
         return isinstance(h, Const) and h.name == "=" and len(args) == 2
+
+    @staticmethod
+    def _is_prefixed(t: Term) -> bool:
+        """Whether t prints as a binder or a negation applied to a body."""
+        return (isinstance(t, Abs) or spine(t)[0] is NOT
+                or match_quant(t, PI_NAME) is not None
+                or match_quant(t, SIGMA_NAME) is not None)
 
     def _bare(self, t: Term, env: list) -> str:
         for qname, sym in ((PI_NAME, "!"), (SIGMA_NAME, "?")):
@@ -614,9 +618,7 @@ class TermPrinter:
         return self._flat(t, env)
 
     def _body(self, t: Term, env: list) -> str:
-        h, _ = spine(t)
-        if isinstance(t, Abs) or (isinstance(h, Const) and h is NOT) \
-                or match_quant(t, PI_NAME) or match_quant(t, SIGMA_NAME):
+        if self._is_prefixed(t):
             return self._bare(t, env)
         if isinstance(t, (Const, Free, Bound)):
             return "( " + self._operand(t, env) + " )"
@@ -707,11 +709,20 @@ def print_clause(c: Clause) -> tuple:
 SZS_STATUSES = ("Theorem", "ContradictoryAxioms", "CounterSatisfiable",
                 "GaveUp", "Timeout", "Unsatisfiable", "Satisfiable", "Error")
 
-RULE_VOCABULARY = frozenset({
-    "neg_conjecture", "defexp_and_simp_and_etaexpand", "miniscope", "cnf",
-    "func_ext", "bool_ext", "paramod_ordered", "eqfactor_ordered", "pre_uni",
-    "pattern_uni", "rewrite", "simp", "prim_subst", "inj", "instantiate",
-})
+# The inference rules of a proof and the SZS status of their conclusions:
+# "esa" where the rule mints symbols and so only preserves satisfiability.
+RULE_VOCABULARY = {
+    "neg_conjecture": "cth", "defexp_and_simp_and_etaexpand": "thm",
+    "miniscope": "thm", "cnf": "esa", "func_ext": "esa", "bool_ext": "thm",
+    "paramod_ordered": "thm", "eqfactor_ordered": "thm", "pre_uni": "thm",
+    "pattern_uni": "thm", "rewrite": "thm", "simp": "thm",
+    "prim_subst": "thm", "inj": "esa", "instantiate": "thm",
+}
+
+
+def rule_status(rule: str) -> str:
+    """Status of a record made by `rule`; input formulas are axioms."""
+    return "axiom" if rule == "input" else RULE_VOCABULARY[rule]
 
 
 def print_szs(status: str, problem_name: str) -> str:

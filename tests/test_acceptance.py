@@ -37,7 +37,7 @@ def run_problem(path, timeout, **kw):
     name = path.rsplit("/", 1)[-1]
     prob = parse_problem(open(path).read(), name)
     if prob.logic_spec is not None:
-        prob = embed(prob).problem
+        prob = embed(prob)
     t0 = time.monotonic()
     res = saturate(prob, ProverConfig(time_limit=timeout, **kw))
     return prob, res, time.monotonic() - t0

@@ -2,7 +2,8 @@
 clause simplification."""
 
 from ep_prover.terms import (
-    FALSE, I, O, Signature, TRUE, app, bound, canon, const, fn, free, lam,
+    Const, FALSE, I, O, Signature, TRUE, app, bound, canon, const, fn, free,
+    lam,
 )
 from ep_prover.clauses import Clause, head_of, literal, prop_literal
 from ep_prover.calculus import (
@@ -26,24 +27,22 @@ def plit(t, pos=True):
 def test_para_rewrites_and_emits_constraint():
     c = Clause([plit(app(p, a))])
     eq = Clause([literal(a, b, True)])
-    sig = Signature()
-    out = list(para_candidates(c, eq, sig))
+    out = list(para_candidates(c, eq))
     assert out
-    rewritten = [ra for ra in out
-                 if any(l.lhs is canon(app(p, b)) for l in ra.clause)]
+    rewritten = [x for x in out
+                 if any(l.lhs is canon(app(p, b)) for l in x)]
     assert rewritten
     # the conclusion carries a negative unification constraint
     assert any(not l.pos and not l.is_shorthand
-               for l in rewritten[0].clause)
+               for l in rewritten[0])
 
 
 def test_para_skips_truth_constant_sides():
     c = Clause([plit(app(p, a))])
     taut = Clause([literal(TRUE, TRUE, True)])
-    sig = Signature()
     assert all(TRUE not in (l.lhs, l.rhs)
-               for ra in para_candidates(c, taut, sig)
-               for l in ra.clause if l.pos and not l.is_shorthand)
+               for x in para_candidates(c, taut)
+               for l in x if l.pos and not l.is_shorthand)
 
 
 def test_eqfac_merges_same_polarity_literals():
@@ -51,7 +50,7 @@ def test_eqfac_merges_same_polarity_literals():
     c = Clause([plit(app(p, X)), plit(app(p, Y))])
     out = list(eqfac_candidates(c))
     assert out
-    assert all(len(ra.clause) >= 1 for ra in out)
+    assert all(len(x) >= 1 for x in out)
 
 
 def test_bool_ext_positive_split():
@@ -93,10 +92,11 @@ def test_prim_subst_offers_logical_heads():
     F = free("F", O)
     c = Clause([prop_literal(F, True)])
     out = prim_subst(c, 0, Signature(), (I,))
-    heads = {ra.detail["head"] for ra in out}
+    # the head each constraint literal offers for F
+    heads = {head_of(t).name for x in out for l in x if l not in c.literals
+             for t in (l.lhs, l.rhs) if isinstance(head_of(t), Const)}
     assert {"~", "|", "!!", "="} <= heads
-    for ra in out:
-        constrained = ra.detail["constrained"]
+    for constrained in out:
         assert len(constrained) == len(c) + 1
 
 
@@ -117,9 +117,9 @@ def test_inj_rule_postulates_left_inverse():
     c = Clause([literal(app(f, X), app(f, Y), False),
                 literal(X, Y, True)])
     sig = Signature()
-    ra = inj_rule(c, sig, set())
-    assert ra is not None
-    (l,) = ra.clause.literals
+    out = inj_rule(c, sig, set())
+    assert out is not None
+    (l,) = out.literals
     assert l.pos
     # applying again for the same symbol is suppressed
     assert inj_rule(c, sig, {"f"}) is None

@@ -77,6 +77,34 @@ def test_deeply_nested_term_is_error(tmp_path):
     _assert_input_error(run_cli(str(f)))
 
 
+_K_SPEC = ("thf(s, logic, ( $modal := [ $constants := $rigid, "
+           "$quantification := $constant, $consequence := $global, "
+           "$modalities := $modal_system_K ] )).\n")
+
+
+@pytest.mark.parametrize("decls, conjecture", [
+    # a source type merged with the world type
+    ("thf(mworld_type, type, (mworld: $tType)).\n"
+     "thf(ax, axiom, ( ! [X: mworld, Y: mworld] : ( X = Y ) )).\n",
+     "( ( $dia @ p ) => p )"),
+    # a source constant captured by the lifted negation
+    ("thf(mnot_type, type, (mnot: $o > $o)).\n",
+     "( ( mnot @ p ) <=> ~ p )"),
+    # source constants declared again at another type
+    ("thf(mrel_type, type, (mrel: $i > $o)).\n"
+     "thf(a_type, type, (a: $i)).\n",
+     "( $box @ ( mrel @ a ) )"),
+    ("thf(mvalid_type, type, (mvalid: $o > $o)).\n",
+     "( $box @ ( mvalid @ p ) )"),
+], ids=["mworld", "mnot", "mrel", "mvalid"])
+def test_names_of_the_modal_embedding_are_reserved(tmp_path, decls,
+                                                   conjecture):
+    f = tmp_path / "reserved.p"
+    f.write_text(_K_SPEC + "thf(p_type, type, (p: $o)).\n" + decls
+                 + f"thf(goal, conjecture, {conjecture}).")
+    _assert_input_error(run_cli(str(f), "-t", "10"))
+
+
 def test_missing_file_is_error():
     r = run_cli("no_such_file.p")
     assert r.returncode == 2
@@ -133,8 +161,11 @@ def test_parser_defaults():
 
 
 def test_nonpositive_timeout_rejected():
-    with pytest.raises(SystemExit):
-        main(["x.p", "-t", "0"])
+    for bad in (["-t", "0"], ["-t", "-1"], ["-t", "nan"],
+                ["--unif-depth", "-1"], ["--unifiers", "-1"],
+                ["--ps-limit", "-1"]):
+        with pytest.raises(SystemExit):
+            main(["x.p", *bad])
 
 
 def test_modal_s5_universal_flag():

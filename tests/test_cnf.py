@@ -199,11 +199,15 @@ def test_clausification_preserves_satisfiability():
         f = canon(rand(3))
         tt = any(_eval(f, dict(zip((x.name for x in _ATOMS), vs)))
                  for vs in itertools.product((True, False), repeat=3))
-        cs = clausify(f)
-        atoms = set()
-        for c in cs:
-            for l in c.literals:
-                atoms |= {n for n in _const_names(l.lhs) | _const_names(l.rhs)
-                          if not n.startswith("$")
-                          and n not in ("~", "|", "&", "=>", "<=>", "=")}
-        assert _sat(cs, atoms) == tt
+        # threshold 2 makes most formulas name a subformula
+        for threshold in (16, 2):
+            cs = normalize(Clause([prop_literal(f, True)]), Signature(),
+                           threshold)
+            atoms = set()
+            for c in cs:
+                for l in c.literals:
+                    atoms |= {n for n in
+                              _const_names(l.lhs) | _const_names(l.rhs)
+                              if not n.startswith("$")
+                              and n not in ("~", "|", "&", "=>", "<=>", "=")}
+            assert _sat(cs, atoms) == tt, threshold

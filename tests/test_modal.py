@@ -81,7 +81,7 @@ def _embedded(system="S5", consequence="global", s5_mode="relational",
     text = (spec_text(system, consequence)
             + "thf(p_type, type, (p: $o)).\n" + extra
             + f"thf(goal, conjecture, {conjecture}).")
-    return embed(parse_problem(text, "t.p"), s5_mode).problem
+    return embed(parse_problem(text, "t.p"), s5_mode)
 
 
 def test_embed_leaves_no_modal_residue():
@@ -158,3 +158,15 @@ def test_system_k_does_not_prove_reflexivity_scheme():
     prob = _embedded(system="K")
     res = saturate(prob, ProverConfig(time_limit=3))
     assert res.status != "Theorem"
+
+
+def test_embedded_definitions_are_expanded():
+    from ep_prover.replay import replay_proof
+    from ep_prover.saturation import ProverConfig, saturate
+    prob = _embedded(system="K", conjecture="( $box @ p )",
+                     extra="thf(p_def, definition, ( p = $true )).\n")
+    (d,) = [f for f in prob.formulas if f.name == "p_def"]
+    assert d.role == "definition"
+    res = saturate(prob, ProverConfig(time_limit=30))
+    assert res.status == "Theorem"
+    assert replay_proof(res, prob) == []
