@@ -29,8 +29,19 @@ SUCCESS_STATUSES = ("Theorem", "Unsatisfiable", "ContradictoryAxioms",
 _BUILTIN_NAMES = LOGICAL_NAMES | MODAL_OPERATORS
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors keep the stdout contract: the
+    SZS line first, then argparse's message on stderr and exit 2."""
+
+    problem_name = "unknown"
+
+    def error(self, message):
+        print(print_szs("Error", self.problem_name))
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ep-prover",
         description="saturation prover for monomorphic higher-order logic")
     ap.add_argument("problem", help="THF problem file")
@@ -184,11 +195,16 @@ def run(args) -> int:
     )
     try:
         result = saturate(problem, config)
+        proof = None
+        if args.proof and result.empty_id is not None:
+            proof = print_proof(build_proof_lines(result, problem), name)
     except DefinitionError as e:
         return _error(name, str(e))
+    except Exception as e:      # no traceback escapes the CLI
+        return _error(name, f"{type(e).__name__}: {e}")
     print(print_szs(result.status, name))
-    if args.proof and result.empty_id is not None:
-        print(print_proof(build_proof_lines(result, problem), name))
+    if proof is not None:
+        print(proof)
     if result.status in SUCCESS_STATUSES:
         return 0
     if result.status in ("GaveUp", "Timeout"):
@@ -196,8 +212,26 @@ def run(args) -> int:
     return 2
 
 
+def _problem_name(ap: argparse.ArgumentParser, argv: list) -> str:
+    """Basename of the first argument that is neither an option nor an
+    option's value; "unknown" if there is none."""
+    takes_value = {s for a in ap._actions if a.nargs != 0
+                   for s in a.option_strings}
+    skip = False
+    for tok in argv:
+        if skip:
+            skip = False
+        elif tok.startswith("-") and len(tok) > 1:
+            skip = tok in takes_value
+        else:
+            return tok.rsplit("/", 1)[-1]
+    return "unknown"
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
+    ap.problem_name = _problem_name(ap, argv)
     args = ap.parse_args(argv)
     if not args.timeout > 0:    # also rejects nan
         ap.error("timeout must be positive")

@@ -275,7 +275,8 @@ class Saturation:
             return
         outcome = pre_unify(pairs, self.sig,
                             depth=self.config.unif_depth,
-                            limit=self.config.unifiers_per_inference)
+                            limit=self.config.unifiers_per_inference,
+                            deadline=self.deadline)
         for u in outcome.unifiers:
             self._emit_unified(d, rest, u.subst, u.residuals, "pre_uni")
 
@@ -287,9 +288,8 @@ class Saturation:
         nc = Clause(lits)
         if nc == d.clause:
             return
-        fvs = d.clause.free_vars()
-        binds = [(v, t) for v, t in sorted(
-            subst.items(), key=lambda it: it[0].name) if v in fvs]
+        binds = sorted(subst.items(d.clause.free_vars()),
+                       key=lambda it: it[0].name)
         self.insert_new(self.record(rule, (d.id,), clause=nc,
                                     bindings=binds))
 

@@ -574,31 +574,73 @@ def substitute(t: Term, mapping: dict) -> Term:
 
 
 class Subst:
-    """Finite map from free variables to closed terms."""
+    """Triangular substitution of closed terms for free variables.
 
-    __slots__ = ("map",)
+    `map` records each binding as `bind` made it: the image of v is
+    canonical, resolved through the bindings made before v, and free of
+    v, so it can only mention variables bound later.  The bindings thus
+    form a triangle, and resolving a variable (replacing the bound
+    variables of its image by their resolved images, recursively) always
+    terminates.  `apply` and `items` return fully resolved terms, the
+    same as an idempotent map composed eagerly binding by binding.
+
+    A Subst is never mutated after `bind` returns it, so `apply` memoizes
+    its results per Subst, keyed by the interned term.
+    """
+
+    __slots__ = ("map", "_memo")
 
     def __init__(self, mapping: Optional[dict] = None):
-        self.map = dict(mapping) if mapping else {}
+        """The bindings of mapping, made in its order."""
+        self.map = {}
+        self._memo = {}
+        for v, r in (mapping or {}).items():
+            self.map = self.bind(v, r).map
+            self._memo = {}
 
     def apply(self, t: Term) -> Term:
-        return substitute(t, self.map) if self.map else canon(t)
+        """Canonical form of t with every bound variable resolved."""
+        out = self._memo.get(t)
+        if out is None:
+            m = self.map
+            hits = [v for v in t.fvs if v in m]
+            if hits:
+                out = substitute(t, {v: self.apply(m[v]) for v in hits})
+            else:
+                out = canon(t)
+            self._memo[t] = out
+        return out
 
     def bind(self, v: Free, r: Term) -> "Subst":
-        """Compose with {r/v}: apply the new binding inside existing images."""
-        new = {w: substitute(img, {v: r}) for w, img in self.map.items()}
-        if v not in new:
-            new[v] = canon(r)
-        return Subst(new)
+        """This substitution followed by {r/v}; itself if v is bound.
+        The image is resolved first, and one that mentions v is refused,
+        which keeps the bindings acyclic."""
+        if v.ty is not r.ty:
+            raise TermError(f"binding type mismatch for {v!r}")
+        if r.loose:
+            raise TermError("substitution image must be closed")
+        if v in self.map:
+            return self
+        r = self.apply(r)
+        if v in r.fvs:
+            raise TermError(f"{v!r} occurs in its own binding")
+        out = Subst.__new__(Subst)
+        out.map = {**self.map, v: r}
+        out._memo = {}
+        return out
 
-    def items(self):
-        return self.map.items()
+    def items(self, among=None):
+        """(variable, resolved image) pairs, in binding order; only the
+        variables in `among` when it is given."""
+        return [(v, self.apply(img)) for v, img in self.map.items()
+                if among is None or v in among]
 
     def __bool__(self):
         return bool(self.map)
 
     def __repr__(self):
-        return "Subst(" + ", ".join(f"{v!r}:={r!r}" for v, r in self.map.items()) + ")"
+        return "Subst(" + ", ".join(f"{v!r}:={r!r}"
+                                    for v, r in self.items()) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .terms import (
-    Abs, App, Bound, Const, Free, FunType, O, I, PI_NAME, SIGMA_NAME,
-    Signature, SimpleType, Term, TermError, TRUE, FALSE, NOT, OR, AND,
-    IMPLIES, IFF, app, arg_types, base_type, bound, canon, conj, const,
-    disj, eq_const, equality, exists, forall, fun_type, iff, implies, lam,
-    match_quant, neg, pi_const, result_type, spine, substitute_raw, type_str,
+    Abs, Bound, Const, Free, O, PI_NAME, SIGMA_NAME, Signature, SimpleType,
+    Term, TermError, TRUE, FALSE, NOT, OR, AND, IMPLIES, IFF, app,
+    base_type, bound, canon, conj, const, disj, equality, exists, forall,
+    fun_type, iff, implies, lam, match_quant, neg, spine, substitute_raw,
+    type_str,
 )
 from .clauses import Clause, Literal
 from .cnf import ordered_free_vars

@@ -9,6 +9,7 @@ Flex-flex pairs are never solved here, they are returned as residuals.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +33,7 @@ class Unifier:
 @dataclass
 class UnifOutcome:
     unifiers: list
-    exhausted: bool = False  # search hit the depth budget somewhere
+    exhausted: bool = False  # search hit the depth or time budget somewhere
 
     @property
     def definitely_fails(self) -> bool:
@@ -138,12 +139,15 @@ def general_bindings(var_ty: SimpleType, rigid_head: Optional[Term],
 
 
 def pre_unify(pairs: list, sig, depth: int = DEFAULT_DEPTH,
-              limit: int = DEFAULT_LIMIT) -> UnifOutcome:
+              limit: int = DEFAULT_LIMIT,
+              deadline: Optional[float] = None) -> UnifOutcome:
     """Pre-unify a list of closed term pairs.
 
     Returns up to `limit` unifiers, each with its flex-flex residuals.
-    `exhausted` is set when a branch was cut off by the depth budget, so
-    an empty result list is only a definitive failure when it is False.
+    Once `time.monotonic()` passes `deadline`, the search stops
+    branching.  `exhausted` is set when a branch was cut off by the depth
+    budget or the deadline, so an empty result list is only a definitive
+    failure when it is False.
     """
     pairs = [(canon(a), canon(b)) for a, b in pairs]
     outcome = UnifOutcome([], False)
@@ -158,7 +162,8 @@ def pre_unify(pairs: list, sig, depth: int = DEFAULT_DEPTH,
         if not flex_rigid:
             outcome.unifiers.append(Unifier(subst, tuple(flex_flex)))
             return
-        if d >= depth:
+        if d >= depth or (deadline is not None
+                          and time.monotonic() > deadline):
             outcome.exhausted = True
             return
         s, t = flex_rigid[0]

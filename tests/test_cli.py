@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ep_prover import cli
 from ep_prover.cli import build_parser, main
 
 
@@ -160,12 +161,37 @@ def test_parser_defaults():
     assert args.modal_s5 == "relational"
 
 
-def test_nonpositive_timeout_rejected():
+def test_nonpositive_timeout_rejected(capsys):
     for bad in (["-t", "0"], ["-t", "-1"], ["-t", "nan"],
                 ["--unif-depth", "-1"], ["--unifiers", "-1"],
-                ["--ps-limit", "-1"]):
+                ["--ps-limit", "-1"], ["--no-such-flag"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["dir/x.p", *bad])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "% SZS status Error for x.p"
+        assert err.strip()
+
+
+def test_usage_error_names_the_problem_argument(capsys):
+    for argv, name in ((["-t", "0", "a/y.p"], "y.p"),
+                       (["--unifiers", "-1"], "unknown"),
+                       ([], "unknown")):
         with pytest.raises(SystemExit):
-            main(["x.p", *bad])
+            main(argv)
+        assert capsys.readouterr().out.splitlines()[0] == \
+            f"% SZS status Error for {name}"
+
+
+def test_search_exception_is_error(monkeypatch, capsys):
+    def boom(problem, config):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "saturate", boom)
+    assert main([f"{PROBLEMS}/corpus/prop_k.p"]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["% SZS status Error for prop_k.p"]
+    assert "RuntimeError: boom" in err
+    assert "Traceback" not in err
 
 
 def test_modal_s5_universal_flag():

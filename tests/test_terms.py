@@ -1,5 +1,7 @@
 """Core term representation: interning, normalization, substitution."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -99,6 +101,103 @@ def test_subst_bind_composes():
     s = Subst().bind(x, y).bind(y, c)
     assert s.apply(x) is c
     assert s.apply(y) is c
+
+
+def test_subst_bind_rejects_bad_images_on_an_empty_subst():
+    x = free("X", I)
+    with pytest.raises(TermError):
+        Subst().bind(x, const("p", O))
+    with pytest.raises(TermError):
+        Subst().bind(x, bound(0, I))
+
+
+def test_subst_bind_refuses_a_cycle():
+    x, y = free("X", I), free("Y", I)
+    f = const("f", fn(I, res=I))
+    g = const("g", fn(I, res=I))
+    s = Subst().bind(x, app(f, y))
+    with pytest.raises(TermError):
+        s.bind(y, app(g, x))
+
+
+def test_subst_rebinding_is_a_no_op():
+    x = free("X", I)
+    s = Subst().bind(x, const("c", I))
+    assert s.bind(x, const("d", I)) is s
+
+
+def test_subst_apply_is_memoized(monkeypatch):
+    import ep_prover.terms as terms
+    x, y = free("X", I), free("Y", I)
+    f = const("f", fn(I, res=I))
+    s = Subst().bind(x, app(f, y)).bind(y, const("c", I))
+    t = app(f, x)
+    first = s.apply(t)
+    calls = []
+    monkeypatch.setattr(terms, "substitute",
+                        lambda *a: calls.append(a) or terms.canon(a[0]))
+    assert s.apply(t) is first
+    assert not calls
+
+
+_SF = const("f", fn(I, res=I))
+_SG = const("g", fn(I, I, res=I))
+_SVARS = [free(f"U{i}", I) for i in range(5)]
+_SFLEX = [free(f"F{i}", fn(I, res=I)) for i in range(2)]
+_SLEAVES = [const("a", I), const("b", I)] + _SVARS
+
+
+def _random_term(rng, depth, leaves):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(leaves)
+    if roll < 0.5:
+        return app(_SF, _random_term(rng, depth - 1, leaves))
+    if roll < 0.7:
+        return app(rng.choice(_SFLEX), _random_term(rng, depth - 1, leaves))
+    return app(_SG, _random_term(rng, depth - 1, leaves),
+               _random_term(rng, depth - 1, leaves))
+
+
+def _random_image(rng, v):
+    if v.ty is I:
+        return canon(_random_term(rng, 3, _SLEAVES))
+    return canon(lam(I, _random_term(rng, 2, _SLEAVES + [bound(0, I)])))
+
+
+def _eager_bind(mapping, v, r):
+    """Idempotent composition: resolve r, then apply {r/v} to every
+    earlier image; None when v occurs in the resolved image."""
+    r = substitute(r, mapping)
+    if v in r.fvs:
+        return None
+    out = {w: substitute(img, {v: r}) for w, img in mapping.items()}
+    out[v] = r
+    return out
+
+
+def test_triangular_subst_matches_eager_composition():
+    rng = random.Random(7)
+    cycles = 0
+    for _ in range(200):
+        s, eager = Subst(), {}
+        for v in rng.sample(_SVARS + _SFLEX, rng.randint(1, 6)):
+            r = _random_image(rng, v)
+            composed = _eager_bind(eager, v, r)
+            if composed is None:
+                cycles += 1
+                with pytest.raises(TermError):
+                    s.bind(v, r)
+                continue
+            s, eager = s.bind(v, r), composed
+            assert s.items() == list(eager.items())
+            for _ in range(3):
+                t = canon(_random_term(rng, 4, _SLEAVES))
+                assert s.apply(t) is substitute(t, eager)
+        among = frozenset(rng.sample(_SVARS + _SFLEX, 3))
+        assert s.items(among) == [(v, r) for v, r in eager.items()
+                                  if v in among]
+    assert cycles
 
 
 def test_signature_fresh_names():

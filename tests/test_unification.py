@@ -1,6 +1,7 @@
 """Pattern unification and Huet-style pre-unification."""
 
 import random
+import time
 
 from ep_prover.terms import (
     I, O, Signature, Subst, app, bound, canon, const, fn, free, lam,
@@ -126,6 +127,15 @@ def test_pre_unify_respects_depth_budget():
     pairs = [(canon(app(F, a)), canon(app(f, app(F, a))))]
     out = pre_unify(pairs, Signature(), depth=3)
     assert all(unify_ok(pairs, u.subst) for u in out.unifiers)
+
+
+def test_pre_unify_stops_at_an_expired_deadline():
+    F = fv("F", fn(I, res=I))
+    pairs = [(canon(app(F, a)), canon(app(f, b)))]
+    assert pre_unify(pairs, Signature()).unifiers
+    out = pre_unify(pairs, Signature(), deadline=time.monotonic() - 1)
+    assert out.unifiers == []
+    assert out.exhausted
 
 
 def _random_term(rng, depth, vars_):
