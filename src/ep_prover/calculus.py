@@ -302,7 +302,7 @@ class SimplifyOutcome:
 def _try_der(lits: list):
     """Destructive equality resolution on the first eligible literal."""
     for k, l in enumerate(lits):
-        if l.pos:
+        if l.pos or not (l.lhs.fvs or l.rhs.fvs):
             continue
         for a, b in ((l.lhs, l.rhs), (l.rhs, l.lhs)):
             x = is_eta_var(a)
@@ -350,28 +350,30 @@ def simplify(c: Clause, units=()) -> SimplifyOutcome:
     rules = set()
     while True:
         progressed = False
-        # trivial and absurd literals, duplicates, tautologies
+        # trivial and absurd literals, duplicates, tautologies; literals
+        # are compared by (lhs, rhs, pos), interned sides by identity
         out = []
         seen = set()
         for l in lits:
-            if l.lhs is l.rhs:
-                if l.pos:
+            lhs, rhs, pos = l.lhs, l.rhs, l.pos
+            if lhs is rhs:
+                if pos:
                     return SimplifyOutcome(None, tautology=True, changed=True)
                 progressed = True
                 continue
-            if l.is_shorthand and l.lhs is FALSE:
-                if l.pos:
+            if lhs is FALSE and rhs is TRUE:
+                if pos:
                     progressed = True
                     continue
                 return SimplifyOutcome(None, tautology=True, changed=True)
-            if l in seen:
+            if (lhs, rhs, pos) in seen:
                 progressed = True
                 continue
-            seen.add(l)
+            if (lhs, rhs, not pos) in seen:
+                return SimplifyOutcome(None, tautology=True, changed=True)
+            seen.add((lhs, rhs, pos))
             out.append(l)
         lits = out
-        if any(l.complement() in seen for l in lits):
-            return SimplifyOutcome(None, tautology=True, changed=True)
         der = _try_der(lits)
         if der is not None:
             lits = der
@@ -426,10 +428,12 @@ def simplify(c: Clause, units=()) -> SimplifyOutcome:
             changed = True
             continue
         break
-    new = Clause(lits)
-    if not changed and new == c:
-        return SimplifyOutcome(c, changed=False)
+    # every rule that fires sets `changed`, so an unchanged clause still
+    # has exactly the literals of c
+    if not changed:
+        return SimplifyOutcome(c)
     if not rules:
         rules.add("simp")
-    return SimplifyOutcome(new, changed=True, used_units=tuple(dict.fromkeys(used)),
+    return SimplifyOutcome(Clause(lits), changed=True,
+                           used_units=tuple(dict.fromkeys(used)),
                            rules=tuple(sorted(rules)))

@@ -42,9 +42,6 @@ class Literal:
         """Stored form of a propositional literal [s]^a, i.e. [s ~ $true]^a."""
         return self.rhs is TRUE and self.lhs is not TRUE
 
-    def complement(self) -> "Literal":
-        return Literal(self.lhs, self.rhs, not self.pos)
-
     def free_vars(self) -> frozenset:
         return self.lhs.fvs | self.rhs.fvs
 
@@ -142,7 +139,18 @@ def alpha_key(c: Clause, term_sig=_term_sig) -> tuple:
     `term_sig(t, names, out)` appends the signature of t to out, numbering
     renameable symbols through `names`, or leaving them blind when
     `names` is None.
+
+    Renaming cannot change a ground clause, so under the default walker
+    a ground clause keys on its content, `Clause._key`.  Those keys are
+    tuples of triples and never equal the string tuples built below.
     """
+    if term_sig is _term_sig:
+        for l in c.literals:
+            if l.lhs.fvs or l.rhs.fvs:
+                break
+        else:
+            return c._key
+
     def blind(l: Literal) -> tuple:
         acc = ["+" if l.pos else "-"]
         term_sig(l.lhs, None, acc)

@@ -96,8 +96,7 @@ def build_proof_lines(result: Result, problem: Problem) -> list:
             _add_consts(t, consts)
     used_defs = []
     queue = [n for n in consts if n in definitions]
-    while queue:
-        n = queue.pop(0)
+    for n in queue:     # also visits the names appended below
         if n in used_defs:
             continue
         used_defs.append(n)

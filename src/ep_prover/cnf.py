@@ -8,7 +8,9 @@ by primitive equality.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 from .terms import (
@@ -60,10 +62,13 @@ _CLAUSES = {
 _BUILDERS = {"not": neg, "or": disj, "and": conj, "imp": implies, "iff": iff}
 
 
+@cache
 def formula_kind(t: Term):
     """Top connective of a Boolean term, or None for an atom.
 
     Returns (tag, operands); quantifier tags carry the body abstraction.
+    Memoized per interned term: terms are immutable and the intern table
+    keeps them for the life of the process anyway.
     """
     h, args = spine(t)
     if not isinstance(h, Const):
@@ -183,12 +188,23 @@ def _name_subformula(lits: list, i: int, sig: Signature):
     return defs, prop_literal(_BUILDERS[tag](*parts), l.pos)
 
 
+class OutOfTime(Exception):
+    """The run's deadline passed during clausification."""
+
+
 def normalize(c: Clause, sig: Signature,
-              naming_threshold: int = NAMING_THRESHOLD) -> set:
-    """Exhaustive clausification of a clause into proper CNF clauses."""
+              naming_threshold: int = NAMING_THRESHOLD,
+              deadline: Optional[float] = None) -> set:
+    """Exhaustive clausification of a clause into proper CNF clauses.
+
+    Raises OutOfTime once `deadline` (a `time.monotonic()` value) has
+    passed; the result would be incomplete.
+    """
     results = set()
     work = [list(c.literals)]
     while work:
+        if deadline is not None and time.monotonic() > deadline:
+            raise OutOfTime
         lits = work.pop()
         changed = False
         for i, l in enumerate(lits):

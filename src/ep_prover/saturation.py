@@ -21,8 +21,9 @@ from .clauses import (
     is_flex_flex, literal, prop_literal, rename_clause, subsumes,
 )
 from .cnf import (
-    NAMING_THRESHOLD, PreprocessConfig, definition_map, expand_term,
-    formula_kind, miniscope, normalize, replace_defined_equalities_term,
+    NAMING_THRESHOLD, OutOfTime, PreprocessConfig, definition_map,
+    expand_term, formula_kind, miniscope, normalize,
+    replace_defined_equalities_term,
 )
 from .calculus import (
     bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext, inj_rule,
@@ -87,9 +88,10 @@ class Saturation:
         self.sig = problem.signature
         self.records: dict = {}
         self._next_id = 0
-        self.seen: dict = {}          # Clause -> id
+        self.seen: dict = {}          # alpha_key -> id
         self.U: list = []             # ids
         self.P: list = []             # ids
+        self.units: list = []         # _units() of the current P
         self.deadline = None
         self.inj_done: set = set()
         self.empty_id: Optional[int] = None
@@ -170,7 +172,8 @@ class Saturation:
                     t = t2
             start = Clause([prop_literal(t, True)])
             produced = sorted(
-                normalize(start, self.sig, self.config.naming_threshold),
+                normalize(start, self.sig, self.config.naming_threshold,
+                          self.deadline),
                 key=lambda c: c._key)
             for c in produced:
                 clauses.append(self.record("cnf", (cur.id,), clause=c))
@@ -178,8 +181,7 @@ class Saturation:
         # exhaustive instantiation of finite-typed variables
         final = []
         queue = list(clauses)
-        while queue:
-            d = queue.pop(0)
+        for d in queue:     # also visits the instances appended below
             v = next((x for x in sorted(d.clause.free_vars(),
                                         key=lambda v: v.name)
                       if x.ty in self.pre.exhaustive_inst_types), None)
@@ -202,20 +204,22 @@ class Saturation:
         while stack:
             cur = stack.pop()
             c = cur.clause
-            if alpha_key(c) in self.seen:
+            key = alpha_key(c)
+            if key in self.seen:
                 continue
             # renormalize non-CNF clauses
             if _needs_cnf(c):
                 for nc in sorted(normalize(c, self.sig,
-                                           self.config.naming_threshold),
+                                           self.config.naming_threshold,
+                                           self.deadline),
                                  key=lambda x: x._key):
                     if nc != c:
                         stack.append(self.record("cnf", (cur.id,),
                                                  clause=nc))
                     else:
-                        self._enqueue(cur)
+                        self._enqueue(cur, key)
                 continue
-            out = simplify(c, self._units())
+            out = simplify(c, self.units)
             if out.clause is None:
                 continue
             if out.changed:
@@ -232,14 +236,13 @@ class Saturation:
                     stack.append(self.record("bool_ext", (cur.id,),
                                              clause=half))
                 continue
-            self._enqueue(cur)
+            self._enqueue(cur, key)
             self._eager_unify(cur)
 
-    def _enqueue(self, d: Derived):
+    def _enqueue(self, d: Derived, key: tuple):
+        """Keep a new clause in U unless it is cut or subsumed; `key` is
+        its `alpha_key`, which the caller found unseen."""
         c = d.clause
-        key = alpha_key(c)
-        if key in self.seen:
-            return
         if is_empty_clause(c) and self.empty_id is None:
             self.empty_id = d.id
         if clause_weight(c) > MAX_CLAUSE_WEIGHT and not is_empty_clause(c):
@@ -251,7 +254,8 @@ class Saturation:
         self.seen[key] = d.id
         self.U.append(d.id)
 
-    def _units(self):
+    def _units(self) -> list:
+        """(id, clause) of the non-flex-flex unit clauses in P."""
         out = []
         for pid in self.P:
             c = self.records[pid].clause
@@ -301,6 +305,8 @@ class Saturation:
             self.preprocess()
         except RecursionError:
             return self._result("GaveUp")
+        except OutOfTime:
+            return self._result("Timeout")
         while True:
             if self.empty_id is not None:
                 return self._refutation_result()
@@ -313,7 +319,7 @@ class Saturation:
             gid = self._select()
             g = self.records[gid]
             # forward simplification against current units
-            out = simplify(g.clause, self._units())
+            out = simplify(g.clause, self.units)
             if out.clause is None:
                 continue
             if out.changed:
@@ -331,7 +337,11 @@ class Saturation:
             self.P = [p for p in self.P
                       if not subsumes(g.clause, self.records[p].clause)]
             self.P.append(gid)
-            self._generate(gid)
+            self.units = self._units()
+            try:
+                self._generate(gid)
+            except OutOfTime:
+                return self._result("Timeout")
         # unreachable
 
     def _select(self) -> int:
@@ -451,20 +461,9 @@ def extract_proof(records: dict, empty_id: int) -> list:
             continue
         needed.add(i)
         stack.extend(records[i].parents)
-    order = []
-    seen = set()
-
-    def visit(i):
-        if i in seen:
-            return
-        seen.add(i)
-        for p in records[i].parents:
-            visit(p)
-        order.append(i)
-
-    for i in sorted(needed):
-        visit(i)
-    return [records[i] for i in order]
+    # `record` needs every parent recorded already, so every parent id is
+    # smaller than its child's and id order is topological
+    return [records[i] for i in sorted(needed)]
 
 
 def saturate(problem: Problem, config: Optional[ProverConfig] = None,

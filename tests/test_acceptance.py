@@ -106,6 +106,7 @@ def test_injective_cantor_within_budget(inj_cantor):
     assert replay_proof(res, prob) == []
 
 
+@pytest.mark.slow
 def test_injective_cantor_fails_without_inverse_rule():
     _, res, _ = run_problem(f"{PROBLEMS}/inj_cantor.p", 10,
                             enable_inj=False)
@@ -289,6 +290,7 @@ def test_becker_s5_universal_encoding():
     assert "% SZS status Theorem for becker.p" in r.stdout
 
 
+@pytest.mark.slow
 def test_becker_not_provable_in_k(tmp_path):
     text = open(f"{PROBLEMS}/becker.p").read()
     weak = text.replace("$modal_system_S5", "$modal_system_K")
@@ -465,6 +467,7 @@ def _prover_decides(term):
     return res.status == "Satisfiable"
 
 
+@pytest.mark.slow
 def test_propositional_decisions_match_truth_tables():
     rng = random.Random(3)
     cache = {}

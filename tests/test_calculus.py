@@ -157,8 +157,23 @@ def test_simplify_removes_duplicates_and_trivial():
 
 def test_simplify_detects_tautology():
     l = plit(app(p, a))
-    out = simplify(Clause([l, l.complement()]))
+    out = simplify(Clause([l, plit(app(p, a), False)]))
     assert out.clause is None and out.tautology
+
+
+def test_simplify_returns_the_input_clause_when_nothing_applies():
+    X = free("X", I)
+    c = Clause([plit(app(p, a)), plit(app(p, X), False), literal(a, b, False)])
+    unit = Clause([plit(app(p, b))])
+    out = simplify(c, [(5, unit)])
+    assert out.clause is c
+    assert not out.changed and not out.tautology and out.used_units == ()
+
+
+def test_simplify_complementary_equations_are_a_tautology():
+    pos = literal(a, b, True)
+    out = simplify(Clause([pos, literal(b, a, False)]))
+    assert out.clause is None and out.tautology and out.changed
 
 
 def test_simplify_absurd_false_literal():

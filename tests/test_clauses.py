@@ -35,12 +35,6 @@ def test_true_kept_on_right():
     assert l.rhs.ty is O
 
 
-def test_complement():
-    l = lit(app(p, a))
-    assert l.complement().pos is False
-    assert l.complement().complement() == l
-
-
 def test_clause_is_sorted_multiset():
     l1, l2 = lit(app(p, a)), lit(app(q, b))
     assert Clause([l1, l2]) == Clause([l2, l1])
@@ -84,6 +78,23 @@ def test_alpha_key_distinguishes_variable_sharing():
 def test_alpha_key_distinguishes_polarity():
     assert alpha_key(Clause([lit(app(p, a))])) \
         != alpha_key(Clause([lit(app(p, a), False)]))
+
+
+def test_ground_clauses_key_on_their_content():
+    # built separately, in different literal orders
+    c1 = Clause([lit(app(p, a)), literal(a, b, False)])
+    c2 = Clause([literal(b, a, False), lit(app(p, a))])
+    assert c1 is not c2
+    assert alpha_key(c1) == alpha_key(c2) == c1._key
+
+
+def test_ground_key_differs_from_non_ground_key_of_same_shape():
+    for ground, open_ in (
+            (Clause([lit(app(p, a))]), Clause([lit(app(p, X))])),
+            (Clause([lit(app(p, a)), lit(app(q, b), False)]),
+             Clause([lit(app(p, X)), lit(app(q, Y), False)])),
+            (Clause([literal(a, b, True)]), Clause([literal(X, b, True)]))):
+        assert alpha_key(ground) != alpha_key(open_)
 
 
 def test_match_terms_first_order():

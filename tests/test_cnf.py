@@ -1,17 +1,20 @@
 """Clause normal form transformation and definition handling."""
 
 import itertools
+import random
+import time
 
 import pytest
 
 from ep_prover.terms import (
-    Free, I, O, Signature, app, bound, canon, conj, const, disj, exists, fn,
-    forall, free, iff, implies, neg, spine,
+    Abs, App, Free, I, O, Signature, app, bound, canon, conj, const, disj,
+    equality, exists, fn, forall, free, iff, implies, neg, spine,
 )
 from ep_prover.clauses import Clause, prop_literal
 from ep_prover.cnf import (
-    CyclicDefinitionError, expand_definition_map, expand_term, formula_kind,
-    miniscope, normalize, ordered_free_vars, replace_defined_equalities_term,
+    CyclicDefinitionError, OutOfTime, expand_definition_map, expand_term,
+    formula_kind, miniscope, normalize, ordered_free_vars,
+    replace_defined_equalities_term,
 )
 
 
@@ -211,3 +214,58 @@ def test_clausification_preserves_satisfiability():
                               if not n.startswith("$")
                               and n not in ("~", "|", "&", "=>", "<=>", "=")}
             assert _sat(cs, atoms) == tt, threshold
+
+
+def iff_chain(n):
+    """b0 <=> (b1 <=> ... b(n-1)): 2^(n-1) clauses without naming."""
+    atoms = [const(f"b{i}", O) for i in range(n)]
+    f = atoms[-1]
+    for x in reversed(atoms[:-1]):
+        f = iff(x, f)
+    return canon(f)
+
+
+def test_normalize_stops_at_an_expired_deadline():
+    start = Clause([prop_literal(iff_chain(15), True)])
+    t0 = time.monotonic()
+    with pytest.raises(OutOfTime):
+        normalize(start, Signature(), 0, deadline=time.monotonic() - 1)
+    assert time.monotonic() - t0 < 1
+
+
+def test_formula_kind_memo_matches_the_uncached_computation():
+    rng = random.Random(11)
+    x = bound(0, I)
+
+    def rand(depth):
+        op = rng.choice(("~", "|", "&", "=>", "<=>", "atom", "all", "ex",
+                         "eq_i", "eq_o"))
+        if depth == 0 or op == "atom":
+            return rng.choice((p, q, app(qi, a)))
+        if op == "~":
+            return neg(rand(depth - 1))
+        if op in ("all", "ex"):
+            body = disj(app(qi, x), rand(depth - 1))
+            return (forall if op == "all" else exists)(I, body)
+        if op == "eq_i":
+            return equality(a, rng.choice((a, const("b", I))))
+        if op == "eq_o":
+            return equality(rand(depth - 1), rand(depth - 1))
+        fs = {"|": disj, "&": conj, "=>": implies, "<=>": iff}
+        return fs[op](rand(depth - 1), rand(depth - 1))
+
+    uncached = formula_kind.__wrapped__
+    checked = 0
+    for _ in range(200):
+        stack = [canon(rand(4))]
+        while stack:
+            t = stack.pop()
+            for _ in range(2):      # a miss, then a hit
+                assert formula_kind(t) == uncached(t)
+            checked += 1
+            if isinstance(t, Abs):
+                stack.append(t.body)
+            elif isinstance(t, App):
+                stack.append(t.head)
+                stack.extend(t.args)
+    assert checked > 2000

@@ -1,9 +1,13 @@
 """Saturation loop: statuses, proof extraction, determinism."""
 
+import time
+
+from ep_prover.clauses import Clause, prop_literal
 from ep_prover.saturation import (
-    ProverConfig, Saturation, extract_proof, saturate,
+    Derived, ProverConfig, Saturation, extract_proof, saturate,
 )
-from ep_prover.tptp import parse_problem
+from ep_prover.terms import O, Signature, canon, const, iff
+from ep_prover.tptp import AnnotatedFormula, Problem, parse_problem
 
 
 def prove(text, timeout=30.0, **kw):
@@ -116,6 +120,56 @@ def test_extract_proof_is_topologically_ordered():
         assert all(pid in seen for pid in d.parents)
         seen.add(d.id)
     assert proof[-1].id == res.empty_id
+
+
+def test_extract_proof_of_a_long_chain_with_a_diamond():
+    # 1 <- 2 <- ... <- 3000, except that 101 and 102 both derive from 100
+    # and 103 from both of them; 50 derives from 49 but leads nowhere
+    parents = {i: (i - 1,) for i in range(2, 3001)}
+    parents[1] = ()
+    parents[102] = (100,)
+    parents[103] = (102, 101)
+    parents[51] = (49,)
+    records = {i: Derived(i, "simp", "thm", ps) for i, ps in parents.items()}
+    proof = extract_proof(records, 3000)
+    ids = [d.id for d in proof]
+    assert ids == sorted(set(range(1, 3001)) - {50})
+    position = {i: k for k, i in enumerate(ids)}
+    assert all(position[p] < position[d.id]
+               for d in proof for p in d.parents)
+
+
+def test_unit_entering_p_is_used_by_the_next_simplification():
+    # p is picked first; the next pick, ~p | q | r, is cut by it
+    res = prove("""
+    thf(p_type, type, (p: $o)). thf(q_type, type, (q: $o)).
+    thf(r_type, type, (r: $o)).
+    thf(a1, axiom, p).
+    thf(a2, axiom, ( ~ p | q | r )).
+    """)
+    assert res.status == "Satisfiable"
+    unit = next(d.id for d in res.records.values()
+                if d.rule == "cnf" and len(d.clause) == 1)
+    cuts = [d for d in res.records.values() if d.rule == "rewrite"]
+    assert any(unit in d.parents and len(d.clause) == 2 for d in cuts)
+
+
+def test_timeout_inside_clausification():
+    # b0 <=> (b1 <=> ... b14) has 2^14 clauses without naming
+    atoms = [const(f"b{i}", O) for i in range(15)]
+    f = atoms[-1]
+    for x in reversed(atoms[:-1]):
+        f = iff(x, f)
+    sig = Signature()
+    for x in atoms:
+        sig.declare(x.name, O)
+    prob = Problem(sig, [AnnotatedFormula("f", "axiom", canon(f))],
+                   None, "chain.p")
+    t0 = time.monotonic()
+    res = saturate(prob, ProverConfig(time_limit=1e-3, naming_threshold=0))
+    assert res.status == "Timeout"
+    assert time.monotonic() - t0 < 2
+    assert not any(d.rule == "cnf" for d in res.records.values())
 
 
 def test_definition_expansion_recorded():
