@@ -118,7 +118,8 @@ def _term_sig(t: Term, names: Optional[dict], out: list):
         if names is None:
             out.append("f:*:" + type_str(t.ty))
         else:
-            out.append("f:%d" % names.setdefault(t, len(names)))
+            out.append("f:%d:%s" % (names.setdefault(t, len(names)),
+                                    type_str(t.ty)))
     elif isinstance(t, Bound):
         out.append("b:%d" % t.index)
     elif isinstance(t, Abs):

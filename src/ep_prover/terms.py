@@ -21,7 +21,10 @@ class TermError(Exception):
 # ---------------------------------------------------------------------------
 
 class SimpleType:
-    __slots__ = ("uid",)
+    __slots__ = ("uid", "tptp")
+
+    uid: int
+    tptp: str           # TPTP rendering, see type_str
 
 
 class BaseType(SimpleType):
@@ -49,6 +52,7 @@ def base_type(name: str) -> BaseType:
     if ty is None:
         ty = BaseType.__new__(BaseType)
         ty.name = name
+        ty.tptp = name
         ty.uid = _type_uid = _type_uid + 1
         _type_table[key] = ty
     return ty
@@ -62,6 +66,8 @@ def fun_type(arg: SimpleType, res: SimpleType) -> FunType:
         ty = FunType.__new__(FunType)
         ty.arg = arg
         ty.res = res
+        left = f"( {arg.tptp} )" if isinstance(arg, FunType) else arg.tptp
+        ty.tptp = f"{left} > {res.tptp}"
         ty.uid = _type_uid = _type_uid + 1
         _type_table[key] = ty
     return ty
@@ -94,19 +100,9 @@ def result_type(ty: SimpleType) -> SimpleType:
 
 
 def type_str(ty: SimpleType) -> str:
-    """Render a type in TPTP syntax; composite components get parentheses."""
-    if isinstance(ty, BaseType):
-        return ty.name
-    parts = []
-    while isinstance(ty, FunType):
-        parts.append(ty.arg)
-        ty = ty.res
-    parts.append(ty)
-    rendered = []
-    for p in parts:
-        s = type_str(p)
-        rendered.append(f"( {s} )" if isinstance(p, FunType) else s)
-    return " > ".join(rendered)
+    """Render a type in TPTP syntax; composite components get parentheses.
+    The rendering is made once, when the type is interned."""
+    return ty.tptp
 
 
 def base_types_in(types) -> tuple:
@@ -239,10 +235,6 @@ def app(f: Term, *args: Term) -> Term:
     """Apply f to args, flattening nested applications (spine form)."""
     if not args:
         return f
-    if isinstance(f, App):
-        head, all_args = f.head, f.args + args
-    else:
-        head, all_args = f, args
     ty = f.ty
     for a in args:
         if not isinstance(ty, FunType):
@@ -250,21 +242,33 @@ def app(f: Term, *args: Term) -> Term:
         if ty.arg is not a.ty:
             raise TermError(f"argument type mismatch: expected {ty.arg!r}, got {a.ty!r}")
         ty = ty.res
-    key = ("a", head.tid) + tuple(a.tid for a in all_args)
+    return _app(ty, f, args)
+
+
+def _app(ty: SimpleType, head: Term, args) -> Term:
+    """The interned application of head to the non-empty args, of type
+    ty, without checking the argument types: for rebuilding a term from
+    parts already known to fit."""
+    if isinstance(head, App):
+        args = head.args + tuple(args)
+        head = head.head
+    else:
+        args = tuple(args)
+    key = ("a", head.tid) + tuple([a.tid for a in args])
     t = _term_table.get(key)
     if t is None:
         node = App.__new__(App)
         node.head = head
-        node.args = all_args
+        node.args = args
         fvs = head.fvs
         loose = head.loose
         size = head.size
-        for a in all_args:
+        for a in args:
             fvs = fvs | a.fvs
             if a.loose > loose:
                 loose = a.loose
             size += a.size
-        skey = "a(" + head.skey + "".join(a.skey for a in all_args) + ")"
+        skey = "a(" + head.skey + "".join([a.skey for a in args]) + ")"
         t = _register(key, node, ty, fvs, loose, size, skey)
     return t
 
@@ -408,12 +412,19 @@ def shift(t: Term, d: int, cutoff: int = 0) -> Term:
     if isinstance(t, Abs):
         return lam(t.var_ty, shift(t.body, d, cutoff + 1))
     if isinstance(t, App):
-        return app(shift(t.head, d, cutoff), *[shift(a, d, cutoff) for a in t.args])
+        return _app(t.ty, shift(t.head, d, cutoff),
+                    [shift(a, d, cutoff) for a in t.args])
     return t
 
 
 def _inst(t: Term, j: int, repl: Term) -> Term:
-    """Replace Bound(j) by repl (shifted), decrementing higher indices."""
+    """Replace Bound(j) by repl (shifted), decrementing higher indices.
+
+    Substitution is hereditary: where Bound(j) heads an application, the
+    shifted repl is reduced with the instantiated arguments at once
+    (`_beta`), so no redex is built.  Instantiating a beta-normal
+    eta-long term with a beta-normal eta-long repl thus gives a
+    beta-normal eta-long term."""
     if t.loose <= j:
         return t
     if isinstance(t, Bound):
@@ -425,8 +436,27 @@ def _inst(t: Term, j: int, repl: Term) -> Term:
     if isinstance(t, Abs):
         return lam(t.var_ty, _inst(t.body, j + 1, repl))
     if isinstance(t, App):
-        return app(_inst(t.head, j, repl), *[_inst(a, j, repl) for a in t.args])
+        h = t.head
+        args = [_inst(a, j, repl) for a in t.args]
+        if isinstance(h, Bound) and h.index == j:
+            return _beta(shift(repl, j), args)
+        return _app(t.ty, _inst(h, j, repl), args)
     return t
+
+
+def _beta(f: Term, args: list) -> Term:
+    """f applied to the non-empty args, each leading abstraction of f
+    taking the next argument through `_inst`."""
+    n = 0
+    while n < len(args) and isinstance(f, Abs):
+        f = _inst(f.body, 0, args[n])
+        n += 1
+    if n == len(args):
+        return f
+    ty = f.ty
+    for _ in range(n, len(args)):
+        ty = ty.res
+    return _app(ty, f, args[n:])
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +471,9 @@ def beta_normalize(t: Term) -> Term:
     elif isinstance(t, App):
         h = t.head
         if isinstance(h, Abs):
-            r: Term = h
-            args = list(t.args)
-            while isinstance(r, Abs) and args:
-                r = _inst(r.body, 0, args.pop(0))
-            if args:
-                r = app(r, *args)
-            res = beta_normalize(r)
+            res = beta_normalize(_beta(h, t.args))
         else:
-            res = app(h, *[beta_normalize(a) for a in t.args])
+            res = _app(t.ty, h, [beta_normalize(a) for a in t.args])
     else:
         res = t
     t._bnf = res
@@ -465,7 +489,7 @@ def eta_long(t: Term) -> Term:
         res = lam(t.var_ty, eta_long(t.body))
     else:
         if isinstance(t, App):
-            core = app(t.head, *[eta_long(a) for a in t.args])
+            core = _app(t.ty, t.head, [eta_long(a) for a in t.args])
         else:
             core = t
         ats = arg_types(t.ty)
@@ -473,8 +497,8 @@ def eta_long(t: Term) -> Term:
             res = core
         else:
             n = len(ats)
-            body = app(shift(core, n),
-                       *[eta_long(bound(n - 1 - k, ats[k])) for k in range(n)])
+            body = _app(result_type(t.ty), shift(core, n),
+                        [eta_long(bound(n - 1 - k, ats[k])) for k in range(n)])
             for ty in reversed(ats):
                 body = lam(ty, body)
             res = body
@@ -540,7 +564,7 @@ def _remap_bounds(t: Term, remap: dict, depth: int):
             if r is None:
                 return None
             args.append(r)
-        return app(h, *args)
+        return _app(t.ty, h, args)
     return t
 
 
@@ -549,7 +573,10 @@ def _remap_bounds(t: Term, remap: dict, depth: int):
 # ---------------------------------------------------------------------------
 
 def substitute_raw(t: Term, mapping: dict, depth: int = 0) -> Term:
-    """Apply a {Free -> closed Term} mapping without normalizing."""
+    """Apply a {Free -> Term} mapping without normalizing.  Only for
+    printing, where the images are names or bound indices (which need
+    not be closed) and the result must keep the shape of t; everything
+    else uses `substitute`."""
     if not t.fvs or not any(v in mapping for v in t.fvs):
         return t
     if isinstance(t, Free):
@@ -564,13 +591,42 @@ def substitute_raw(t: Term, mapping: dict, depth: int = 0) -> Term:
 
 
 def substitute(t: Term, mapping: dict) -> Term:
-    """Capture-free substitution; result is canonical (beta-normal eta-long)."""
+    """Capture-free substitution of closed terms for free variables; the
+    result is canonical (beta-normal eta-long).
+
+    t and the images are taken in canonical form (`canon` returns a
+    canonical term at once), and the instance is built in canonical
+    form in one pass: a substituted variable that heads an application
+    is reduced with the substituted arguments straight away (`_beta`),
+    and only the nodes above a substituted variable are rebuilt."""
+    images = {}
     for v, r in mapping.items():
         if v.ty is not r.ty:
             raise TermError(f"binding type mismatch for {v!r}")
         if r.loose:
             raise TermError("substitution image must be closed")
-    return canon(substitute_raw(t, mapping))
+        images[v] = canon(r)
+    out = _subst(canon(t), images, frozenset(images))
+    out._bnf = out
+    out._eta = out
+    return out
+
+
+def _subst(t: Term, images: dict, dom: frozenset) -> Term:
+    """Hereditary instance of the canonical t under images (closed and
+    canonical, with domain dom)."""
+    if dom.isdisjoint(t.fvs):
+        return t
+    if isinstance(t, Free):
+        return images[t]
+    if isinstance(t, Abs):
+        return lam(t.var_ty, _subst(t.body, images, dom))
+    # an application: a canonical leaf with free variables is a Free
+    args = [_subst(a, images, dom) for a in t.args]
+    h = t.head
+    if h in dom:
+        return _beta(images[h], args)
+    return _app(t.ty, h, args)
 
 
 class Subst:
@@ -600,12 +656,36 @@ class Subst:
 
     def apply(self, t: Term) -> Term:
         """Canonical form of t with every bound variable resolved."""
+        memo = self._memo
+        out = memo.get(t)
+        if out is not None:
+            return out
+        m = self.map
+        # the bound variables t needs, through the images not yet resolved
+        need = set()
+        stack = [t]
+        while stack:
+            for v in stack.pop().fvs:
+                if v in m and v not in need:
+                    need.add(v)
+                    if m[v] not in memo:
+                        stack.append(m[v])
+        # an image mentions only variables bound after its own, so
+        # resolving in reverse binding order finds theirs resolved
+        for v in reversed(m):
+            if v in need:
+                self._resolve(m[v])
+        return self._resolve(t)
+
+    def _resolve(self, t: Term) -> Term:
+        """Memoized resolution of t, whose bound variables' images are
+        all resolved already."""
         out = self._memo.get(t)
         if out is None:
             m = self.map
             hits = [v for v in t.fvs if v in m]
             if hits:
-                out = substitute(t, {v: self.apply(m[v]) for v in hits})
+                out = substitute(t, {v: self._memo[m[v]] for v in hits})
             else:
                 out = canon(t)
             self._memo[t] = out

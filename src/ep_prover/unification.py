@@ -35,10 +35,6 @@ class UnifOutcome:
     unifiers: list
     exhausted: bool = False  # search hit the depth or time budget somewhere
 
-    @property
-    def definitely_fails(self) -> bool:
-        return not self.unifiers and not self.exhausted
-
 
 class _Clash(Exception):
     """Definitive non-unifiability found during simplification."""

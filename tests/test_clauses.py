@@ -1,7 +1,10 @@
 """Literals, clauses, alpha-invariant keys, matching and subsumption."""
 
+import random
+
 from ep_prover.terms import (
-    I, O, Signature, app, bound, canon, const, disj, fn, free, lam, neg,
+    I, O, Signature, app, base_type, bound, canon, const, disj, fn, free,
+    lam, neg,
 )
 from ep_prover.clauses import (
     Clause, EMPTY_CLAUSE, Literal, alpha_key, clause_weight, head_of,
@@ -95,6 +98,48 @@ def test_ground_key_differs_from_non_ground_key_of_same_shape():
              Clause([lit(app(p, X)), lit(app(q, Y), False)])),
             (Clause([literal(a, b, True)]), Clause([literal(X, b, True)]))):
         assert alpha_key(ground) != alpha_key(open_)
+
+
+J = base_type("j")
+_SORTED_VARS = {I: [free(f"X{k}", I) for k in range(3)],
+                J: [free(f"U{k}", J) for k in range(3)]}
+_SORTED_FUNS = {I: [const("f", fn(I, res=I)), const("k", fn(J, res=I))],
+                J: [const("g", fn(J, res=J))]}
+_SORTED_CONSTS = {I: [a], J: [const("c", J)]}
+
+
+def _sorted_term(rng, sort, depth):
+    if depth == 0 or rng.random() < 0.5:
+        pool = _SORTED_VARS[sort] if rng.random() < 0.7 \
+            else _SORTED_CONSTS[sort]
+        return rng.choice(pool)
+    h = rng.choice(_SORTED_FUNS[sort])
+    return app(h, _sorted_term(rng, h.ty.arg, depth - 1))
+
+
+def _sorted_clause(rng):
+    lits = []
+    for _ in range(rng.randint(1, 2)):
+        sort = rng.choice((I, J))
+        lits.append(literal(_sorted_term(rng, sort, 2),
+                            _sorted_term(rng, sort, 2), rng.random() < 0.5))
+    return Clause(lits)
+
+
+def test_equal_alpha_keys_are_variants_across_sorts():
+    rng = random.Random(11)
+    by_key = {}
+    for _ in range(600):
+        c = _sorted_clause(rng)
+        by_key.setdefault(alpha_key(c), []).append(c)
+    shared = [cs for cs in by_key.values() if len(cs) > 1]
+    assert shared
+    sig = Signature()
+    for cs in shared:
+        for d in cs[1:]:
+            d, _ = rename_clause(d, sig)
+            assert len(d) == len(cs[0])
+            assert subsumes(cs[0], d) and subsumes(d, cs[0])
 
 
 def test_match_terms_first_order():

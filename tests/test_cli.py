@@ -78,6 +78,20 @@ def test_deeply_nested_term_is_error(tmp_path):
     _assert_input_error(run_cli(str(f)))
 
 
+def test_variables_of_another_sort_are_no_duplicate(tmp_path):
+    # [X = Y] over $i and [U = V] over j are not variants of each other
+    f = tmp_path / "sorts.p"
+    f.write_text("thf(j_type, type, (j: $tType)).\n"
+                 "thf(a_type, type, (a: j)).\n"
+                 "thf(b_type, type, (b: j)).\n"
+                 "thf(i_eq, axiom, ( ! [X: $i, Y: $i] : ( X = Y ) )).\n"
+                 "thf(j_eq, axiom, ( ! [U: j, V: j] : ( U = V ) )).\n"
+                 "thf(goal, conjecture, ( a = b )).")
+    r = run_cli(str(f), "-t", "30")
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[0] == "% SZS status Theorem for sorts.p"
+
+
 _K_SPEC = ("thf(s, logic, ( $modal := [ $constants := $rigid, "
            "$quantification := $constant, $consequence := $global, "
            "$modalities := $modal_system_K ] )).\n")

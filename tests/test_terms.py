@@ -5,11 +5,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import ep_prover.terms as terms
 from ep_prover.terms import (
     Abs, App, Bound, Const, Free, I, O, Signature, Subst, TermError,
-    app, base_type, bound, canon, conj, const, disj, eta_long, fn, forall,
-    free, fun_type, implies, lam, neg, replace_at, shift, spine, subterm_at,
-    subterm_positions, substitute, type_str,
+    app, base_type, beta_normalize, bound, canon, conj, const, disj, eta_long,
+    fn, forall, free, fun_type, implies, lam, neg, replace_at, shift, spine,
+    subterm_at, subterm_positions, substitute, substitute_raw, type_str,
 )
 
 
@@ -127,7 +128,6 @@ def test_subst_rebinding_is_a_no_op():
 
 
 def test_subst_apply_is_memoized(monkeypatch):
-    import ep_prover.terms as terms
     x, y = free("X", I), free("Y", I)
     f = const("f", fn(I, res=I))
     s = Subst().bind(x, app(f, y)).bind(y, const("c", I))
@@ -138,6 +138,18 @@ def test_subst_apply_is_memoized(monkeypatch):
                         lambda *a: calls.append(a) or terms.canon(a[0]))
     assert s.apply(t) is first
     assert not calls
+
+
+def test_subst_apply_resolves_a_long_binding_chain():
+    f = const("f", fn(I, res=I))
+    xs = [free(f"X{k}", I) for k in range(601)]
+    s = Subst()
+    for k in range(600):
+        s = s.bind(xs[k], app(f, xs[k + 1]))
+    want = xs[600]
+    for _ in range(600):
+        want = app(f, want)
+    assert s.apply(xs[0]) is want
 
 
 _SF = const("f", fn(I, res=I))
@@ -198,6 +210,138 @@ def test_triangular_subst_matches_eager_composition():
         assert s.items(among) == [(v, r) for v, r in eager.items()
                                   if v in among]
     assert cycles
+
+
+# -- substitution into canonical form ---------------------------------------
+#
+# Signature: f : i>i, g : i>i>i, h : (i>i)>i; free variables X, Y : i,
+# F : i>i, G : i>i>i and the second-order H : (i>i)>i.
+
+_II = fn(I, res=I)
+_OF, _OG, _OH = const("f", _II), const("g", fn(I, I, res=I)), \
+    const("h", fn(_II, res=I))
+_OX, _OY = free("X", I), free("Y", I)
+_OFV, _OGV, _OHV = free("F", _II), free("G", fn(I, I, res=I)), \
+    free("H", fn(_II, res=I))
+_OVARS = [_OX, _OY, _OFV, _OGV, _OHV]
+
+
+def _oracle_term(rng, depth, ctx):
+    """A random term of type i; ctx lists the types of the binders in
+    scope, innermost last.  Function arguments are often left
+    eta-short, and redexes are built on purpose."""
+    bvars = [bound(len(ctx) - 1 - k, ty) for k, ty in enumerate(ctx)]
+    if depth == 0 or rng.random() < 0.2:
+        leaves = [const("a", I), const("b", I), _OX, _OY] \
+            + [v for v in bvars if v.ty is I]
+        return rng.choice(leaves)
+    roll = rng.randrange(8)
+
+    def sub():
+        return _oracle_term(rng, depth - 1, ctx)
+
+    if roll == 0:
+        return app(_OF, sub())
+    if roll == 1:
+        return app(rng.choice((_OG, _OGV)), sub(), sub())
+    if roll == 2:
+        return app(_OFV, sub())
+    if roll == 3:
+        return app(rng.choice((_OH, _OHV)), _oracle_fun(rng, depth - 1, ctx))
+    if roll == 4:
+        return app(lam(I, _oracle_term(rng, depth - 1, ctx + [I])), sub())
+    funs = [v for v in bvars if v.ty is _II]
+    if roll == 5 and funs:
+        return app(rng.choice(funs), sub())
+    return sub()
+
+
+def _oracle_fun(rng, depth, ctx):
+    """A random term of type i>i."""
+    roll = rng.random()
+    if roll < 0.2:
+        return rng.choice([_OF, _OFV] + [bound(len(ctx) - 1 - k, ty)
+                                         for k, ty in enumerate(ctx)
+                                         if ty is _II])
+    return lam(I, _oracle_term(rng, depth, ctx + [I]))
+
+
+def _oracle_image(rng, v):
+    if v.ty is I:
+        return _oracle_term(rng, 2, [])
+    if v is _OFV:
+        if rng.random() < 0.3:
+            return lam(I, bound(0, I))
+        return _oracle_fun(rng, 2, [])
+    if v is _OGV:
+        body = bound(rng.randrange(2), I) if rng.random() < 0.3 \
+            else _oracle_term(rng, 2, [I, I])
+        return lam(I, lam(I, body))
+    # an image for H that applies its argument, often twice
+    phi = bound(0, _II)
+    body = rng.choice([
+        app(phi, app(phi, const("a", I))),
+        app(_OG, app(phi, _OX), app(phi, app(phi, const("b", I)))),
+        app(phi, _oracle_term(rng, 2, [_II])),
+        _oracle_term(rng, 2, [_II])])
+    return lam(_II, body)
+
+
+def _is_projection(t):
+    binders, body = terms.strip_binders(t)
+    return isinstance(body, Bound) and body.index < len(binders)
+
+
+def test_substitute_matches_normalizing_the_raw_instance():
+    rng = random.Random(5)
+    seen = {"projection": 0, "second_order": 0, "under_binder": 0,
+            "several": 0}
+    for _ in range(600):
+        t = _oracle_term(rng, 4, [])
+        if rng.random() < 0.5:
+            t = canon(t)
+        dom = rng.sample(_OVARS, rng.randint(1, 4))
+        mapping = {v: _oracle_image(rng, v) for v in dom}
+        out = substitute(t, mapping)
+        assert out is canon(substitute_raw(t, mapping))
+        size = len(terms._term_table)
+        assert canon(out) is out
+        assert len(terms._term_table) == size
+        hits = [v for v in dom if v in t.fvs]
+        seen["projection"] += any(_is_projection(canon(mapping[v]))
+                                  for v in hits)
+        seen["second_order"] += _OHV in hits
+        seen["under_binder"] += any(v in s.fvs for _, s in
+                                    subterm_positions(canon(t))
+                                    if isinstance(s, Abs) for v in hits)
+        seen["several"] += len(hits) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_beta_normalize_nested_redexes():
+    a, b = const("a", I), const("b", I)
+    f, g = _OF, const("g", fn(I, I, res=I))
+    x, y = bound(0, I), bound(1, I)
+    phi = bound(0, _II)
+    twice = lam(_II, lam(I, app(bound(1, _II), app(bound(1, _II), x))))
+    # (\F. \x. F (F x)) (\y. g y y) a
+    assert beta_normalize(app(twice, lam(I, app(g, x, x)), a)) \
+        is app(g, app(g, a, a), app(g, a, a))
+    # a redex in the argument of a redex whose bound variable is a head
+    inner = app(lam(I, app(f, x)), b)
+    assert beta_normalize(app(lam(_II, app(phi, app(phi, a))),
+                              lam(I, app(g, x, inner)))) \
+        is app(g, app(g, a, app(f, b)), app(f, b))
+    # over-application and a partial application left as an abstraction
+    assert beta_normalize(app(lam(I, lam(I, app(g, y, x))), a, b)) \
+        is app(g, a, b)
+    assert beta_normalize(app(lam(I, lam(I, app(g, y, x))), a)) \
+        is lam(I, app(g, a, x))
+    assert beta_normalize(app(lam(_II, phi), f, a)) is app(f, a)
+    # a substituted abstraction that reaches a binder outside the redex
+    assert beta_normalize(lam(I, app(lam(_II, app(phi, a)),
+                                     lam(I, app(g, x, y))))) \
+        is lam(I, app(g, a, x))
 
 
 def test_signature_fresh_names():

@@ -102,7 +102,7 @@ def test_pre_unify_flex_rigid_imitation_and_projection():
 
 def test_pre_unify_definite_failure():
     out = pre_unify([(canon(a), canon(b))], Signature())
-    assert out.definitely_fails
+    assert not out.unifiers and not out.exhausted
 
 
 def test_pre_unify_flex_flex_residuals():
