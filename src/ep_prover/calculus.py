@@ -293,10 +293,9 @@ def exhaustive_instantiate(c: Clause, x: Free) -> set:
 @dataclass
 class SimplifyOutcome:
     clause: Optional[Clause]    # None when the clause is redundant
-    tautology: bool = False
     changed: bool = False
     used_units: tuple = ()      # ids of unit clauses used for rewrite/cut
-    rules: tuple = ()           # subset of ("simp", "rewrite")
+    rule: str = "simp"          # "rewrite" once a unit rewrote or cut
 
 
 def _try_der(lits: list):
@@ -347,7 +346,7 @@ def simplify(c: Clause, units=()) -> SimplifyOutcome:
     lits = list(c.literals)
     changed = False
     used = []
-    rules = set()
+    rule = "simp"
     while True:
         progressed = False
         # trivial and absurd literals, duplicates, tautologies; literals
@@ -358,19 +357,19 @@ def simplify(c: Clause, units=()) -> SimplifyOutcome:
             lhs, rhs, pos = l.lhs, l.rhs, l.pos
             if lhs is rhs:
                 if pos:
-                    return SimplifyOutcome(None, tautology=True, changed=True)
+                    return SimplifyOutcome(None, changed=True)
                 progressed = True
                 continue
             if lhs is FALSE and rhs is TRUE:
                 if pos:
                     progressed = True
                     continue
-                return SimplifyOutcome(None, tautology=True, changed=True)
+                return SimplifyOutcome(None, changed=True)
             if (lhs, rhs, pos) in seen:
                 progressed = True
                 continue
             if (lhs, rhs, not pos) in seen:
-                return SimplifyOutcome(None, tautology=True, changed=True)
+                return SimplifyOutcome(None, changed=True)
             seen.add((lhs, rhs, pos))
             out.append(l)
         lits = out
@@ -378,7 +377,6 @@ def simplify(c: Clause, units=()) -> SimplifyOutcome:
         if der is not None:
             lits = der
             changed = True
-            rules.add("simp")
             continue
         # unit rewriting and unit cutting
         for uid, unit in units:
@@ -398,14 +396,14 @@ def simplify(c: Clause, units=()) -> SimplifyOutcome:
                             lits[k] = Literal(nl, l.rhs, l.pos)
                             progressed = True
                             used.append(uid)
-                            rules.add("rewrite")
+                            rule = "rewrite"
                             break
                         nr = _rewrite_once(l.rhs, big, small)
                         if nr is not None:
                             lits[k] = Literal(l.lhs, nr, l.pos)
                             progressed = True
                             used.append(uid)
-                            rules.add("rewrite")
+                            rule = "rewrite"
                             break
                     if progressed:
                         break
@@ -422,7 +420,7 @@ def simplify(c: Clause, units=()) -> SimplifyOutcome:
                 del lits[cut]
                 progressed = True
                 used.append(uid)
-                rules.add("rewrite")
+                rule = "rewrite"
                 break
         if progressed:
             changed = True
@@ -432,8 +430,5 @@ def simplify(c: Clause, units=()) -> SimplifyOutcome:
     # has exactly the literals of c
     if not changed:
         return SimplifyOutcome(c)
-    if not rules:
-        rules.add("simp")
     return SimplifyOutcome(Clause(lits), changed=True,
-                           used_units=tuple(dict.fromkeys(used)),
-                           rules=tuple(sorted(rules)))
+                           used_units=tuple(dict.fromkeys(used)), rule=rule)

@@ -185,56 +185,44 @@ def rename_clause(c: Clause, sig) -> tuple:
 # Matching (pattern/first-order fragment) and subsumption
 # ---------------------------------------------------------------------------
 
-def match_terms(pattern: Term, target: Term, binding: dict,
-                bindable: Optional[frozenset] = None) -> Optional[dict]:
+def match_terms(pattern: Term, target: Term,
+                binding: dict) -> Optional[dict]:
     """Extend binding so pattern{binding} == target, or None.
 
-    Only the variables in `bindable` (the pattern's own variables, by
-    default) may be instantiated; any other free variable is rigid.
-    Restricted to the decidable fragment: bindable variables may be bare
-    or applied to distinct bound variables; anything else fails
-    conservatively.
+    One binding rule: every free variable of the pattern is a pattern
+    variable, and `binding` maps them all at once to closed terms read
+    off the target (a subterm, or its abstraction over the distinct bound
+    variables the pattern variable is applied to).  An image is compared
+    with what its variable meets again, never matched or resolved
+    further.  So the answer holds when pattern and target share variable
+    names: the target's variables are rigid, and a shared X met by the
+    target's X is the binding X -> X.
+
+    A pattern variable applied to other arguments matches only once
+    every variable of that pattern subterm is bound: the instance is
+    then compared with the target.  Anything else fails conservatively;
+    first-order matching is complete.
     """
-    if bindable is None:
-        bindable = pattern.fvs
     if pattern.ty is not target.ty:
         return None
     if isinstance(pattern, Abs):
         if not isinstance(target, Abs):
             return None
-        return match_terms(pattern.body, target.body, binding, bindable)
+        return match_terms(pattern.body, target.body, binding)
     ph, pargs = spine(pattern)
-    if isinstance(ph, Free) and ph in binding:
-        # resolve already-bound variables; bounded because a chain of
-        # acyclic bindings resolves in at most len(binding) rounds
-        reduced = pattern
-        for _ in range(len(binding) + 1):
-            relevant = {v: binding[v] for v in reduced.fvs if v in binding}
-            if not relevant:
-                break
-            reduced = substitute(reduced, relevant)
-        else:
-            return None
-        if reduced is target:
-            return binding
-        return match_terms(reduced, target, binding, bindable)
-    if isinstance(ph, Free) and ph in bindable:
+    if isinstance(ph, Free):
         if not pargs:
             if target.loose:
                 return None
-            bound_to = binding.get(ph)
-            if bound_to is not None:
-                return binding if bound_to is target else None
-            if ph is target:
-                return binding
-            new = dict(binding)
-            new[ph] = target
-            return new
-        # pattern case: X applied to distinct bound variables
-        if not distinct_bound_args(pargs):
-            return None
-        img = invert_pattern(pargs, target)
-        if img is None:
+            img = target
+        elif distinct_bound_args(pargs):
+            img = invert_pattern(pargs, target)
+            if img is None:
+                return None
+        elif all(v in binding for v in pattern.fvs):
+            inst = substitute(pattern, {v: binding[v] for v in pattern.fvs})
+            return binding if inst is target else None
+        else:
             return None
         bound_to = binding.get(ph)
         if bound_to is not None:
@@ -242,39 +230,36 @@ def match_terms(pattern: Term, target: Term, binding: dict,
         new = dict(binding)
         new[ph] = img
         return new
-    # rigid head: constant, bound variable, or a non-bindable free
+    # rigid head: constant or bound variable
     th, targs = spine(target)
     if not same_rigid_head(ph, th) or len(pargs) != len(targs):
         return None
     for pa, ta in zip(pargs, targs):
-        binding = match_terms(pa, ta, binding, bindable)
+        binding = match_terms(pa, ta, binding)
         if binding is None:
             return None
     return binding
 
 
-def match_literal(pl: Literal, tl: Literal, binding: dict,
-                  bindable: Optional[frozenset] = None):
+def match_literal(pl: Literal, tl: Literal, binding: dict):
     """Match a pattern literal against a target literal, both orientations."""
     if pl.pos is not tl.pos:
         return
-    if bindable is None:
-        bindable = pl.free_vars()
     for a, b in ((tl.lhs, tl.rhs), (tl.rhs, tl.lhs)):
-        m = match_terms(pl.lhs, a, binding, bindable)
+        m = match_terms(pl.lhs, a, binding)
         if m is not None:
-            m2 = match_terms(pl.rhs, b, m, bindable)
+            m2 = match_terms(pl.rhs, b, m)
             if m2 is not None:
                 yield m2
 
 
 def subsumes(c: Clause, d: Clause) -> bool:
-    """True if some substitution maps c into d as a literal multiset."""
+    """True if some substitution of c's variables maps c into d as a
+    literal multiset; c and d may share variable names (`match_terms`)."""
     if len(c) > len(d):
         return False
 
     dl = list(d.literals)
-    bindable = frozenset(c.free_vars())
 
     def go(i: int, binding: dict, used: int) -> bool:
         if i == len(c.literals):
@@ -283,7 +268,7 @@ def subsumes(c: Clause, d: Clause) -> bool:
         for j, tl in enumerate(dl):
             if used & (1 << j):
                 continue
-            for m in match_literal(pl, tl, binding, bindable):
+            for m in match_literal(pl, tl, binding):
                 if go(i + 1, m, used | (1 << j)):
                     return True
         return False

@@ -9,7 +9,6 @@ by primitive equality.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
@@ -25,15 +24,6 @@ from .clauses import Clause, literal, prop_literal
 # Subformulas whose clausification would yield more clauses than this are
 # named by a fresh predicate; 0 switches naming off.
 NAMING_THRESHOLD = 16
-
-
-@dataclass
-class PreprocessConfig:
-    expand_definitions: bool = True
-    miniscope: bool = True
-    replace_defined_eq: bool = True
-    exhaustive_inst_types: frozenset = field(
-        default_factory=lambda: frozenset((O, fn(O, res=O))))
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +376,14 @@ def expand_definition_map(defs: dict) -> dict:
 
 def expand_term(t: Term, expanded: dict) -> Term:
     return canon(replace_consts(t, expanded))
+
+
+def expand_definitions(t: Term, expanded: dict) -> Term:
+    """The `defexp_and_simp_and_etaexpand` step: definition expansion,
+    then Leibniz / Andrews equalities replaced by primitive equality."""
+    if expanded:
+        t = expand_term(t, expanded)
+    return canon(replace_defined_equalities_term(t))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ def _w(i: int) -> Term:
 
 def _property_body(name: str) -> Term:
     """Defining lambda term for a relation property constant."""
-    a = bound  # noqa: E731  (aliases keep the bodies readable)
     r = REL_TY
 
     def rel(i, j, k):

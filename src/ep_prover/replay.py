@@ -14,15 +14,16 @@ from typing import Optional
 
 from .terms import (
     Abs, App, Const, FALSE, FunType, LOGICAL_NAMES, O, Signature, Subst,
-    Term, TRUE, base_types_in, canon, constants, neg, type_str,
+    Term, TRUE, base_types_in, canon, constants, neg, subterm_positions,
+    type_str,
 )
 from .clauses import (
     Clause, Literal, _term_sig, alpha_key, literal, prop_literal,
     rename_clause,
 )
 from .cnf import (
-    NAMING_THRESHOLD, definition_map, expand_term, formula_kind, miniscope,
-    normalize, replace_defined_equalities_term,
+    NAMING_THRESHOLD, definition_map, expand_definitions, formula_kind,
+    miniscope, normalize,
 )
 from .calculus import (
     bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext, inj_rule,
@@ -142,11 +143,7 @@ class ProofChecker:
                 raise ReplayError("not the negation of its parent")
 
     def _r_defexp_and_simp_and_etaexpand(self, d, parents):
-        t = parents[0].formula
-        defs = self._definition_map()
-        if defs:
-            t = expand_term(t, defs)
-        t = canon(replace_defined_equalities_term(t))
+        t = expand_definitions(parents[0].formula, self._definition_map())
         if t is not d.formula:
             raise ReplayError("definition expansion does not replay")
 
@@ -342,17 +339,6 @@ def _eval_literal(l: Literal, val: dict) -> bool:
     return v is l.pos
 
 
-def _occurs_in(a: Term, t: Term) -> bool:
-    if a is t:
-        return True
-    if isinstance(t, Abs):
-        return _occurs_in(a, t.body)
-    if isinstance(t, App):
-        return _occurs_in(a, t.head) or any(_occurs_in(a, x)
-                                            for x in t.args)
-    return False
-
-
 def ground_step_valid(parents: list, child: Clause) -> Optional[bool]:
     """Exhaustive valuation check of one ground propositional step.
 
@@ -378,7 +364,7 @@ def ground_step_valid(parents: list, child: Clause) -> Optional[bool]:
                 return None
     for a in atoms:
         for b in atoms:
-            if a is not b and _occurs_in(a, b):
+            if a is not b and any(s is a for _, s in subterm_positions(b)):
                 return None
     for mask in range(1 << len(atoms)):
         val = {a: bool(mask >> i & 1) for i, a in enumerate(atoms)}

@@ -14,16 +14,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .terms import (
-    FunType, I, O, Signature, Term, base_types_in, canon, neg,
+    FunType, I, O, Term, base_types_in, canon, fn, neg,
 )
 from .clauses import (
     Clause, Literal, alpha_key, clause_weight, is_empty_clause,
     is_flex_flex, literal, prop_literal, rename_clause, subsumes,
 )
 from .cnf import (
-    NAMING_THRESHOLD, OutOfTime, PreprocessConfig, definition_map,
-    expand_term, formula_kind, miniscope, normalize,
-    replace_defined_equalities_term,
+    NAMING_THRESHOLD, OutOfTime, definition_map, expand_definitions,
+    formula_kind, miniscope, normalize,
 )
 from .calculus import (
     bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext, inj_rule,
@@ -43,6 +42,9 @@ AGE_RATIO = 5
 MAX_CLAUSE_WEIGHT = 200
 # The run gives up once this many derivation records exist.
 MAX_CLAUSES = 200000
+# Variables of these finite types are instantiated exhaustively before
+# the search starts.
+EXHAUSTIVE_INST_TYPES = frozenset((O, fn(O, res=O)))
 
 
 @dataclass
@@ -75,16 +77,13 @@ class Result:
     status: str
     records: dict = field(default_factory=dict)
     empty_id: Optional[int] = None
-    signature: Optional[Signature] = None
     naming_threshold: int = NAMING_THRESHOLD  # clausification of the run
 
 
 class Saturation:
-    def __init__(self, problem: Problem, config: ProverConfig,
-                 pre: Optional[PreprocessConfig] = None):
+    def __init__(self, problem: Problem, config: ProverConfig):
         self.problem = problem
         self.config = config
-        self.pre = pre if pre is not None else PreprocessConfig()
         self.sig = problem.signature
         self.records: dict = {}
         self._next_id = 0
@@ -155,21 +154,15 @@ class Saturation:
         clauses = []
         for cur in work:
             t = cur.formula
-            t2 = t
-            if self.pre.expand_definitions and expanded_defs:
-                t2 = expand_term(t2, expanded_defs)
-            if self.pre.replace_defined_eq:
-                t2 = canon(replace_defined_equalities_term(t2))
+            t2 = expand_definitions(t, expanded_defs)
             if t2 is not t:
                 cur = self.record("defexp_and_simp_and_etaexpand", (cur.id,),
                                   formula=t2)
                 t = t2
-            if self.pre.miniscope:
-                t2 = canon(miniscope(t))
-                if t2 is not t:
-                    cur = self.record("miniscope", (cur.id,),
-                                      formula=t2)
-                    t = t2
+            t2 = canon(miniscope(t))
+            if t2 is not t:
+                cur = self.record("miniscope", (cur.id,), formula=t2)
+                t = t2
             start = Clause([prop_literal(t, True)])
             produced = sorted(
                 normalize(start, self.sig, self.config.naming_threshold,
@@ -184,7 +177,7 @@ class Saturation:
         for d in queue:     # also visits the instances appended below
             v = next((x for x in sorted(d.clause.free_vars(),
                                         key=lambda v: v.name)
-                      if x.ty in self.pre.exhaustive_inst_types), None)
+                      if x.ty in EXHAUSTIVE_INST_TYPES), None)
             if v is None:
                 final.append(d)
                 continue
@@ -223,8 +216,7 @@ class Saturation:
             if out.clause is None:
                 continue
             if out.changed:
-                rule = "rewrite" if "rewrite" in out.rules else "simp"
-                cur = self.record(rule, (cur.id,) + tuple(out.used_units),
+                cur = self.record(out.rule, (cur.id,) + out.used_units,
                                   clause=out.clause)
                 stack.append(cur)
                 continue
@@ -323,8 +315,7 @@ class Saturation:
             if out.clause is None:
                 continue
             if out.changed:
-                rule = "rewrite" if "rewrite" in out.rules else "simp"
-                g = self.record(rule, (gid,) + tuple(out.used_units),
+                g = self.record(out.rule, (gid,) + out.used_units,
                                 clause=out.clause)
                 self.seen.setdefault(alpha_key(g.clause), g.id)
                 gid = g.id
@@ -401,7 +392,7 @@ class Saturation:
     # -- results ------------------------------------------------------------
 
     def _result(self, status: str, empty_id: Optional[int] = None) -> Result:
-        return Result(status, self.records, empty_id, self.sig,
+        return Result(status, self.records, empty_id,
                       self.config.naming_threshold)
 
     def _refutation_result(self) -> Result:
@@ -467,6 +458,7 @@ def extract_proof(records: dict, empty_id: int) -> list:
 
 
 def saturate(problem: Problem, config: Optional[ProverConfig] = None,
-             pre: Optional[PreprocessConfig] = None) -> Result:
-    sat = Saturation(problem, config or ProverConfig(), pre)
-    return sat.run()
+             pre=None) -> Result:
+    # `pre` is ignored; it stays because the benchmark harness
+    # (perfbench/worker.py) passes it positionally
+    return Saturation(problem, config or ProverConfig()).run()

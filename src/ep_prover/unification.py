@@ -81,16 +81,14 @@ def simplify_pairs(pairs: list, subst: Subst):
                 raise _Clash
             continue
         # Bind: one side is (eta-equivalent to) a bare free variable
-        xv = is_eta_var(s)
-        if xv is not None and xv not in t.fvs:
-            subst = subst.bind(xv, t)
-            work.extend(flex_rigid)
-            work.extend(flex_flex)
-            flex_rigid, flex_flex = [], []
-            continue
-        yv = is_eta_var(t)
-        if yv is not None and yv not in s.fvs:
-            subst = subst.bind(yv, s)
+        bind = None
+        for side, other in ((s, t), (t, s)):
+            xv = is_eta_var(side)
+            if xv is not None and xv not in other.fvs:
+                bind = xv, other
+                break
+        if bind is not None:
+            subst = subst.bind(*bind)
             work.extend(flex_rigid)
             work.extend(flex_flex)
             flex_rigid, flex_flex = [], []

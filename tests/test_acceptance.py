@@ -386,7 +386,7 @@ def _enumerate_unifiers(pairs, depth):
 def _subsumed_by(general, special, var):
     gi = general.subst.apply(canon(var))
     si = special.subst.apply(canon(var))
-    return match_terms(gi, si, {}, frozenset(gi.fvs)) is not None
+    return match_terms(gi, si, {}) is not None
 
 
 def test_flex_rigid_enumeration_covered_by_pre_unify():

@@ -1,10 +1,12 @@
 """Literals, clauses, alpha-invariant keys, matching and subsumption."""
 
 import random
+from collections import Counter
+from itertools import product
 
 from ep_prover.terms import (
     I, O, Signature, app, base_type, bound, canon, const, disj, fn, free,
-    lam, neg,
+    lam, neg, subterm_positions, substitute,
 )
 from ep_prover.clauses import (
     Clause, EMPTY_CLAUSE, Literal, alpha_key, clause_weight, head_of,
@@ -164,11 +166,10 @@ def test_match_terms_pattern_abstraction():
     assert m[F] is canon(p)
 
 
-def test_match_terms_respects_bindable_set():
-    # a variable outside the bindable set is a rigid head
-    m = match_terms(canon(X), canon(Y), {}, bindable=frozenset())
-    assert m is None
-    assert match_terms(canon(X), canon(X), {}, bindable=frozenset()) == {}
+def test_match_terms_binds_a_variable_the_target_shares():
+    # X against the target's own X is the binding X -> X, not a free pass
+    assert match_terms(canon(X), canon(X), {}) == {X: X}
+    assert match_terms(canon(X), canon(a), {X: X}) is None
 
 
 def test_match_terms_resolves_bound_heads():
@@ -209,3 +210,83 @@ def test_subsumes_needs_consistent_binding():
     c = Clause([lit(app(p, X)), lit(app(q, X))])
     d = Clause([lit(app(p, a)), lit(app(q, b))])
     assert not subsumes(c, d)
+
+
+def test_subsumes_with_shared_names_does_not_chase_bindings():
+    # X -> Y, Y -> a maps q X to q Y, not to q a
+    p2 = const("p2", fn(I, I, res=O))
+    c = Clause([lit(app(p2, X, Y)), lit(app(q, X))])
+    d = Clause([lit(app(p2, Y, a)), lit(app(q, a))])
+    assert not subsumes(c, d)
+
+
+def test_subsumes_with_shared_names_binds_the_shared_variable():
+    # {p X | q X} does not subsume {p X | q a}: X -> X leaves q a unmatched
+    c = Clause([lit(app(p, X)), lit(app(q, X))])
+    d = Clause([lit(app(p, X)), lit(app(q, a))])
+    assert not subsumes(c, d)
+
+
+def test_subsumes_instance_over_shifted_names():
+    # the second clause is the first under U0 -> U1, U1 -> U2
+    g = const("g", fn(J, res=J))
+    U0, U1, U2 = _SORTED_VARS[J]
+    c = Clause([literal(app(g, app(g, U0)), U1, False),
+                literal(U0, U1, False)])
+    d = Clause([literal(app(g, app(g, U1)), U2, False),
+                literal(U1, U2, False)])
+    assert subsumes(c, d)
+
+
+def test_subsumes_keeps_higher_order_patterns():
+    # F -> (λx. h x b) matches P F, and then F a is compared as h a b
+    ii = fn(I, res=I)
+    P = const("P", fn(ii, res=O))
+    h = const("h", fn(I, I, res=I))
+    F = free("F", ii)
+    c = Clause([lit(app(P, F)), lit(app(q, app(F, a)))])
+    d = Clause([lit(app(P, lam(I, app(h, bound(0, I), b)))),
+                lit(app(q, app(h, a, b)))])
+    assert subsumes(c, d)
+
+
+def _subsumes_by_search(c, d):
+    """First-order subsumption by brute force: every map of c's variables
+    to same-sorted subterms of d, then multiset inclusion of literals."""
+    subterms = {s for l in d.literals for t in (l.lhs, l.rhs)
+                for _, s in subterm_positions(t)}
+    fvs = sorted(c.free_vars(), key=lambda v: v.name)
+    pools = [[s for s in subterms if s.ty is v.ty] for v in fvs]
+    want = Counter(d.literals)
+    for images in product(*pools):
+        m = dict(zip(fvs, images))
+        inst = Counter(Literal(substitute(l.lhs, m), substitute(l.rhs, m),
+                               l.pos) for l in c.literals)
+        if all(want[l] >= k for l, k in inst.items()):
+            return True
+    return False
+
+
+def test_subsumes_agrees_with_search_on_shared_names():
+    rng = random.Random(7)
+    verdicts = Counter()
+    checked = 0
+    while checked < 400:
+        c = _sorted_clause(rng)
+        if rng.random() < 0.5:
+            # an instance of c over the same variable names, maybe widened
+            m = {v: _sorted_term(rng, v.ty, 1) for v in c.free_vars()}
+            lits = [Literal(substitute(l.lhs, m), substitute(l.rhs, m),
+                            l.pos) for l in c.literals]
+            if rng.random() < 0.5:
+                lits += _sorted_clause(rng).literals
+            d = Clause(lits)
+        else:
+            d = _sorted_clause(rng)
+        if not c.free_vars() & d.free_vars():
+            continue
+        checked += 1
+        expected = _subsumes_by_search(c, d)
+        assert subsumes(c, d) is expected, (c, d)
+        verdicts[expected] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 100
