@@ -3,8 +3,9 @@
 Paramodulation, equality factoring, primitive substitution, Boolean and
 functional extensionality, injectivity postulation, exhaustive finite
 instantiation, and clause-level simplification.  Each generating rule
-has an indexed form (replayable from recorded premises and positions)
-and a candidate enumerator used by the saturation loop.
+is a candidate enumerator: the saturation loop keeps its conclusions,
+and the proof checker replays a step by finding the recorded clause
+among them.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from typing import Iterator, Optional
 
 from .terms import (
     Const, Free, FunType, NOT, O, OR, Signature, SimpleType, Term, TermError,
-    TRUE, FALSE, app, bound, canon, const, eq_const, eta_long, fn, head_of,
-    is_eta_var, lam, neg, pi_const, replace_at, spine, subterm_at,
-    subterm_positions, substitute,
+    TRUE, FALSE, app, bound, const, eq_const, fn, head_of,
+    is_eta_var, lam, neg, pi_const, replace_at, spine, subterm_positions,
+    substitute,
 )
 from .clauses import (
-    Clause, Literal, literal, match_literal, match_terms, prop_literal,
+    Clause, Literal, match_literal, match_terms, prop_literal,
 )
 from .cnf import ordered_free_vars, skolem_term
 from .unification import general_bindings
@@ -28,34 +29,6 @@ from .unification import general_bindings
 # ---------------------------------------------------------------------------
 # Paramodulation
 # ---------------------------------------------------------------------------
-
-def para(c: Clause, i: int, side: int, pi: tuple,
-         d: Clause, j: int, swap: bool) -> Clause:
-    """Rewrite subterm pi of side `side` of literal i of c using equation
-    literal j of d (l and r exchanged when swap is set).
-
-    The premises must already be variable-disjoint; the conclusion carries
-    the unification constraint between the rewritten subterm and l.
-    """
-    lit_c = c.literals[i]
-    lit_d = d.literals[j]
-    if not lit_d.pos:
-        raise TermError("paramodulation needs a positive equation")
-    l, r = (lit_d.rhs, lit_d.lhs) if swap else (lit_d.lhs, lit_d.rhs)
-    s = lit_c.lhs if side == 0 else lit_c.rhs
-    t = lit_c.rhs if side == 0 else lit_c.lhs
-    sub = subterm_at(s, pi)
-    if sub.ty is not l.ty:
-        raise TermError("paramodulation type mismatch")
-    if sub.loose:
-        raise TermError("target subterm captures outer binders")
-    rewritten = canon(replace_at(s, pi, r))
-    lits = [Literal(rewritten, t, lit_c.pos)]
-    lits.extend(m for k, m in enumerate(c.literals) if k != i)
-    lits.extend(d.literals[:j] + d.literals[j + 1:])
-    lits.append(literal(sub, l, False))
-    return Clause(lits)
-
 
 def _para_target(sub: Term) -> bool:
     if sub.loose:
@@ -68,69 +41,65 @@ def _para_target(sub: Term) -> bool:
 
 
 def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
-    """All paramodulation inferences from equations of d into c."""
+    """All paramodulation inferences from equations of d into c.
+
+    The subterm at position pi of one side s of a literal of c is
+    rewritten by an equation l = r of d; the conclusion carries the
+    unification constraint between that subterm and l.  The premises
+    must already be variable-disjoint.
+    """
     for j, lit_d in enumerate(d.literals):
         if not lit_d.pos:
             continue
+        rest_d = d.literals[:j] + d.literals[j + 1:]
         for i, lit_c in enumerate(c.literals):
             if c is d and i == j:
                 continue
             # redundant inferences between positive propositional literals
             if lit_c.pos and lit_c.is_shorthand and lit_d.is_shorthand:
                 continue
+            rest = [m for k, m in enumerate(c.literals) if k != i]
+            rest.extend(rest_d)
             for swap in (False, True):
                 l, r = (lit_d.rhs, lit_d.lhs) if swap else (lit_d.lhs, lit_d.rhs)
                 if l is TRUE or l is FALSE:
                     continue
                 for side in (0, 1):
-                    s = lit_c.lhs if side == 0 else lit_c.rhs
+                    s, t = (lit_c.lhs, lit_c.rhs) if side == 0 \
+                        else (lit_c.rhs, lit_c.lhs)
                     if side == 1 and s is lit_c.lhs:
                         continue
                     for pi, sub in subterm_positions(s):
                         if sub.ty is not l.ty or not _para_target(sub):
                             continue
-                        yield para(c, i, side, pi, d, j, swap)
+                        yield Clause([Literal(replace_at(s, pi, r), t,
+                                              lit_c.pos)]
+                                     + rest + [Literal(sub, l, False)])
 
 
 # ---------------------------------------------------------------------------
 # Equality factoring
 # ---------------------------------------------------------------------------
 
-def eqfac(c: Clause, i: int, j: int, swap_i: bool, swap_j: bool) -> Clause:
-    """Factor literals i and j (same polarity) of c.
-
-    Keeps literal i and adds the constraints between the corresponding
-    sides of the two equations.
-    """
-    li, lj = c.literals[i], c.literals[j]
-    if li.pos is not lj.pos:
-        raise TermError("factoring needs equal polarities")
-    s, t = (li.rhs, li.lhs) if swap_i else (li.lhs, li.rhs)
-    u, v = (lj.rhs, lj.lhs) if swap_j else (lj.lhs, lj.rhs)
-    if s.ty is not u.ty or t.ty is not v.ty:
-        raise TermError("factoring type mismatch")
-    lits = [m for k, m in enumerate(c.literals) if k != j]
-    lits.append(literal(s, u, False))
-    lits.append(literal(t, v, False))
-    return Clause(lits)
-
-
 def eqfac_candidates(c: Clause) -> Iterator[Clause]:
+    """All factorings of two literals s = t and u = v of c with the same
+    polarity and side type: the first is kept, the second replaced by
+    the constraints s != u and t != v."""
     n = len(c.literals)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             li, lj = c.literals[i], c.literals[j]
-            if li.pos is not lj.pos:
+            if li.pos is not lj.pos or li.lhs.ty is not lj.lhs.ty:
                 continue
+            rest = [m for k, m in enumerate(c.literals) if k != j]
             for swap_i in (False, True):
+                s, t = (li.rhs, li.lhs) if swap_i else (li.lhs, li.rhs)
                 for swap_j in (False, True):
-                    s = li.rhs if swap_i else li.lhs
-                    u = lj.rhs if swap_j else lj.lhs
-                    if s.ty is not u.ty:
-                        continue
-                    yield eqfac(c, i, j, swap_i, swap_j)
+                    u, v = (lj.rhs, lj.lhs) if swap_j else (lj.lhs, lj.rhs)
+                    yield Clause(rest + [Literal(s, u, False),
+                                         Literal(t, v, False)])
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +134,7 @@ def prim_subst(c: Clause, i: int, sig: Signature,
             continue
         g = gbs[0]  # the imitation binding
         out.append(Clause(list(c.literals)
-                          + [literal(eta_long(h), g, False)]))
+                          + [Literal(h, g, False)]))
     return out
 
 
@@ -212,7 +181,7 @@ def func_ext(c: Clause, i: int, sig: Signature) -> Clause:
             [x for m in c.literals for x in (m.lhs, m.rhs)])
         arg = skolem_term(sig, aty, captured)
     rest = [m for k, m in enumerate(c.literals) if k != i]
-    new = Literal(canon(app(lit.lhs, arg)), canon(app(lit.rhs, arg)), lit.pos)
+    new = Literal(app(lit.lhs, arg), app(lit.rhs, arg), lit.pos)
     return Clause(rest + [new])
 
 
@@ -264,7 +233,7 @@ def inj_rule(c: Clause, sig: Signature, done: set) -> Optional[Clause]:
     inv = const(name, fn(rty, res=aty))
     sig.declare(name, inv.ty, system=True)
     z = sig.fresh_free(aty)
-    return Clause([literal(app(inv, app(f, z)), z, True)])
+    return Clause([Literal(app(inv, app(f, z)), z, True)])
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +245,7 @@ def finite_domain(ty: SimpleType) -> list:
         return [TRUE, FALSE]
     if isinstance(ty, FunType) and ty.arg is O and ty.res is O:
         x = bound(0, O)
-        return [canon(lam(O, x)), canon(lam(O, neg(x))),
-                canon(lam(O, TRUE)), canon(lam(O, FALSE))]
+        return [lam(O, x), lam(O, neg(x)), lam(O, TRUE), lam(O, FALSE)]
     raise TermError(f"no finite domain for type {ty!r}")
 
 
@@ -314,13 +282,14 @@ def _try_der(lits: list):
 
 
 def _rewrite_once(t: Term, l: Term, r: Term):
-    """Rewrite the first closed instance of l in t to the matching r."""
+    """Rewrite the first closed instance of l in t to the matching r; the
+    result is a side for `Literal`, which canonicalizes it."""
     for pi, sub in subterm_positions(t):
         if sub.loose or sub.ty is not l.ty:
             continue
         m = match_terms(l, sub, {})
         if m is not None:
-            return canon(replace_at(t, pi, substitute(r, m)))
+            return replace_at(t, pi, substitute(r, m))
     return None
 
 

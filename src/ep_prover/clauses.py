@@ -11,13 +11,16 @@ from .terms import (
 
 
 class Literal:
-    """A signed equation [lhs ~ rhs]^polarity with symmetric storage."""
+    """A signed equation [lhs ~ rhs]^polarity with symmetric storage.
+    Both sides are stored in canonical form (`canon`)."""
 
     __slots__ = ("lhs", "rhs", "pos", "_key")
 
     def __init__(self, lhs: Term, rhs: Term, pos: bool):
         if lhs.ty is not rhs.ty:
             raise ValueError("equation sides must share a type")
+        lhs = canon(lhs)
+        rhs = canon(rhs)
         # canonical orientation: structural key order, $true always right
         if _orient_key(lhs) > _orient_key(rhs):
             lhs, rhs = rhs, lhs
@@ -50,13 +53,9 @@ def _orient_key(t: Term):
     return (t is TRUE, t.skey)
 
 
-def literal(lhs: Term, rhs: Term, pos: bool) -> Literal:
-    return Literal(canon(lhs), canon(rhs), pos)
-
-
 def prop_literal(formula: Term, pos: bool) -> Literal:
     """Shorthand literal [s]^a stored as [s ~ $true]^a."""
-    return literal(formula, TRUE, pos)
+    return Literal(formula, TRUE, pos)
 
 
 class Clause:

@@ -41,19 +41,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = ProverConfig()
     ap = _Parser(
         prog="ep-prover",
         description="saturation prover for monomorphic higher-order logic")
     ap.add_argument("problem", help="THF problem file")
-    ap.add_argument("-t", "--timeout", type=float, default=60.0,
-                    help="wall clock limit in seconds (default 60)")
+    ap.add_argument("-t", "--timeout", type=float,
+                    default=defaults.time_limit,
+                    help="wall clock limit in seconds (default %(default)g)")
     ap.add_argument("-p", "--proof", action="store_true",
                     help="print a TSTP refutation certificate")
-    ap.add_argument("--unif-depth", type=int, default=8,
+    ap.add_argument("--unif-depth", type=int, default=defaults.unif_depth,
                     help="pre-unification search depth")
-    ap.add_argument("--unifiers", type=int, default=4,
+    ap.add_argument("--unifiers", type=int,
+                    default=defaults.unifiers_per_inference,
                     help="unifiers kept per constraint set")
-    ap.add_argument("--ps-limit", type=int, default=3,
+    ap.add_argument("--ps-limit", type=int, default=defaults.ps_limit,
                     help="primitive substitution depth per clause lineage")
     ap.add_argument("--no-inj", action="store_true",
                     help="disable the injectivity postulate rule")

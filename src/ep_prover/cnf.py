@@ -18,7 +18,7 @@ from .terms import (
     exists, fn, forall, iff, implies, is_eta_var, lam, match_quant, neg,
     result_type, shift, spine, FALSE, NOT, OR, AND, IMPLIES, IFF,
 )
-from .clauses import Clause, literal, prop_literal
+from .clauses import Clause, Literal, prop_literal
 
 
 # Subformulas whose clausification would yield more clauses than this are
@@ -167,7 +167,7 @@ def _name_subformula(lits: list, i: int, sig: Signature):
         return None
     fvs = ordered_free_vars([child])
     d = sig.fresh_skolem(fn(*[v.ty for v in fvs], res=O))
-    atom = canon(app(d, *fvs) if fvs else d)
+    atom = app(d, *fvs)
     defs = []
     if True in ps:
         # positive occurrence: atom implies the named subformula
@@ -232,7 +232,7 @@ def normalize(c: Clause, sig: Signature,
             rest = lits[:i] + lits[i + 1:]
             tag = k[0]
             if tag == "eq":
-                work.append(rest + [literal(k[1], k[2], l.pos)])
+                work.append(rest + [Literal(k[1], k[2], l.pos)])
             elif tag in _BUILDERS:
                 for cl in _CLAUSES[tag, l.pos]:
                     work.append(rest + [prop_literal(k[j], p) for j, p in cl])
@@ -240,12 +240,12 @@ def normalize(c: Clause, sig: Signature,
                 body_abs = k[1]
                 if (tag == "all") == l.pos:
                     z = sig.fresh_free(body_abs.var_ty)
-                    inst = canon(app(body_abs, z))
+                    inst = app(body_abs, z)
                 else:
                     captured = ordered_free_vars(
                         [x for m in lits for x in (m.lhs, m.rhs)])
                     skt = skolem_term(sig, body_abs.var_ty, captured)
-                    inst = canon(app(body_abs, skt))
+                    inst = app(body_abs, skt)
                 work.append(rest + [prop_literal(inst, l.pos)])
             changed = True
             break

@@ -18,8 +18,7 @@ from .terms import (
     type_str,
 )
 from .clauses import (
-    Clause, Literal, _term_sig, alpha_key, literal, prop_literal,
-    rename_clause,
+    Clause, Literal, _term_sig, alpha_key, prop_literal, rename_clause,
 )
 from .cnf import (
     NAMING_THRESHOLD, definition_map, expand_definitions, formula_kind,
@@ -272,7 +271,7 @@ class ProofChecker:
             raise ReplayError("recorded bindings clash with the constraints")
         if flex_rigid:
             raise ReplayError("recorded bindings leave a rigid constraint")
-        lits = kept + [literal(a, b, False) for a, b in flex_flex]
+        lits = kept + [Literal(a, b, False) for a, b in flex_flex]
         if alpha_key(Clause(lits)) != alpha_key(d.clause):
             raise ReplayError("substituted clause differs from the record")
 

@@ -18,7 +18,7 @@ from .terms import (
 )
 from .clauses import (
     Clause, Literal, alpha_key, clause_weight, is_empty_clause,
-    is_flex_flex, literal, prop_literal, rename_clause, subsumes,
+    is_flex_flex, prop_literal, rename_clause, subsumes,
 )
 from .cnf import (
     NAMING_THRESHOLD, OutOfTime, definition_map, expand_definitions,
@@ -29,7 +29,7 @@ from .calculus import (
     para_candidates, prim_subst, simplify,
 )
 from .unification import (
-    FAIL, NOT_PATTERN, pattern_unify, pre_unify,
+    DEFAULT_DEPTH, DEFAULT_LIMIT, FAIL, NOT_PATTERN, pattern_unify, pre_unify,
 )
 from .tptp import Problem, rule_status
 
@@ -50,8 +50,8 @@ EXHAUSTIVE_INST_TYPES = frozenset((O, fn(O, res=O)))
 @dataclass
 class ProverConfig:
     time_limit: float = 60.0
-    unif_depth: int = 8
-    unifiers_per_inference: int = 4
+    unif_depth: int = DEFAULT_DEPTH
+    unifiers_per_inference: int = DEFAULT_LIMIT
     ps_limit: int = 3
     naming_threshold: int = NAMING_THRESHOLD
     enable_inj: bool = True
@@ -206,11 +206,7 @@ class Saturation:
                                            self.config.naming_threshold,
                                            self.deadline),
                                  key=lambda x: x._key):
-                    if nc != c:
-                        stack.append(self.record("cnf", (cur.id,),
-                                                 clause=nc))
-                    else:
-                        self._enqueue(cur, key)
+                    stack.append(self.record("cnf", (cur.id,), clause=nc))
                 continue
             out = simplify(c, self.units)
             if out.clause is None:
@@ -263,7 +259,7 @@ class Saturation:
             return
         pairs = [(l.lhs, l.rhs) for l in constraints]
         rest = [l for l in c.literals if l.pos or l.is_shorthand]
-        res = pattern_unify(pairs, self.sig)
+        res = pattern_unify(pairs)
         if res is FAIL:
             return
         if res is not NOT_PATTERN:
@@ -280,7 +276,7 @@ class Saturation:
         lits = [Literal(subst.apply(l.lhs), subst.apply(l.rhs), l.pos)
                 for l in rest]
         for a, b in residuals:
-            lits.append(literal(a, b, False))
+            lits.append(Literal(a, b, False))
         nc = Clause(lits)
         if nc == d.clause:
             return
@@ -423,12 +419,13 @@ def _ground_bool_eq(c: Clause):
 
 
 def _needs_cnf(c: Clause) -> bool:
+    """True for a clause with a trivial literal or a shorthand literal
+    over a connective or quantifier.  `normalize` rewrites both and never
+    returns such a clause, so renormalizing cannot loop."""
     for l in c.literals:
         if l.lhs is l.rhs:
             return True
         if l.is_shorthand and formula_kind(l.lhs) is not None:
-            return True
-        if l.is_shorthand and l.lhs.ty is not O:
             return True
     return False
 

@@ -5,6 +5,19 @@ perfectly shared: every structurally identical term is represented by a
 single interned node, so alpha-equivalence is pointer equality.  The
 canonical stored form is beta-normal eta-long; `canon` converts any
 well-typed term into it.
+
+Canonicity is decided when a node is interned, like its free variables
+and size, by a compositional rule:
+
+- an atom (constant, free or bound variable) is canonical iff its type
+  is a base type;
+- an abstraction is canonical iff its body is;
+- an application is canonical iff its head is not an abstraction, its
+  type is a base type and every argument is canonical.
+
+A canonical node's `_canon` slot holds the node itself, so `canon` is
+O(1) on it; on any other node the slot memoizes its canonical form once
+`canon` has computed it.
 """
 
 from __future__ import annotations
@@ -124,7 +137,7 @@ def base_types_in(types) -> tuple:
 # ---------------------------------------------------------------------------
 
 class Term:
-    __slots__ = ("ty", "tid", "fvs", "loose", "size", "skey", "_bnf", "_eta")
+    __slots__ = ("ty", "tid", "fvs", "loose", "size", "skey", "_canon")
 
     ty: SimpleType
     tid: int
@@ -132,6 +145,7 @@ class Term:
     loose: int          # number of binders the term reaches out of (0 = closed)
     size: int           # number of leaf symbol occurrences
     skey: str           # structural sort key, stable across intern orders
+    _canon: Optional["Term"]    # canonical form, once known; see canon
 
 
 class Const(Term):
@@ -173,15 +187,15 @@ _term_table: dict = {}
 _term_tid = 0
 
 
-def _register(key, node: Term, ty, fvs, loose, size, skey) -> Term:
+def _register(key, node: Term, ty, fvs, loose, size, skey,
+              canonical: bool) -> Term:
     global _term_tid
     node.ty = ty
     node.fvs = fvs
     node.loose = loose
     node.size = size
     node.skey = skey
-    node._bnf = None
-    node._eta = None
+    node._canon = node if canonical else None
     node.tid = _term_tid = _term_tid + 1
     _term_table[key] = node
     return node
@@ -193,7 +207,8 @@ def const(name: str, ty: SimpleType) -> Const:
     if t is None:
         node = Const.__new__(Const)
         node.name = name
-        t = _register(key, node, ty, frozenset(), 0, 1, f"c{name}\x00{ty.uid}\x01")
+        t = _register(key, node, ty, frozenset(), 0, 1,
+                      f"c{name}\x00{ty.uid}\x01", isinstance(ty, BaseType))
     return t
 
 
@@ -203,7 +218,8 @@ def free(name: str, ty: SimpleType) -> Free:
     if t is None:
         node = Free.__new__(Free)
         node.name = name
-        t = _register(key, node, ty, None, 0, 1, f"v{name}\x00{ty.uid}\x01")
+        t = _register(key, node, ty, None, 0, 1,
+                      f"v{name}\x00{ty.uid}\x01", isinstance(ty, BaseType))
         node.fvs = frozenset((node,))
     return t
 
@@ -214,7 +230,8 @@ def bound(index: int, ty: SimpleType) -> Bound:
     if t is None:
         node = Bound.__new__(Bound)
         node.index = index
-        t = _register(key, node, ty, frozenset(), index + 1, 1, f"b{index}\x01")
+        t = _register(key, node, ty, frozenset(), index + 1, 1,
+                      f"b{index}\x01", isinstance(ty, BaseType))
     return t
 
 
@@ -227,7 +244,8 @@ def lam(var_ty: SimpleType, body: Term) -> Abs:
         node.body = body
         t = _register(key, node, fun_type(var_ty, body.ty), body.fvs,
                       max(0, body.loose - 1), body.size,
-                      f"l{var_ty.uid}\x00" + body.skey)
+                      f"l{var_ty.uid}\x00" + body.skey,
+                      body._canon is body)
     return t
 
 
@@ -263,13 +281,16 @@ def _app(ty: SimpleType, head: Term, args) -> Term:
         fvs = head.fvs
         loose = head.loose
         size = head.size
+        canonical = isinstance(ty, BaseType) and not isinstance(head, Abs)
         for a in args:
             fvs = fvs | a.fvs
             if a.loose > loose:
                 loose = a.loose
             size += a.size
+            if a._canon is not a:
+                canonical = False
         skey = "a(" + head.skey + "".join([a.skey for a in args]) + ")"
-        t = _register(key, node, ty, fvs, loose, size, skey)
+        t = _register(key, node, ty, fvs, loose, size, skey, canonical)
     return t
 
 
@@ -306,7 +327,7 @@ def is_eta_var(t: Term, kind=Free):
     """The atom of class `kind` (by default a free variable) whose
     eta-expansion t is, if there is one."""
     h = head_of(t)
-    if isinstance(h, kind) and t is eta_long(h):
+    if isinstance(h, kind) and t is canon(h):
         return h
     return None
 
@@ -463,54 +484,32 @@ def _beta(f: Term, args: list) -> Term:
 # Normalization
 # ---------------------------------------------------------------------------
 
-def beta_normalize(t: Term) -> Term:
-    if t._bnf is not None:
-        return t._bnf
-    if isinstance(t, Abs):
-        res = lam(t.var_ty, beta_normalize(t.body))
-    elif isinstance(t, App):
-        h = t.head
-        if isinstance(h, Abs):
-            res = beta_normalize(_beta(h, t.args))
-        else:
-            res = _app(t.ty, h, [beta_normalize(a) for a in t.args])
-    else:
-        res = t
-    t._bnf = res
-    res._bnf = res
-    return res
-
-
-def eta_long(t: Term) -> Term:
-    """Eta-long form of a beta-normal term."""
-    if t._eta is not None:
-        return t._eta
-    if isinstance(t, Abs):
-        res = lam(t.var_ty, eta_long(t.body))
-    else:
-        if isinstance(t, App):
-            core = _app(t.ty, t.head, [eta_long(a) for a in t.args])
-        else:
-            core = t
-        ats = arg_types(t.ty)
-        if not ats:
-            res = core
-        else:
-            n = len(ats)
-            body = _app(result_type(t.ty), shift(core, n),
-                        [eta_long(bound(n - 1 - k, ats[k])) for k in range(n)])
-            for ty in reversed(ats):
-                body = lam(ty, body)
-            res = body
-    t._eta = res
-    res._eta = res
-    res._bnf = res
-    return res
-
-
 def canon(t: Term) -> Term:
-    """Canonical beta-normal eta-long representative."""
-    return eta_long(beta_normalize(t))
+    """Canonical beta-normal eta-long representative, in one memoized
+    pass: a redex is contracted on canonical parts (`_beta`, which keeps
+    them canonical), and any other node is eta-expanded at its type."""
+    c = t._canon
+    if c is not None:
+        return c
+    if isinstance(t, Abs):
+        res = lam(t.var_ty, canon(t.body))
+    else:
+        h, args = spine(t)
+        args = [canon(a) for a in args]
+        if isinstance(h, Abs):
+            res = _beta(canon(h), args)
+        else:
+            ats = arg_types(t.ty)
+            n = len(ats)
+            if n:
+                args = [shift(a, n) for a in args] \
+                    + [canon(bound(n - 1 - k, ats[k])) for k in range(n)]
+                h = shift(h, n)
+            res = _app(result_type(t.ty), h, args) if args else h
+            for ty in reversed(ats):
+                res = lam(ty, res)
+    t._canon = res
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +605,7 @@ def substitute(t: Term, mapping: dict) -> Term:
         if r.loose:
             raise TermError("substitution image must be closed")
         images[v] = canon(r)
-    out = _subst(canon(t), images, frozenset(images))
-    out._bnf = out
-    out._eta = out
-    return out
+    return _subst(canon(t), images, frozenset(images))
 
 
 def _subst(t: Term, images: dict, dom: frozenset) -> Term:

@@ -42,8 +42,8 @@ MODAL_AXIOMS = ("K", "D", "T", "B", "4", "5")
 
 @dataclass
 class LogicSpec:
-    constants: str = "rigid"
-    quantification: str = "constant"
+    """A modal logic specification.  Constants are always rigid and
+    quantification has constant domains: the parser rejects the rest."""
     consequence: str = "global"
     system: Optional[str] = None       # one of MODAL_SYSTEMS
     axioms: tuple = ()                 # alternative: axiom scheme names
@@ -365,13 +365,11 @@ class Parser:
                 if val != "$rigid":
                     raise UnsupportedInputError(
                         f"unsupported semantics: constants {val}")
-                spec.constants = "rigid"
             elif key == "$quantification":
                 val = ts.next().text
                 if val != "$constant":
                     raise UnsupportedInputError(
                         f"unsupported semantics: quantification {val}")
-                spec.quantification = "constant"
             elif key == "$consequence":
                 val = ts.next().text
                 if val not in ("$global", "$local"):

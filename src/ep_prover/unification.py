@@ -203,7 +203,7 @@ def occurs_rigidly(v: Free, t: Term) -> bool:
     return any(v in a.fvs and occurs_rigidly(v, a) for a in args)
 
 
-def pattern_unify(pairs: list, sig):
+def pattern_unify(pairs: list):
     """Unify pattern pairs; returns a Subst, FAIL, or NOT_PATTERN.
 
     A pair is handled when every flexible head is applied to distinct

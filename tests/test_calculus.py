@@ -5,7 +5,7 @@ from ep_prover.terms import (
     Const, FALSE, I, O, Signature, TRUE, app, bound, canon, const, fn, free,
     lam,
 )
-from ep_prover.clauses import Clause, head_of, literal, prop_literal
+from ep_prover.clauses import Clause, Literal, head_of, prop_literal
 from ep_prover.calculus import (
     _orient, bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext,
     finite_domain, inj_rule, match_injectivity, para_candidates, prim_subst,
@@ -26,7 +26,7 @@ def plit(t, pos=True):
 
 def test_para_rewrites_and_emits_constraint():
     c = Clause([plit(app(p, a))])
-    eq = Clause([literal(a, b, True)])
+    eq = Clause([Literal(a, b, True)])
     out = list(para_candidates(c, eq))
     assert out
     rewritten = [x for x in out
@@ -39,7 +39,7 @@ def test_para_rewrites_and_emits_constraint():
 
 def test_para_skips_truth_constant_sides():
     c = Clause([plit(app(p, a))])
-    taut = Clause([literal(TRUE, TRUE, True)])
+    taut = Clause([Literal(TRUE, TRUE, True)])
     assert all(TRUE not in (l.lhs, l.rhs)
                for x in para_candidates(c, taut)
                for l in x if l.pos and not l.is_shorthand)
@@ -55,7 +55,7 @@ def test_eqfac_merges_same_polarity_literals():
 
 def test_bool_ext_positive_split():
     q, r = const("q", O), const("r", O)
-    c = Clause([literal(q, r, True)])
+    c = Clause([Literal(q, r, True)])
     c1, c2 = bool_ext(c, 0)
     # together the halves say q <=> r
     pols = sorted(tuple(sorted(l.pos for l in half)) for half in (c1, c2))
@@ -64,7 +64,7 @@ def test_bool_ext_positive_split():
 
 def test_bool_ext_negative_split():
     q, r = const("q", O), const("r", O)
-    c = Clause([literal(q, r, False)])
+    c = Clause([Literal(q, r, False)])
     c1, c2 = bool_ext(c, 0)
     pols = sorted(tuple(sorted(l.pos for l in half)) for half in (c1, c2))
     assert pols == [(False, False), (True, True)]
@@ -72,7 +72,7 @@ def test_bool_ext_negative_split():
 
 def test_func_ext_applies_fresh_argument():
     g = const("g", fn(I, res=I))
-    c = Clause([literal(f, g, False)])
+    c = Clause([Literal(f, g, False)])
     sig = Signature()
     out = func_ext(c, 0, sig)
     (l,) = out.literals
@@ -81,7 +81,7 @@ def test_func_ext_applies_fresh_argument():
 
 def test_func_ext_positive_uses_fresh_variable():
     g = const("g", fn(I, res=I))
-    c = Clause([literal(f, g, True)])
+    c = Clause([Literal(f, g, True)])
     out = func_ext(c, 0, Signature())
     (l,) = out.literals
     assert l.lhs.ty is I
@@ -107,15 +107,15 @@ def test_prim_subst_needs_flexible_head():
 
 def test_match_injectivity_shape():
     X, Y = free("X", I), free("Y", I)
-    c = Clause([literal(app(f, X), app(f, Y), False),
-                literal(X, Y, True)])
+    c = Clause([Literal(app(f, X), app(f, Y), False),
+                Literal(X, Y, True)])
     assert match_injectivity(c) is f
 
 
 def test_inj_rule_postulates_left_inverse():
     X, Y = free("X", I), free("Y", I)
-    c = Clause([literal(app(f, X), app(f, Y), False),
-                literal(X, Y, True)])
+    c = Clause([Literal(app(f, X), app(f, Y), False),
+                Literal(X, Y, True)])
     sig = Signature()
     out = inj_rule(c, sig, set())
     assert out is not None
@@ -149,7 +149,7 @@ def test_orient_prefers_larger_side():
 
 def test_simplify_removes_duplicates_and_trivial():
     l = plit(app(p, a))
-    triv = literal(a, a, False)
+    triv = Literal(a, a, False)
     out = simplify(Clause([l, l, triv]))
     assert out.changed
     assert out.clause.literals == (l,)
@@ -163,7 +163,7 @@ def test_simplify_detects_tautology():
 
 def test_simplify_returns_the_input_clause_when_nothing_applies():
     X = free("X", I)
-    c = Clause([plit(app(p, a)), plit(app(p, X), False), literal(a, b, False)])
+    c = Clause([plit(app(p, a)), plit(app(p, X), False), Literal(a, b, False)])
     unit = Clause([plit(app(p, b))])
     out = simplify(c, [(5, unit)])
     assert out.clause is c
@@ -171,8 +171,8 @@ def test_simplify_returns_the_input_clause_when_nothing_applies():
 
 
 def test_simplify_complementary_equations_are_a_tautology():
-    pos = literal(a, b, True)
-    out = simplify(Clause([pos, literal(b, a, False)]))
+    pos = Literal(a, b, True)
+    out = simplify(Clause([pos, Literal(b, a, False)]))
     assert out.clause is None and out.changed
 
 
@@ -183,7 +183,7 @@ def test_simplify_absurd_false_literal():
 
 def test_simplify_destructive_equality_resolution():
     X = free("X", I)
-    c = Clause([literal(X, a, False), plit(app(p, X))])
+    c = Clause([Literal(X, a, False), plit(app(p, X))])
     out = simplify(c)
     assert out.changed
     assert out.clause.literals == (plit(app(p, a)),)
@@ -191,7 +191,7 @@ def test_simplify_destructive_equality_resolution():
 
 def test_simplify_unit_rewriting():
     c = Clause([plit(app(p, app(f, a)))])
-    unit = Clause([literal(app(f, a), a, True)])
+    unit = Clause([Literal(app(f, a), a, True)])
     out = simplify(c, [(7, unit)])
     assert out.changed and 7 in out.used_units
     assert out.clause.literals == (plit(app(p, a)),)
@@ -209,7 +209,7 @@ def test_simplify_never_rewrites_toward_flexible_head():
     # a unit equation whose small side is variable-headed must be ignored:
     # using it would undo extensionality progress
     F = free("F", fn(I, res=I))
-    unit = Clause([literal(app(f, app(f, a)), app(F, a), True)])
+    unit = Clause([Literal(app(f, app(f, a)), app(F, a), True)])
     c = Clause([plit(app(p, app(f, app(f, a))))])
     out = simplify(c, [(11, unit)])
     assert not out.changed

@@ -10,7 +10,7 @@ from ep_prover.terms import (
 )
 from ep_prover.clauses import (
     Clause, EMPTY_CLAUSE, Literal, alpha_key, clause_weight, head_of,
-    is_empty_clause, is_flex_flex, literal, match_literal, match_terms,
+    is_empty_clause, is_flex_flex, match_literal, match_terms,
     prop_literal, rename_clause, subsumes,
 )
 
@@ -29,9 +29,23 @@ def lit(t, pos=True):
 
 
 def test_literal_orientation_is_symmetric():
-    l1 = literal(app(p, a), app(q, b), True)
-    l2 = literal(app(q, b), app(p, a), True)
+    l1 = Literal(app(p, a), app(q, b), True)
+    l2 = Literal(app(q, b), app(p, a), True)
     assert l1 == l2
+
+
+def test_literal_canonicalizes_function_typed_sides():
+    g = const("g", fn(I, I, res=I))
+    F = free("F", fn(I, res=I))
+    x = bound(0, I)
+    # g a, a partial application, and F, a bare function variable: both
+    # eta-short; the right side is also a redex under a binder
+    l = Literal(app(g, a), lam(I, app(lam(I, app(F, x)), x)), False)
+    sides = {l.lhs, l.rhs}
+    assert sides == {lam(I, app(g, a, x)), lam(I, app(F, x))}
+    assert all(canon(s) is s for s in sides)
+    assert l == Literal(canon(app(g, a)), canon(F), False)
+    assert Literal(F, lam(I, app(F, x)), True).lhs is lam(I, app(F, x))
 
 
 def test_true_kept_on_right():
@@ -49,7 +63,7 @@ def test_clause_is_sorted_multiset():
 def test_empty_clause_flex_flex_only():
     F = free("F", IO)
     G = free("G", IO)
-    c = Clause([literal(app(F, a), app(G, b), False)])
+    c = Clause([Literal(app(F, a), app(G, b), False)])
     assert is_flex_flex(c.literals[0])
     assert is_empty_clause(c)
     assert is_empty_clause(EMPTY_CLAUSE)
@@ -87,8 +101,8 @@ def test_alpha_key_distinguishes_polarity():
 
 def test_ground_clauses_key_on_their_content():
     # built separately, in different literal orders
-    c1 = Clause([lit(app(p, a)), literal(a, b, False)])
-    c2 = Clause([literal(b, a, False), lit(app(p, a))])
+    c1 = Clause([lit(app(p, a)), Literal(a, b, False)])
+    c2 = Clause([Literal(b, a, False), lit(app(p, a))])
     assert c1 is not c2
     assert alpha_key(c1) == alpha_key(c2) == c1._key
 
@@ -98,7 +112,7 @@ def test_ground_key_differs_from_non_ground_key_of_same_shape():
             (Clause([lit(app(p, a))]), Clause([lit(app(p, X))])),
             (Clause([lit(app(p, a)), lit(app(q, b), False)]),
              Clause([lit(app(p, X)), lit(app(q, Y), False)])),
-            (Clause([literal(a, b, True)]), Clause([literal(X, b, True)]))):
+            (Clause([Literal(a, b, True)]), Clause([Literal(X, b, True)]))):
         assert alpha_key(ground) != alpha_key(open_)
 
 
@@ -123,7 +137,7 @@ def _sorted_clause(rng):
     lits = []
     for _ in range(rng.randint(1, 2)):
         sort = rng.choice((I, J))
-        lits.append(literal(_sorted_term(rng, sort, 2),
+        lits.append(Literal(_sorted_term(rng, sort, 2),
                             _sorted_term(rng, sort, 2), rng.random() < 0.5))
     return Clause(lits)
 
@@ -180,8 +194,8 @@ def test_match_terms_resolves_bound_heads():
 
 
 def test_match_literal_tries_both_orientations():
-    pl = literal(X, a, True)
-    tl = literal(b, a, True)
+    pl = Literal(X, a, True)
+    tl = Literal(b, a, True)
     assert any(m[X] is b for m in match_literal(pl, tl, {}))
 
 
@@ -231,10 +245,10 @@ def test_subsumes_instance_over_shifted_names():
     # the second clause is the first under U0 -> U1, U1 -> U2
     g = const("g", fn(J, res=J))
     U0, U1, U2 = _SORTED_VARS[J]
-    c = Clause([literal(app(g, app(g, U0)), U1, False),
-                literal(U0, U1, False)])
-    d = Clause([literal(app(g, app(g, U1)), U2, False),
-                literal(U1, U2, False)])
+    c = Clause([Literal(app(g, app(g, U0)), U1, False),
+                Literal(U0, U1, False)])
+    d = Clause([Literal(app(g, app(g, U1)), U2, False),
+                Literal(U1, U2, False)])
     assert subsumes(c, d)
 
 

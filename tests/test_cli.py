@@ -208,6 +208,21 @@ def test_search_exception_is_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_unsupported_modal_semantics_is_error(tmp_path, capsys):
+    spec = ("thf(s, logic, ( $modal := [ $constants := {}, "
+            "$quantification := {}, $modalities := $modal_system_S5 ] )).\n"
+            "thf(p_type, type, (p: $o)).\n"
+            "thf(x, conjecture, ( ( $box @ p ) => p )).\n")
+    for constants, quantification in (("$rigid", "$varying"),
+                                      ("$flexible", "$constant")):
+        f = tmp_path / "semantics.p"
+        f.write_text(spec.format(constants, quantification))
+        assert main([str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["% SZS status Error for semantics.p"]
+        assert "unsupported semantics" in err
+
+
 def test_modal_s5_universal_flag():
     r = run_cli(f"{PROBLEMS}/becker.p", "-t", "60", "--modal-s5",
                 "universal")

@@ -1,7 +1,7 @@
 """The independent proof replay checker."""
 
 from ep_prover.terms import O, app, canon, const, fn, free, I
-from ep_prover.clauses import Clause, literal, prop_literal
+from ep_prover.clauses import Clause, Literal, prop_literal
 from ep_prover.replay import (
     ProofChecker, blind_key, ground_step_valid, replay_proof,
 )
@@ -79,7 +79,7 @@ def test_ground_step_valid_rejects_non_consequence():
 
 def test_ground_step_valid_evaluates_boolean_equations():
     p, q = const("p", O), const("q", O)
-    eq = Clause([literal(p, q, True)])
+    eq = Clause([Literal(p, q, True)])
     half = Clause([prop_literal(p, True), prop_literal(q, False)])
     assert ground_step_valid([eq], half) is True
     bad = Clause([prop_literal(p, True), prop_literal(q, True)])
@@ -89,7 +89,7 @@ def test_ground_step_valid_evaluates_boolean_equations():
 def test_ground_step_valid_skips_nonpropositional():
     f = const("f", fn(I, res=I))
     a, b = const("a", I), const("b", I)
-    eq = Clause([literal(app(f, a), app(f, b), True)])
+    eq = Clause([Literal(app(f, a), app(f, b), True)])
     assert ground_step_valid([eq], eq) is None
     X = free("X", O)
     c = Clause([prop_literal(X, True)])

@@ -1,12 +1,17 @@
 """Saturation loop: statuses, proof extraction, determinism."""
 
+import random
 import time
 
-from ep_prover.clauses import Clause, prop_literal
+from ep_prover.clauses import Clause, Literal, prop_literal
+from ep_prover.cnf import normalize
 from ep_prover.saturation import (
-    Derived, ProverConfig, Saturation, extract_proof, saturate,
+    Derived, ProverConfig, Saturation, _needs_cnf, extract_proof, saturate,
 )
-from ep_prover.terms import O, Signature, canon, const, iff
+from ep_prover.terms import (
+    FALSE, I, O, TRUE, Signature, app, bound, canon, conj, const, disj,
+    equality, exists, fn, forall, free, iff, implies, neg,
+)
 from ep_prover.tptp import AnnotatedFormula, Problem, parse_problem
 
 
@@ -221,3 +226,53 @@ def test_eager_unification_emits_solved_clause():
     assert res.status == "Theorem"
     assert any(d.rule in ("pre_uni", "pattern_uni")
                for d in res.records.values())
+
+
+def test_normalize_returns_no_clause_that_needs_cnf():
+    # insert_new renormalizes every clause for which _needs_cnf holds and
+    # records each result as a new clause; a result that needed CNF again
+    # would come back forever
+    rng = random.Random(13)
+    a, b = const("a", I), const("b", I)
+    qi = const("qi", fn(I, res=O))
+    ps = [const("p", O), const("q", O), free("P", O), TRUE, FALSE]
+    x = bound(0, I)
+
+    def formula(depth, qdepth=0):
+        roll = rng.randrange(9)
+        if depth == 0 or roll == 0:
+            leaves = ps + [app(qi, a), app(qi, free("X", I))] \
+                + [app(qi, bound(k, I)) for k in range(qdepth)]
+            return rng.choice(leaves)
+        def sub():
+            return formula(depth - 1, qdepth)
+
+        if roll == 1:
+            return neg(sub())
+        if roll in (2, 3):
+            return rng.choice((disj, conj, implies, iff))(sub(), sub())
+        if roll == 4:
+            quant = rng.choice((forall, exists))
+            return quant(I, disj(app(qi, x), formula(depth - 1, qdepth + 1)))
+        if roll == 5:
+            return equality(rng.choice((a, b)), rng.choice((a, b)))
+        if roll == 6:
+            return equality(sub(), sub())
+        return rng.choice(ps)
+
+    def literal():
+        if rng.random() < 0.2:
+            s = rng.choice((a, b, free("X", I)))
+            return Literal(s, rng.choice((s, a, b)), rng.random() < 0.5)
+        if rng.random() < 0.2:
+            return Literal(formula(2), formula(2), rng.random() < 0.5)
+        return prop_literal(formula(3), rng.random() < 0.5)
+
+    needing = 0
+    for _ in range(300):
+        c = Clause([literal() for _ in range(rng.randint(1, 3))])
+        needing += _needs_cnf(c)
+        for threshold in (16, 2, 0):
+            out = normalize(c, Signature(), threshold)
+            assert not any(_needs_cnf(nc) for nc in out), c
+    assert needing > 150

@@ -1,17 +1,20 @@
 """Core term representation: interning, normalization, substitution."""
 
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
 
 import ep_prover.terms as terms
+from ep_prover.saturation import ProverConfig, saturate
 from ep_prover.terms import (
-    Abs, App, Bound, Const, Free, I, O, Signature, Subst, TermError,
-    app, base_type, beta_normalize, bound, canon, conj, const, disj, eta_long,
+    Abs, App, Bound, Const, Free, FunType, I, O, Signature, Subst, TermError,
+    app, base_type, bound, canon, conj, const, disj,
     fn, forall, free, fun_type, implies, lam, neg, replace_at, shift, spine,
     subterm_at, subterm_positions, substitute, substitute_raw, type_str,
 )
+from ep_prover.tptp import parse_problem
 
 
 IO = fn(I, res=O)
@@ -325,23 +328,193 @@ def test_beta_normalize_nested_redexes():
     phi = bound(0, _II)
     twice = lam(_II, lam(I, app(bound(1, _II), app(bound(1, _II), x))))
     # (\F. \x. F (F x)) (\y. g y y) a
-    assert beta_normalize(app(twice, lam(I, app(g, x, x)), a)) \
+    assert canon(app(twice, lam(I, app(g, x, x)), a)) \
         is app(g, app(g, a, a), app(g, a, a))
     # a redex in the argument of a redex whose bound variable is a head
     inner = app(lam(I, app(f, x)), b)
-    assert beta_normalize(app(lam(_II, app(phi, app(phi, a))),
-                              lam(I, app(g, x, inner)))) \
+    assert canon(app(lam(_II, app(phi, app(phi, a))),
+                     lam(I, app(g, x, inner)))) \
         is app(g, app(g, a, app(f, b)), app(f, b))
     # over-application and a partial application left as an abstraction
-    assert beta_normalize(app(lam(I, lam(I, app(g, y, x))), a, b)) \
+    assert canon(app(lam(I, lam(I, app(g, y, x))), a, b)) \
         is app(g, a, b)
-    assert beta_normalize(app(lam(I, lam(I, app(g, y, x))), a)) \
+    assert canon(app(lam(I, lam(I, app(g, y, x))), a)) \
         is lam(I, app(g, a, x))
-    assert beta_normalize(app(lam(_II, phi), f, a)) is app(f, a)
+    assert canon(app(lam(_II, phi), f, a)) is app(f, a)
     # a substituted abstraction that reaches a binder outside the redex
-    assert beta_normalize(lam(I, app(lam(_II, app(phi, a)),
-                                     lam(I, app(g, x, y))))) \
+    assert canon(lam(I, app(lam(_II, app(phi, a)),
+                            lam(I, app(g, x, y))))) \
         is lam(I, app(g, a, x))
+
+
+# -- canonical forms against a reference normalizer --------------------------
+#
+# The reference works in two passes and shares nothing with `canon` but
+# the constructors: plain beta contraction to normal form, then eta
+# expansion of every node of function type that is not an abstraction.
+# Both passes are memoized per interned term.
+
+def _ref_shift(t, d, cutoff=0):
+    if isinstance(t, Bound):
+        return bound(t.index + d, t.ty) if t.index >= cutoff else t
+    if isinstance(t, Abs):
+        return lam(t.var_ty, _ref_shift(t.body, d, cutoff + 1))
+    if isinstance(t, App):
+        return app(_ref_shift(t.head, d, cutoff),
+                   *[_ref_shift(a, d, cutoff) for a in t.args])
+    return t
+
+
+def _ref_inst(t, j, s):
+    """t with Bound j replaced by s, lifted over the j binders above it,
+    and the bound variables beyond j lowered by one."""
+    if isinstance(t, Bound):
+        if t.index == j:
+            return _ref_shift(s, j)
+        return bound(t.index - 1, t.ty) if t.index > j else t
+    if isinstance(t, Abs):
+        return lam(t.var_ty, _ref_inst(t.body, j + 1, s))
+    if isinstance(t, App):
+        return app(_ref_inst(t.head, j, s),
+                   *[_ref_inst(a, j, s) for a in t.args])
+    return t
+
+
+@cache
+def _ref_beta(t):
+    if isinstance(t, Abs):
+        return lam(t.var_ty, _ref_beta(t.body))
+    if isinstance(t, App):
+        if isinstance(t.head, Abs):
+            return _ref_beta(app(_ref_inst(t.head.body, 0, t.args[0]),
+                                 *t.args[1:]))
+        return app(t.head, *[_ref_beta(a) for a in t.args])
+    return t
+
+
+@cache
+def _ref_eta(t):
+    """Eta-long form of the beta-normal t."""
+    if isinstance(t, Abs):
+        return lam(t.var_ty, _ref_eta(t.body))
+    head, args = spine(t)
+    core = app(head, *[_ref_eta(a) for a in args])
+    tys = []
+    ty = t.ty
+    while isinstance(ty, FunType):
+        tys.append(ty.arg)
+        ty = ty.res
+    if not tys:
+        return core
+    n = len(tys)
+    body = app(_ref_shift(core, n),
+               *[_ref_eta(bound(n - 1 - k, tys[k])) for k in range(n)])
+    for ty in reversed(tys):
+        body = lam(ty, body)
+    return body
+
+
+def _reference(t):
+    return _ref_eta(_ref_beta(t))
+
+
+_III = fn(I, I, res=I)
+_IIi = fn(_II, res=I)
+_NATOMS = [const("a", I), const("b", I), _OF, const("g", _III),
+           const("h", _IIi), _OX, _OFV, free("G", _III), free("H", _IIi)]
+
+
+def _typed_term(rng, ty, ctx, depth):
+    """A random term of type ty over _NATOMS and the binders in ctx
+    (innermost last), neither beta-normal nor eta-long in general."""
+    atoms = _NATOMS + [bound(len(ctx) - 1 - k, s) for k, s in enumerate(ctx)]
+    options = ["atom"] if any(x.ty is ty for x in atoms) else []
+    if depth > 0:
+        options += ["spine", "apply", "redex"]
+    if isinstance(ty, FunType):
+        options.append("lam")
+    kind = rng.choice(options)
+    if kind == "atom":
+        return rng.choice([x for x in atoms if x.ty is ty])
+    if kind == "lam":
+        return lam(ty.arg, _typed_term(rng, ty.res, ctx + [ty.arg],
+                                       max(depth - 1, 0)))
+    if kind == "redex":
+        # (\x:s. body) arg, body and arg random themselves
+        s = rng.choice((I, _II))
+        return app(lam(s, _typed_term(rng, ty, ctx + [s], depth - 1)),
+                   _typed_term(rng, s, ctx, depth - 1))
+    if kind == "apply":
+        # any function term of type s>ty, applied to one argument
+        s = rng.choice((I, _II))
+        return app(_typed_term(rng, fn(s, res=ty), ctx, depth - 1),
+                   _typed_term(rng, s, ctx, depth - 1))
+    # an atom applied to as many arguments as give ty: partial
+    # applications when ty is a function type
+    heads = []
+    for x in atoms:
+        k, t = 0, x.ty
+        while isinstance(t, FunType):
+            t, k = t.res, k + 1
+            if t is ty:
+                heads.append((x, k))
+    if not heads:
+        return _typed_term(rng, ty, ctx, 0)
+    x, k = rng.choice(heads)
+    args, t = [], x.ty
+    for _ in range(k):
+        args.append(_typed_term(rng, t.arg, ctx, depth - 1))
+        t = t.res
+    return app(x, *args)
+
+
+def _shapes(t, under_binder=False, in_redex=False):
+    """The features of t the differential test must cover."""
+    out = set()
+    if isinstance(t, Abs):
+        return _shapes(t.body, True, in_redex)
+    if isinstance(t, (Free, Bound)) and isinstance(t.ty, FunType):
+        out.add("function_free" if isinstance(t, Free) else "function_bound")
+    if isinstance(t, App):
+        redex = isinstance(t.head, Abs)
+        if redex and in_redex:
+            out.add("nested_redex")
+        if redex and under_binder:
+            out.add("redex_under_binder")
+        if isinstance(t.ty, FunType):
+            out.add("partial_application")
+        for s in (t.head,) + t.args:
+            out |= _shapes(s, under_binder, in_redex or redex)
+    return out
+
+
+def test_canon_matches_a_two_pass_reference():
+    rng = random.Random(17)
+    seen = dict.fromkeys(("nested_redex", "redex_under_binder",
+                          "partial_application", "function_free",
+                          "function_bound"), 0)
+    types = (I, _II, _III, _IIi)
+    for _ in range(600):
+        t = _typed_term(rng, rng.choice(types), [], 4)
+        c = canon(t)
+        assert c is _reference(t), t
+        assert c._canon is c and canon(c) is c
+        for shape in _shapes(t):
+            seen[shape] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_every_term_flagged_canonical_is_a_reference_normal_form():
+    with open("problems/sur_cantor.p") as fh:
+        prob = parse_problem(fh.read(), "sur_cantor.p")
+    assert saturate(prob, ProverConfig(time_limit=60)).status == "Theorem"
+    # by tid, so each term's subterms are already in the reference's memo
+    checked = 0
+    for t in sorted(terms._term_table.values(), key=lambda t: t.tid):
+        if t._canon is t:
+            assert _reference(t) is t, t
+            checked += 1
+    assert checked > 10000
 
 
 def test_signature_fresh_names():

@@ -5,7 +5,7 @@ import pytest
 from ep_prover.terms import (
     I, O, app, canon, const, fn, free,
 )
-from ep_prover.clauses import Clause, literal, prop_literal
+from ep_prover.clauses import Clause, Literal, prop_literal
 from ep_prover.tptp import (
     InferenceRecord, ParseError, ProofLine, RULE_VOCABULARY, SZS_STATUSES,
     UnsupportedInputError, parse_problem, print_clause, print_formula,
@@ -106,6 +106,23 @@ def test_logic_spec_axiom_list():
     assert spec.consequence == "local"
 
 
+def _spec_text(constants, quantification):
+    return f"""
+    thf(s, logic, ( $modal := [
+        $constants := {constants}, $quantification := {quantification},
+        $consequence := $global, $modalities := $modal_system_S5 ] )).
+    thf(p_type, type, (p: $o)).
+    thf(x, conjecture, ( ( $box @ p ) => p )).
+    """
+
+
+def test_varying_domains_and_flexible_constants_rejected():
+    for constants, quantification in (("$rigid", "$varying"),
+                                      ("$flexible", "$constant")):
+        with pytest.raises(UnsupportedInputError):
+            parse_problem(_spec_text(constants, quantification), "t.p")
+
+
 def test_unsupported_logic_rejected():
     text = """
     thf(s, logic, ( $temporal := [ $modalities := $modal_system_K ] )).
@@ -119,7 +136,7 @@ def test_print_clause_universal_closure_and_neq():
     f = const("f", fn(I, res=O))
     a, b = const("a", I), const("b", I)
     X = free("X", I)
-    c = Clause([literal(a, b, False),
+    c = Clause([Literal(a, b, False),
                 prop_literal(canon(app(f, X)), True)])
     text, names = print_clause(c)
     assert text == "! [A: $i] : ( ( f @ A ) | ( a != b ) )"

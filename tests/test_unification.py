@@ -65,20 +65,20 @@ def test_pattern_unify_solves_patterns():
     F = fv("F", fn(I, res=I))
     pairs = [(canon(lam(I, app(F, bound(0, I)))),
               canon(lam(I, app(f, bound(0, I)))))]
-    res = pattern_unify(pairs, Signature())
+    res = pattern_unify(pairs)
     assert res not in (FAIL, NOT_PATTERN)
     assert unify_ok(pairs, res)
 
 
 def test_pattern_unify_detects_rigid_occurs():
     X = fv("X")
-    res = pattern_unify([(canon(X), canon(app(f, X)))], Signature())
+    res = pattern_unify([(canon(X), canon(app(f, X)))])
     assert res is FAIL
 
 
 def test_pattern_unify_rejects_non_patterns():
     F = fv("F", fn(I, res=I))
-    res = pattern_unify([(canon(app(F, a)), canon(a))], Signature())
+    res = pattern_unify([(canon(app(F, a)), canon(a))])
     assert res is NOT_PATTERN
 
 
