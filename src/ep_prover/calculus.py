@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .terms import (
-    Const, Free, FunType, NOT, O, OR, Signature, SimpleType, Term, TermError,
-    TRUE, FALSE, app, bound, const, eq_const, fn, head_of,
-    is_eta_var, lam, neg, pi_const, replace_at, spine, subterm_positions,
-    substitute,
+    Const, Free, FunType, I, NOT, O, OR, Signature, SimpleType, Term,
+    TermError, TRUE, FALSE, app, base_types_in, bound, const, eq_const, fn,
+    head_of, is_eta_var, lam, neg, pi_const, replace_at, spine,
+    subterm_positions, substitute,
 )
 from .clauses import (
     Clause, Literal, match_literal, match_terms, prop_literal,
@@ -107,6 +107,15 @@ def eqfac_candidates(c: Clause) -> Iterator[Clause]:
 # ---------------------------------------------------------------------------
 
 PS_BASE_HEADS = (NOT, OR)
+
+
+def inst_types(sig: Signature) -> tuple:
+    """The types primitive substitution instantiates quantifiers and
+    equations at: the base types of the problem's own constants, or $i
+    when there are none.  Only the parser and the modal embedding declare
+    constants outside `sig.system`, so these are fixed for a run."""
+    return base_types_in(ty for name, ty in sig.constants.items()
+                         if name not in sig.system) or (I,)
 
 
 def prim_subst(c: Clause, i: int, sig: Signature,

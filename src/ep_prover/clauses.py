@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Optional
 
 from .terms import (
@@ -110,9 +111,16 @@ def clause_weight(c: Clause) -> int:
     return sum(l.lhs.size + l.rhs.size for l in c.literals)
 
 
-def _term_sig(t: Term, names: Optional[dict], out: list):
+def _term_sig(t: Term, names: Optional[dict], out: list, minted):
     if isinstance(t, Const):
-        out.append("c:" + t.name)
+        if t.name not in minted:
+            out.append("c:" + t.name)
+        elif names is None:
+            out.append("k:*:" + type_str(t.ty))
+        else:
+            # a minted constant is numbered like a free variable
+            out.append("k:%d:%s" % (names.setdefault(t, len(names)),
+                                    type_str(t.ty)))
     elif isinstance(t, Free):
         if names is None:
             out.append("f:*:" + type_str(t.ty))
@@ -123,28 +131,28 @@ def _term_sig(t: Term, names: Optional[dict], out: list):
         out.append("b:%d" % t.index)
     elif isinstance(t, Abs):
         out.append("l:" + type_str(t.var_ty))
-        _term_sig(t.body, names, out)
+        _term_sig(t.body, names, out, minted)
     else:
         out.append("a:%d" % len(t.args))
-        _term_sig(t.head, names, out)
+        _term_sig(t.head, names, out, minted)
         for a in t.args:
-            _term_sig(a, names, out)
+            _term_sig(a, names, out, minted)
 
 
-def alpha_key(c: Clause, term_sig=_term_sig) -> tuple:
+def alpha_key(c: Clause, minted=frozenset()) -> tuple:
     """Hashable clause key invariant under free-variable renaming.
 
     Literals are ordered by a name-blind structural key, then free
-    variables are numbered by first occurrence in that order.
-    `term_sig(t, names, out)` appends the signature of t to out, numbering
-    renameable symbols through `names`, or leaving them blind when
-    `names` is None.
+    variables are numbered by first occurrence in that order.  Constants
+    named in `minted` (fresh symbols a run or a replay invented) are
+    numbered the same way, so the key is also invariant under their
+    renaming.
 
-    Renaming cannot change a ground clause, so under the default walker
-    a ground clause keys on its content, `Clause._key`.  Those keys are
+    Renaming cannot change a ground clause, so with nothing minted a
+    ground clause keys on its content, `Clause._key`.  Those keys are
     tuples of triples and never equal the string tuples built below.
     """
-    if term_sig is _term_sig:
+    if not minted:
         for l in c.literals:
             if l.lhs.fvs or l.rhs.fvs:
                 break
@@ -153,8 +161,8 @@ def alpha_key(c: Clause, term_sig=_term_sig) -> tuple:
 
     def blind(l: Literal) -> tuple:
         acc = ["+" if l.pos else "-"]
-        term_sig(l.lhs, None, acc)
-        term_sig(l.rhs, None, acc)
+        _term_sig(l.lhs, None, acc, minted)
+        _term_sig(l.rhs, None, acc, minted)
         return tuple(acc)
 
     order = sorted(range(len(c.literals)),
@@ -164,8 +172,8 @@ def alpha_key(c: Clause, term_sig=_term_sig) -> tuple:
     for i in order:
         l = c.literals[i]
         out.append("+" if l.pos else "-")
-        term_sig(l.lhs, names, out)
-        term_sig(l.rhs, names, out)
+        _term_sig(l.lhs, names, out, minted)
+        _term_sig(l.rhs, names, out, minted)
     return tuple(out)
 
 
@@ -240,6 +248,25 @@ def match_terms(pattern: Term, target: Term,
     return binding
 
 
+@cache
+def _needs_binding(t: Term) -> bool:
+    """Whether t holds a free variable applied to arguments other than
+    distinct bound variables, which `match_terms` can match only once
+    that subterm's variables are bound."""
+    if not t.fvs:
+        return False
+    if isinstance(t, Abs):
+        return _needs_binding(t.body)
+    h, args = spine(t)
+    if isinstance(h, Free) and args and not distinct_bound_args(args):
+        return True
+    return any(_needs_binding(a) for a in args)
+
+
+def _needs_binding_literal(l: Literal) -> bool:
+    return _needs_binding(l.lhs) or _needs_binding(l.rhs)
+
+
 def match_literal(pl: Literal, tl: Literal, binding: dict):
     """Match a pattern literal against a target literal, both orientations."""
     if pl.pos is not tl.pos:
@@ -258,12 +285,14 @@ def subsumes(c: Clause, d: Clause) -> bool:
     if len(c) > len(d):
         return False
 
+    # a literal that only matches once its variables are bound goes last
+    cl = sorted(c.literals, key=_needs_binding_literal)
     dl = list(d.literals)
 
     def go(i: int, binding: dict, used: int) -> bool:
-        if i == len(c.literals):
+        if i == len(cl):
             return True
-        pl = c.literals[i]
+        pl = cl[i]
         for j, tl in enumerate(dl):
             if used & (1 << j):
                 continue

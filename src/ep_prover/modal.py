@@ -272,8 +272,7 @@ def embed(prob: Problem, s5_mode: str = "relational") -> Problem:
         else:
             wrapped = app(tr.term(f.formula), const("cw", MWORLD))
             sig.declare("cw", MWORLD)
-        translated.append(AnnotatedFormula(
-            f.name, f.role, wrapped, f.source))
+        translated.append(AnnotatedFormula(f.name, f.role, wrapped))
 
     formulas = []
 

@@ -9,61 +9,24 @@ truth-valuation checking.
 
 from __future__ import annotations
 
-import re
 from typing import Optional
 
 from .terms import (
-    Abs, App, Const, FALSE, FunType, LOGICAL_NAMES, O, Signature, Subst,
-    Term, TRUE, base_types_in, canon, constants, neg, subterm_positions,
-    type_str,
+    FALSE, FunType, LOGICAL_NAMES, O, Subst, Term, TRUE, canon, constants,
+    neg, subterm_positions,
 )
-from .clauses import (
-    Clause, Literal, _term_sig, alpha_key, prop_literal, rename_clause,
-)
+from .clauses import Clause, Literal, alpha_key, prop_literal, rename_clause
 from .cnf import (
     NAMING_THRESHOLD, definition_map, expand_definitions, formula_kind,
     miniscope, normalize,
 )
 from .calculus import (
     bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext, inj_rule,
-    para_candidates, prim_subst, simplify,
+    inst_types, para_candidates, prim_subst, simplify,
 )
 from .saturation import extract_proof
 from .unification import _Clash, simplify_pairs
 from .tptp import RULE_VOCABULARY, rule_status
-
-
-_MINTED = re.compile(r"sk\d+|\w+_inv\d*")
-
-
-def _is_mintable(name: str) -> bool:
-    """Skolem-style constants freshly minted during the run."""
-    return _MINTED.fullmatch(name) is not None
-
-
-def blind_key(c: Clause) -> tuple:
-    """Clause key invariant under renaming of free variables and of
-    freshly minted constants; used to compare re-derived clauses."""
-    renamed: dict = {}
-
-    def walk(t: Term, names: Optional[dict], out: list):
-        if isinstance(t, Const) and _is_mintable(t.name):
-            if names is None:
-                out.append("k:*:" + type_str(t.ty))
-            else:
-                out.append("k:%d" % renamed.setdefault(t, len(renamed)))
-        elif isinstance(t, Abs):
-            out.append("l:" + type_str(t.var_ty))
-            walk(t.body, names, out)
-        elif isinstance(t, App):
-            out.append("a:%d" % len(t.args))
-            walk(t.head, names, out)
-            for a in t.args:
-                walk(a, names, out)
-        else:
-            _term_sig(t, names, out)
-
-    return alpha_key(c, walk)
 
 
 class ReplayError(Exception):
@@ -71,38 +34,23 @@ class ReplayError(Exception):
 
 
 class ProofChecker:
-    def __init__(self, records: dict, problem=None,
+    """Replays the records of one run of `problem`.
+
+    Every symbol the replay mints comes from one copy of the run's
+    signature, past the run's own fresh symbols, so a constant is minted
+    by the run or by the replay exactly when its name is in
+    `self.sig.system`.  Clauses of the rules that mint constants are
+    compared up to renaming of those; all others up to renaming of free
+    variables only.
+    """
+
+    def __init__(self, records: dict, problem,
                  naming_threshold: int = NAMING_THRESHOLD):
         self.records = records
-        self.problem = problem
         self.naming_threshold = naming_threshold   # as in the checked run
-        self._defs = None
-
-    def _scratch_sig(self, *clauses) -> Signature:
-        """Fresh signature whose variable counter clears the given clauses,
-        so replayed inferences never capture an existing variable."""
-        sig = Signature()
-        top = sk_top = 0
-        for c in clauses:
-            for v in c.free_vars():
-                m = re.fullmatch(r"V(\d+)", v.name)
-                if m:
-                    top = max(top, int(m.group(1)))
-            for l in c.literals:
-                for t in (l.lhs, l.rhs):
-                    for k in constants(t):
-                        m = re.fullmatch(r"sk(\d+)", k.name)
-                        if m:
-                            sk_top = max(sk_top, int(m.group(1)))
-        sig._fv = top
-        sig._sk = sk_top
-        return sig
-
-    def _definition_map(self) -> dict:
-        if self._defs is None:
-            self._defs = ({} if self.problem is None
-                          else definition_map(self.problem.formulas))
-        return self._defs
+        self.defs = definition_map(problem.formulas)
+        self.sig = problem.signature.copy()
+        self.inst_types = inst_types(self.sig)
 
     def check(self, proof: list) -> list:
         """Validate a record list; returns a list of complaints."""
@@ -142,8 +90,7 @@ class ProofChecker:
                 raise ReplayError("not the negation of its parent")
 
     def _r_defexp_and_simp_and_etaexpand(self, d, parents):
-        t = expand_definitions(parents[0].formula, self._definition_map())
-        if t is not d.formula:
+        if expand_definitions(parents[0].formula, self.defs) is not d.formula:
             raise ReplayError("definition expansion does not replay")
 
     def _r_miniscope(self, d, parents):
@@ -156,76 +103,72 @@ class ProofChecker:
             start = Clause([prop_literal(p.formula, True)])
         else:
             start = p.clause
-        out = normalize(start, self._scratch_sig(), self.naming_threshold)
-        keys = {blind_key(c) for c in out}
-        if blind_key(d.clause) not in keys:
+        out = normalize(start, self.sig, self.naming_threshold)
+        keys = {alpha_key(c, self.sig.system) for c in out}
+        if alpha_key(d.clause, self.sig.system) not in keys:
             raise ReplayError("clausification does not produce this clause")
 
     def _r_instantiate(self, d, parents):
         c = parents[0].clause
-        want = blind_key(d.clause)
+        want = alpha_key(d.clause)
         for v in sorted(c.free_vars(), key=lambda x: x.name):
             try:
                 insts = exhaustive_instantiate(c, v)
             except Exception:
                 continue
-            if any(blind_key(x) == want for x in insts):
+            if any(alpha_key(x) == want for x in insts):
                 return
         raise ReplayError("no instantiation produces this clause")
 
     def _r_eqfactor_ordered(self, d, parents):
-        want = blind_key(d.clause)
-        if any(blind_key(x) == want
+        want = alpha_key(d.clause)
+        if any(alpha_key(x) == want
                for x in eqfac_candidates(parents[0].clause)):
             return
         raise ReplayError("no factoring inference produces this clause")
 
     def _r_paramod_ordered(self, d, parents):
-        want = blind_key(d.clause)
+        want = alpha_key(d.clause)
         a = parents[0].clause
         b = parents[-1].clause
         for c, e in ((a, b), (b, a)):
-            sig = self._scratch_sig(a, b, d.clause)
-            variant, _ = rename_clause(e, sig)
-            if any(blind_key(x) == want for x in para_candidates(c, variant)):
+            variant, _ = rename_clause(e, self.sig)
+            if any(alpha_key(x) == want for x in para_candidates(c, variant)):
                 return
         raise ReplayError("no paramodulation inference produces this clause")
 
     def _r_bool_ext(self, d, parents):
-        want = blind_key(d.clause)
+        want = alpha_key(d.clause)
         c = parents[0].clause
         for i, l in enumerate(c.literals):
             if l.is_shorthand or l.lhs.ty is not O:
                 continue
-            if any(blind_key(x) == want for x in bool_ext(c, i)):
+            if any(alpha_key(x) == want for x in bool_ext(c, i)):
                 return
         raise ReplayError("no Boolean extensionality step matches")
 
     def _r_func_ext(self, d, parents):
-        want = blind_key(d.clause)
+        want = alpha_key(d.clause, self.sig.system)
         c = parents[0].clause
         for i, l in enumerate(c.literals):
             if l.is_shorthand or not isinstance(l.lhs.ty, FunType):
                 continue
-            if blind_key(func_ext(c, i, self._scratch_sig(c, d.clause))) \
-                    == want:
+            if alpha_key(func_ext(c, i, self.sig), self.sig.system) == want:
                 return
         raise ReplayError("no functional extensionality step matches")
 
     def _r_inj(self, d, parents):
-        c = inj_rule(parents[0].clause,
-                     self._scratch_sig(parents[0].clause, d.clause), set())
-        if c is None or blind_key(c) != blind_key(d.clause):
+        c = inj_rule(parents[0].clause, self.sig, set())
+        if c is None or alpha_key(c, self.sig.system) \
+                != alpha_key(d.clause, self.sig.system):
             raise ReplayError("injectivity postulate does not replay")
 
     def _r_prim_subst(self, d, parents):
-        want = blind_key(d.clause)
+        want = alpha_key(d.clause)
         c = parents[0].clause
-        types = base_types_in(t.ty for x in (c, d.clause)
-                              for l in x.literals for t in (l.lhs, l.rhs))
         for i in range(len(c.literals)):
-            out = prim_subst(c, i, self._scratch_sig(c, d.clause), types)
-            if any(blind_key(x) == want for x in out):
+            out = prim_subst(c, i, self.sig, self.inst_types)
+            if any(alpha_key(x) == want for x in out):
                 return
         raise ReplayError("no primitive substitution matches")
 
@@ -243,7 +186,7 @@ class ProofChecker:
         out = simplify(c, units)
         if out.clause is None:
             raise ReplayError("parent simplifies to a tautology")
-        if blind_key(out.clause) != blind_key(d.clause):
+        if alpha_key(out.clause) != alpha_key(d.clause):
             raise ReplayError("simplification does not replay")
 
     def _r_pattern_uni(self, d, parents):
@@ -394,8 +337,9 @@ def check_ground_steps(records: dict, proof: list) -> list:
     return complaints
 
 
-def replay_proof(result, problem=None) -> list:
-    """Convenience wrapper: full structural replay plus ground checks."""
+def replay_proof(result, problem) -> list:
+    """Full structural replay plus ground checks of the refutation in
+    `result`; `problem` is the problem that run saturated."""
     proof = extract_proof(result.records, result.empty_id)
     checker = ProofChecker(result.records, problem, result.naming_threshold)
     out = checker.check(proof)

@@ -13,9 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .terms import (
-    FunType, I, O, Term, base_types_in, canon, fn, neg,
-)
+from .terms import FunType, O, Term, canon, fn, neg
 from .clauses import (
     Clause, Literal, alpha_key, clause_weight, is_empty_clause,
     is_flex_flex, prop_literal, rename_clause, subsumes,
@@ -26,7 +24,7 @@ from .cnf import (
 )
 from .calculus import (
     bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext, inj_rule,
-    para_candidates, prim_subst, simplify,
+    inst_types, para_candidates, prim_subst, simplify,
 )
 from .unification import (
     DEFAULT_DEPTH, DEFAULT_LIMIT, FAIL, NOT_PATTERN, pattern_unify, pre_unify,
@@ -69,7 +67,6 @@ class Derived:
     source: Optional[tuple] = None   # (file name, original formula name)
     bindings: tuple = ()             # ((Free, Term), ...) on first parent
     ps_depth: int = 0
-    from_conjecture: bool = False
 
 
 @dataclass
@@ -87,7 +84,7 @@ class Saturation:
         self.sig = problem.signature
         self.records: dict = {}
         self._next_id = 0
-        self.seen: dict = {}          # alpha_key -> id
+        self.seen: set = set()        # alpha_keys
         self.U: list = []             # ids
         self.P: list = []             # ids
         self.units: list = []         # _units() of the current P
@@ -96,12 +93,9 @@ class Saturation:
         self.empty_id: Optional[int] = None
         self.picks = 0
         self.dropped_heavy = False    # the weight cut discarded a clause
-        # primitive substitution instantiates quantifiers and equations at
-        # the problem's types; only the parser and the modal embedding
-        # declare non-system constants, so these are fixed for the run
-        self.inst_types = base_types_in(
-            ty for name, ty in self.sig.constants.items()
-            if name not in self.sig.system) or (I,)
+        self.inst_types = inst_types(self.sig)
+        self.conjectured = any(f.role in ("conjecture", "negated_conjecture")
+                               for f in problem.formulas)
 
     # -- record keeping -----------------------------------------------------
 
@@ -110,14 +104,12 @@ class Saturation:
                role: str = "plain", source=None, bindings=(),
                ps_extra: int = 0) -> Derived:
         self._next_id += 1
-        parent_recs = [self.records[p] for p in parents]
         d = Derived(
             self._next_id, rule, rule_status(rule), tuple(parents), clause,
             formula,
             role, source, tuple(bindings),
-            max([r.ps_depth for r in parent_recs], default=0) + ps_extra,
-            any(r.from_conjecture for r in parent_recs)
-            or rule == "neg_conjecture")
+            max([self.records[p].ps_depth for p in parents], default=0)
+            + ps_extra)
         self.records[d.id] = d
         return d
 
@@ -239,7 +231,7 @@ class Saturation:
         for pid in self.P:
             if subsumes(self.records[pid].clause, c):
                 return
-        self.seen[key] = d.id
+        self.seen.add(key)
         self.U.append(d.id)
 
     def _units(self) -> list:
@@ -313,7 +305,7 @@ class Saturation:
             if out.changed:
                 g = self.record(out.rule, (gid,) + out.used_units,
                                 clause=out.clause)
-                self.seen.setdefault(alpha_key(g.clause), g.id)
+                self.seen.add(alpha_key(g.clause))
                 gid = g.id
             if is_empty_clause(g.clause):
                 self.empty_id = gid
@@ -393,7 +385,7 @@ class Saturation:
 
     def _refutation_result(self) -> Result:
         status = classify_refutation(self.records, self.empty_id,
-                                     self.problem.conjecture() is not None)
+                                     self.conjectured)
         return self._result(status, self.empty_id)
 
     def _saturated_result(self) -> Result:
@@ -403,9 +395,7 @@ class Saturation:
         ground = all(not self.records[p].clause.free_vars() for p in self.P)
         if not ground or self.dropped_heavy:
             return self._result("GaveUp")
-        has_conj = any(r.rule == "neg_conjecture"
-                       for r in self.records.values())
-        return self._result("CounterSatisfiable" if has_conj
+        return self._result("CounterSatisfiable" if self.conjectured
                             else "Satisfiable")
 
 
@@ -431,11 +421,13 @@ def _needs_cnf(c: Clause) -> bool:
 
 
 def classify_refutation(records: dict, empty_id: int,
-                        had_conjecture: bool) -> str:
-    if not had_conjecture and not any(
-            r.rule == "neg_conjecture" for r in records.values()):
+                        conjectured: bool) -> str:
+    """The status of a refutation; `conjectured` tells whether the problem
+    has a conjecture or negated conjecture."""
+    if not conjectured:
         return "Unsatisfiable"
-    return ("Theorem" if records[empty_id].from_conjecture
+    return ("Theorem" if any(d.rule == "neg_conjecture"
+                             for d in extract_proof(records, empty_id))
             else "ContradictoryAxioms")
 
 

@@ -788,7 +788,7 @@ class Signature:
 
     def __init__(self):
         self.constants: dict[str, SimpleType] = {}
-        self.system: set[str] = set()
+        self.system: set[str] = set()       # the minted constants
         self.base_types: set[str] = {"$i", "$o"}
         self._sk = 0
         self._fv = 0
@@ -819,3 +819,14 @@ class Signature:
     def fresh_free(self, ty: SimpleType) -> Free:
         self._fv += 1
         return free(f"V{self._fv}", ty)
+
+    def copy(self) -> Signature:
+        """An independent copy whose fresh symbols continue past this
+        one's."""
+        sig = Signature()
+        sig.constants = dict(self.constants)
+        sig.system = set(self.system)
+        sig.base_types = set(self.base_types)
+        sig._sk = self._sk
+        sig._fv = self._fv
+        return sig

@@ -54,7 +54,6 @@ class AnnotatedFormula:
     name: str
     role: str
     formula: Union[Term, tuple, LogicSpec, None]
-    source: Optional[str] = None
 
 
 @dataclass
@@ -63,12 +62,6 @@ class Problem:
     formulas: list = field(default_factory=list)
     logic_spec: Optional[LogicSpec] = None
     name: str = "problem"
-
-    def conjecture(self) -> Optional[AnnotatedFormula]:
-        for f in self.formulas:
-            if f.role == "conjecture":
-                return f
-        return None
 
 
 @dataclass

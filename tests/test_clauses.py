@@ -264,6 +264,20 @@ def test_subsumes_keeps_higher_order_patterns():
     assert subsumes(c, d)
 
 
+def test_subsumes_matches_non_pattern_literals_last():
+    # as above, but r sorts after q, so q (F a) comes first in c and can
+    # only be matched once r F has bound F
+    ii = fn(I, res=I)
+    r = const("r", fn(ii, res=O))
+    h = const("h", fn(I, I, res=I))
+    F = free("F", ii)
+    c = Clause([lit(app(r, F)), lit(app(q, app(F, a)))])
+    d = Clause([lit(app(r, lam(I, app(h, bound(0, I), b)))),
+                lit(app(q, app(h, a, b)))])
+    assert c.literals[0].lhs.fvs and c.literals[0].lhs.head is q
+    assert subsumes(c, d)
+
+
 def _subsumes_by_search(c, d):
     """First-order subsumption by brute force: every map of c's variables
     to same-sorted subterms of d, then multiset inclusion of literals."""

@@ -1,12 +1,15 @@
 """The independent proof replay checker."""
 
-from ep_prover.terms import O, app, canon, const, fn, free, I
-from ep_prover.clauses import Clause, Literal, prop_literal
-from ep_prover.replay import (
-    ProofChecker, blind_key, ground_step_valid, replay_proof,
+from ep_prover.terms import (
+    O, Signature, app, bound, canon, const, fn, free, I, lam, pi_const,
 )
-from ep_prover.saturation import ProverConfig, extract_proof, saturate
-from ep_prover.tptp import parse_problem
+from ep_prover.clauses import Clause, Literal, alpha_key, prop_literal
+from ep_prover.cnf import normalize
+from ep_prover.replay import ProofChecker, ground_step_valid, replay_proof
+from ep_prover.saturation import (
+    Derived, ProverConfig, extract_proof, saturate,
+)
+from ep_prover.tptp import Problem, parse_problem, rule_status
 
 
 def run(path, timeout=30.0):
@@ -54,12 +57,83 @@ def test_blind_key_identifies_skolem_renamings():
     f1 = const("sk1", fn(I, res=O))
     f2 = const("sk2", fn(I, res=O))
     a = const("a", I)
+    minted = {"sk1", "sk2"}
     c1 = Clause([prop_literal(canon(app(f1, a)), True)])
     c2 = Clause([prop_literal(canon(app(f2, a)), True)])
-    assert blind_key(c1) == blind_key(c2)
+    assert alpha_key(c1, minted) == alpha_key(c2, minted)
     # but a non-minted constant is not blinded
     c3 = Clause([prop_literal(canon(app(const("g", fn(I, res=O)), a)), True)])
-    assert blind_key(c1) != blind_key(c3)
+    assert alpha_key(c1, minted) != alpha_key(c3, minted)
+
+
+def _step(records, rule, parents=(), **fields):
+    d = Derived(len(records) + 1, rule, rule_status(rule), parents, **fields)
+    records[d.id] = d
+    return d
+
+
+def test_cnf_replay_mints_past_the_runs_variables():
+    # the parent holds the run's V1 free under a quantifier, so the
+    # variable the replay mints for y must not be called V1 too
+    sig = Signature()
+    q = const("q", fn(I, I, res=O))
+    sig.declare("q", q.ty)
+    v1 = sig.fresh_free(I)
+    parent = canon(app(pi_const(I), lam(I, app(q, bound(0, I), v1))))
+    (clause,) = normalize(Clause([prop_literal(parent, True)]), sig)
+    records = {}
+    _step(records, "input", formula=parent)
+    _step(records, "cnf", (1,), clause=clause)
+    checker = ProofChecker(records, Problem(sig, [], None, "v1.p"))
+    assert checker.check(list(records.values())) == []
+
+
+def test_swapped_user_constants_named_like_skolems_are_detected():
+    prob = parse_problem("""
+    thf(sk1_type, type, (sk1: $i)).
+    thf(sk2_type, type, (sk2: $i)).
+    thf(p_type, type, (p: $i > $i > $o)).
+    thf(a1, axiom, ( p @ sk1 @ sk2 )).
+    thf(c, conjecture, ( p @ sk1 @ sk2 )).
+    """, "swap.p")
+    res = saturate(prob, ProverConfig(time_limit=30))
+    assert res.status == "Theorem"
+    assert replay_proof(res, prob) == []
+    proof = extract_proof(res.records, res.empty_id)
+    victim = next(d for d in proof if d.rule == "cnf")
+    (l,) = victim.clause.literals
+    p = l.lhs.head
+    sk1, sk2 = l.lhs.args
+    victim.clause = Clause([prop_literal(app(p, sk2, sk1), l.pos)])
+    complaints = ProofChecker(res.records, prob).check(proof)
+    assert any(c.startswith(f"{victim.id} (cnf)") for c in complaints)
+
+
+def test_prim_subst_replays_at_the_runs_types():
+    # P a may be instantiated by a quantifier over j, a type that only the
+    # constant k mentions; the clauses themselves hold no j
+    prob = parse_problem("""
+    thf(j_type, type, (j: $tType)).
+    thf(k_type, type, (k: j)).
+    thf(a_type, type, (a: $i)).
+    thf(ax, axiom, ( ! [P: $i > $o]: ( P @ a ) )).
+    """, "types.p")
+    sig = prob.signature
+    j = sig.constants["k"]
+    ax = prob.formulas[-1].formula
+    (clause,) = normalize(Clause([prop_literal(ax, True)]), sig)
+    (l,) = clause.literals
+    P = l.lhs.head
+    V = free("W", fn(I, j, res=O))
+    binding = lam(I, app(pi_const(j), lam(j, app(V, bound(1, I),
+                                                bound(0, j)))))
+    records = {}
+    _step(records, "input", formula=ax)
+    _step(records, "cnf", (1,), clause=clause)
+    _step(records, "prim_subst", (2,),
+          clause=Clause([l, Literal(P, binding, False)]))
+    checker = ProofChecker(records, prob)
+    assert checker.check(list(records.values())) == []
 
 
 def test_ground_step_valid_accepts_resolution():

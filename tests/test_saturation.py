@@ -109,8 +109,8 @@ def test_conjecture_ancestry_tracked():
     thf(c, conjecture, ( p | ~ p )).
     """)
     assert res.status == "Theorem"
-    assert any(d.rule == "neg_conjecture" for d in res.records.values())
-    assert res.records[res.empty_id].from_conjecture
+    assert any(d.rule == "neg_conjecture"
+               for d in extract_proof(res.records, res.empty_id))
 
 
 def test_extract_proof_is_topologically_ordered():
