@@ -177,6 +177,20 @@ def alpha_key(c: Clause, minted=frozenset()) -> tuple:
     return tuple(out)
 
 
+def pairs_key(pairs) -> tuple:
+    """(key, variables) of an ordered list of term pairs.  The key is
+    invariant under free-variable renaming only: unlike `alpha_key` it
+    keeps the order of the pairs and of their sides.  The variables come
+    in the order the key numbers them, their first occurrence."""
+    names: dict = {}
+    out: list = []
+    for s, t in pairs:
+        out.append(type_str(s.ty))
+        _term_sig(s, names, out, ())
+        _term_sig(t, names, out, ())
+    return tuple(out), list(names)
+
+
 def rename_clause(c: Clause, sig) -> tuple:
     """Fresh variant of a clause; returns (variant, renaming dict)."""
     fvs = sorted(c.free_vars(), key=lambda v: v.name)

@@ -8,6 +8,7 @@ request, a TSTP refutation certificate.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .terms import (
@@ -36,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
     problem_name = "unknown"
 
     def error(self, message):
-        print(print_szs("Error", self.problem_name))
+        _emit(print_szs("Error", self.problem_name))
         super().error(message)
 
 
@@ -75,15 +76,6 @@ def _add_consts(t: Term, out: dict):
             out.setdefault(k.name, k.ty)
 
 
-def _record_terms(d):
-    if d.clause is not None:
-        for l in d.clause.literals:
-            yield l.lhs
-            yield l.rhs
-    elif d.formula is not None:
-        yield d.formula
-
-
 def build_proof_lines(result: Result, problem: Problem) -> list:
     """TSTP lines for the refutation: type declarations, the relevant
     definitions, and the derivation records in dependency order."""
@@ -95,7 +87,7 @@ def build_proof_lines(result: Result, problem: Problem) -> list:
     # constants of the derivation, then close over definition bodies
     consts: dict = {}
     for d in proof:
-        for t in _record_terms(d):
+        for t in d.terms():
             _add_consts(t, consts)
     used_defs = []
     queue = [n for n in consts if n in definitions]
@@ -163,8 +155,27 @@ def _print_binding(t: Term, names: dict) -> str:
     return print_formula(t)
 
 
+def _emit(*texts: str):
+    """Print texts on stdout and flush it.  A reader that stops early
+    (`| head -1`) is no error: stdout then goes to os.devnull, so that
+    neither a later write nor the interpreter's final flush raises."""
+    try:
+        for text in texts:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):   # a stream without a descriptor
+            sys.stdout = os.fdopen(devnull, "w")
+        else:
+            os.dup2(devnull, fd)
+            os.close(devnull)
+
+
 def _error(name: str, message: str) -> int:
-    print(print_szs("Error", name))
+    _emit(print_szs("Error", name))
     print(message, file=sys.stderr)
     return 2
 
@@ -204,9 +215,10 @@ def run(args) -> int:
         return _error(name, str(e))
     except Exception as e:      # no traceback escapes the CLI
         return _error(name, f"{type(e).__name__}: {e}")
-    print(print_szs(result.status, name))
+    texts = [print_szs(result.status, name)]
     if proof is not None:
-        print(proof)
+        texts.append(proof)
+    _emit(*texts)
     if result.status in SUCCESS_STATUSES:
         return 0
     if result.status in ("GaveUp", "Timeout"):

@@ -40,8 +40,8 @@ class ProofChecker:
     signature, past the run's own fresh symbols, so a constant is minted
     by the run or by the replay exactly when its name is in
     `self.sig.system`.  Clauses of the rules that mint constants are
-    compared up to renaming of those; all others up to renaming of free
-    variables only.
+    compared up to renaming of the minted constants their parent does
+    not hold; all others up to renaming of free variables only.
     """
 
     def __init__(self, records: dict, problem,
@@ -71,6 +71,13 @@ class ProofChecker:
             except ReplayError as e:
                 complaints.append(f"{d.id} ({d.rule}): {e}")
         return complaints
+
+    def _minted_for(self, parent) -> set:
+        """The constants a step of `parent` may rename: those minted by
+        the run or the replay that the parent does not hold.  The
+        parent's own minted constants must come through unchanged."""
+        held = {k.name for t in parent.terms() for k in constants(t)}
+        return self.sig.system - held
 
     # -- per rule -----------------------------------------------------------
 
@@ -104,8 +111,9 @@ class ProofChecker:
         else:
             start = p.clause
         out = normalize(start, self.sig, self.naming_threshold)
-        keys = {alpha_key(c, self.sig.system) for c in out}
-        if alpha_key(d.clause, self.sig.system) not in keys:
+        minted = self._minted_for(p)
+        keys = {alpha_key(c, minted) for c in out}
+        if alpha_key(d.clause, minted) not in keys:
             raise ReplayError("clausification does not produce this clause")
 
     def _r_instantiate(self, d, parents):
@@ -148,19 +156,20 @@ class ProofChecker:
         raise ReplayError("no Boolean extensionality step matches")
 
     def _r_func_ext(self, d, parents):
-        want = alpha_key(d.clause, self.sig.system)
         c = parents[0].clause
         for i, l in enumerate(c.literals):
             if l.is_shorthand or not isinstance(l.lhs.ty, FunType):
                 continue
-            if alpha_key(func_ext(c, i, self.sig), self.sig.system) == want:
+            out = func_ext(c, i, self.sig)
+            minted = self._minted_for(parents[0])
+            if alpha_key(out, minted) == alpha_key(d.clause, minted):
                 return
         raise ReplayError("no functional extensionality step matches")
 
     def _r_inj(self, d, parents):
         c = inj_rule(parents[0].clause, self.sig, set())
-        if c is None or alpha_key(c, self.sig.system) \
-                != alpha_key(d.clause, self.sig.system):
+        minted = self._minted_for(parents[0])
+        if c is None or alpha_key(c, minted) != alpha_key(d.clause, minted):
             raise ReplayError("injectivity postulate does not replay")
 
     def _r_prim_subst(self, d, parents):

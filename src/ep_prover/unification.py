@@ -10,13 +10,13 @@ Flex-flex pairs are never solved here, they are returned as residuals.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .terms import (
     Const, Free, SimpleType, Subst, Term, app, arg_types, bound, canon,
     distinct_bound_args, fn, head_of, invert_pattern, is_eta_var, lam,
-    result_type, same_rigid_head, spine, strip_binders,
+    result_type, same_rigid_head, spine, strip_binders, substitute,
 )
 
 
@@ -34,6 +34,17 @@ class Unifier:
 class UnifOutcome:
     unifiers: list
     exhausted: bool = False  # search hit the depth or time budget somewhere
+    fresh: list = field(default_factory=list)  # minted variables, in order
+
+    def renamed(self, ren: dict) -> "UnifOutcome":
+        """This outcome with its variables renamed by the injective
+        {Free -> Free} map ren (see `Subst.renamed`)."""
+        return UnifOutcome(
+            [Unifier(u.subst.renamed(ren),
+                     tuple((substitute(a, ren), substitute(b, ren))
+                           for a, b in u.residuals))
+             for u in self.unifiers],
+            self.exhausted, [ren.get(v, v) for v in self.fresh])
 
 
 class _Clash(Exception):
@@ -103,11 +114,13 @@ def simplify_pairs(pairs: list, subst: Subst):
 
 
 def general_bindings(var_ty: SimpleType, rigid_head: Optional[Term],
-                     sig) -> list:
+                     sig, minted: Optional[list] = None) -> list:
     """Partial bindings for a flexible head of type var_ty.
 
     The imitation binding (if rigid_head is a constant) comes first,
-    followed by the projection bindings in argument order.
+    followed by the projection bindings in argument order.  The fresh
+    variables taken from sig are appended to `minted`, in the order they
+    were taken, when it is given.
     """
     ats = list(arg_types(var_ty))
     res = result_type(var_ty)
@@ -116,6 +129,8 @@ def general_bindings(var_ty: SimpleType, rigid_head: Optional[Term],
 
     def fresh_applied(goal: SimpleType) -> Term:
         h = sig.fresh_free(fn(*ats, res=goal))
+        if minted is not None:
+            minted.append(h)
         return app(h, *xs) if xs else h
 
     out = []
@@ -141,7 +156,8 @@ def pre_unify(pairs: list, sig, depth: int = DEFAULT_DEPTH,
     Once `time.monotonic()` passes `deadline`, the search stops
     branching.  `exhausted` is set when a branch was cut off by the depth
     budget or the deadline, so an empty result list is only a definitive
-    failure when it is False.
+    failure when it is False.  `fresh` lists the variables the search
+    took from sig, in the order it took them.
     """
     pairs = [(canon(a), canon(b)) for a, b in pairs]
     outcome = UnifOutcome([], False)
@@ -164,7 +180,7 @@ def pre_unify(pairs: list, sig, depth: int = DEFAULT_DEPTH,
         fv = head_of(s)
         rigid = head_of(t)
         head = rigid if isinstance(rigid, Const) else None
-        for b in general_bindings(fv.ty, head, sig):
+        for b in general_bindings(fv.ty, head, sig, outcome.fresh):
             if len(outcome.unifiers) >= limit:
                 return
             search(flex_rigid + flex_flex, subst.bind(fv, b), d + 1)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, stream discipline, proof output."""
 
+import io
 import subprocess
 import sys
 
@@ -228,3 +229,33 @@ def test_modal_s5_universal_flag():
                 "universal")
     assert r.returncode == 0
     assert "% SZS status Theorem" in r.stdout
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away."""
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_keeps_the_verdicts_exit_code(monkeypatch):
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main([f"{PROBLEMS}/corpus/prop_k.p", "-p"]) == 0
+    assert not isinstance(sys.stdout, _ClosedPipe)
+    sys.stdout.close()      # the os.devnull stream main put in its place
+    assert err.getvalue() == ""
+
+
+def test_reader_leaving_early_gets_no_traceback():
+    # the read end is closed before the prover writes its first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ep_prover.cli",
+         f"{PROBLEMS}/corpus/prop_k.p", "-p"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=180) == 0
+    assert err == b""

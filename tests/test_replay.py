@@ -88,6 +88,24 @@ def test_cnf_replay_mints_past_the_runs_variables():
     assert checker.check(list(records.values())) == []
 
 
+def test_cnf_step_may_not_rename_an_inherited_skolem():
+    # sk1 is the parent's own, so clausification must keep it; the
+    # child's sk2 is minted too, but no renaming of minted constants
+    # may turn one into the other
+    sig = Signature()
+    p = const("p", fn(I, res=O))
+    sig.declare("p", p.ty)
+    sk1 = sig.fresh_skolem(I)
+    sk2 = sig.fresh_skolem(I)
+    records = {}
+    _step(records, "input", formula=canon(app(p, sk1)))
+    _step(records, "cnf", (1,),
+          clause=Clause([prop_literal(canon(app(p, sk2)), True)]))
+    checker = ProofChecker(records, Problem(sig, [], None, "sk.p"))
+    assert checker.check(list(records.values())) \
+        == ["2 (cnf): clausification does not produce this clause"]
+
+
 def test_swapped_user_constants_named_like_skolems_are_detected():
     prob = parse_problem("""
     thf(sk1_type, type, (sk1: $i)).

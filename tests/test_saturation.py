@@ -3,11 +3,13 @@
 import random
 import time
 
-from ep_prover.clauses import Clause, Literal, prop_literal
+from ep_prover import saturation
+from ep_prover.clauses import Clause, Literal, pairs_key, prop_literal
 from ep_prover.cnf import normalize
 from ep_prover.saturation import (
     Derived, ProverConfig, Saturation, _needs_cnf, extract_proof, saturate,
 )
+from ep_prover.unification import pre_unify
 from ep_prover.terms import (
     FALSE, I, O, TRUE, Signature, app, bound, canon, conj, const, disj,
     equality, exists, fn, forall, free, iff, implies, neg,
@@ -276,3 +278,106 @@ def test_normalize_returns_no_clause_that_needs_cnf():
             out = normalize(c, Signature(), threshold)
             assert not any(_needs_cnf(nc) for nc in out), c
     assert needing > 150
+
+
+# ---------------------------------------------------------------------------
+# The unifier cache: each pre-unification problem is solved once per run
+# ---------------------------------------------------------------------------
+
+def _cache_run():
+    prob = parse_problem("""
+    thf(f_type, type, (f: $i > $i)).
+    thf(a_type, type, (a: $i)).
+    """, "t.p")
+    return Saturation(prob, ProverConfig(time_limit=30))
+
+
+def _flex_problem(sig, f_name, h_name, k_name):
+    """F a = f a, then the flex-flex pair H a = K a: two unifiers, each
+    with a residual, and a fresh variable minted by the imitation."""
+    f = const("f", sig.constants["f"])
+    a = const("a", sig.constants["a"])
+    F, H, K = (free(n, fn(I, res=I)) for n in (f_name, h_name, k_name))
+    return [(canon(app(F, a)), canon(app(f, a))),
+            (canon(app(H, a)), canon(app(K, a)))]
+
+
+def _cold(sat, pairs, sig):
+    return pre_unify(pairs, sig, depth=sat.config.unif_depth,
+                     limit=sat.config.unifiers_per_inference)
+
+
+def _assert_same_outcome(got, want):
+    assert [list(u.subst.map.items()) for u in got.unifiers] \
+        == [list(u.subst.map.items()) for u in want.unifiers]
+    assert [u.residuals for u in got.unifiers] \
+        == [u.residuals for u in want.unifiers]
+    assert got.exhausted == want.exhausted
+    assert got.fresh == want.fresh
+
+
+def _count_solves(monkeypatch):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return pre_unify(*args, **kw)
+    monkeypatch.setattr(saturation, "pre_unify", counted)
+    return calls
+
+
+def test_renamed_problem_is_a_cache_hit_equal_to_a_cold_solve(monkeypatch):
+    sat = _cache_run()
+    solves = _count_solves(monkeypatch)
+    first = sat._pre_unify(_flex_problem(sat.sig, "F", "H", "K"))
+    assert len(first.unifiers) == 2 and first.fresh
+    # the copy's F is the variable the first solve minted, so the
+    # renaming must be simultaneous
+    (minted,) = first.fresh
+    pairs = _flex_problem(sat.sig, minted.name, "Y", "Z")
+    cold_sig = sat.sig.copy()
+    hit = sat._pre_unify(pairs)
+    assert len(solves) == 1
+    _assert_same_outcome(hit, _cold(sat, pairs, cold_sig))
+    assert sat.sig._fv == cold_sig._fv
+    assert all(u.residuals for u in hit.unifiers)
+
+
+def test_a_solve_that_ends_past_the_deadline_is_not_stored(monkeypatch):
+    sat = _cache_run()
+    pairs = _flex_problem(sat.sig, "F", "H", "K")
+    sat.deadline = time.monotonic() - 1
+    assert sat._pre_unify(pairs).exhausted
+    assert sat.solved == {}
+
+    # complete, but the deadline passed before the solve returned
+    def slow(*args, **kw):
+        kw["deadline"] = None
+        out = pre_unify(*args, **kw)
+        sat.deadline = time.monotonic() - 1
+        return out
+    sat.deadline = time.monotonic() + 60
+    monkeypatch.setattr(saturation, "pre_unify", slow)
+    assert not sat._pre_unify(pairs).exhausted
+    assert sat.solved == {}
+
+
+def test_every_cache_hit_of_a_run_equals_a_cold_solve(monkeypatch):
+    prob = parse_problem(open("problems/sur_cantor.p").read(), "s.p")
+    sat = Saturation(prob, ProverConfig(time_limit=60))
+    cached = Saturation._pre_unify
+    hits = []
+
+    def checked(self, pairs):
+        if pairs_key(pairs)[0] not in self.solved:
+            return cached(self, pairs)
+        cold_sig = self.sig.copy()
+        cold = _cold(self, pairs, cold_sig)
+        out = cached(self, pairs)
+        _assert_same_outcome(out, cold)
+        assert self.sig._fv == cold_sig._fv
+        hits.append(pairs)
+        return out
+    monkeypatch.setattr(Saturation, "_pre_unify", checked)
+    assert sat.run().status == "Theorem"
+    assert hits
