@@ -10,11 +10,14 @@ among them.
 
 from __future__ import annotations
 
+import time
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Optional
 
 from .terms import (
-    Const, Free, FunType, I, NOT, O, OR, Signature, SimpleType, Term,
+    App, Const, Free, FunType, I, NOT, O, OR, Signature, SimpleType, Term,
     TermError, TRUE, FALSE, app, base_types_in, bound, const, eq_const, fn,
     head_of, is_eta_var, lam, neg, pi_const, replace_at, spine,
     subterm_positions, substitute,
@@ -22,7 +25,7 @@ from .terms import (
 from .clauses import (
     Clause, Literal, match_literal, match_terms, prop_literal,
 )
-from .cnf import ordered_free_vars, skolem_term
+from .cnf import OutOfTime, ordered_free_vars, skolem_term
 from .unification import general_bindings
 
 
@@ -84,7 +87,12 @@ def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
 def eqfac_candidates(c: Clause) -> Iterator[Clause]:
     """All factorings of two literals s = t and u = v of c with the same
     polarity and side type: the first is kept, the second replaced by
-    the constraints s != u and t != v."""
+    the constraints s != u and t != v.
+
+    Two ground propositional literals [s]^a and [u]^a are not factored.
+    Each such conclusion is a tautology, the parent again, or carries
+    the ground Boolean constraint [s = u]^ff, which the saturation loop
+    splits at once into a tautology and the parent."""
     n = len(c.literals)
     for i in range(n):
         for j in range(n):
@@ -92,6 +100,9 @@ def eqfac_candidates(c: Clause) -> Iterator[Clause]:
                 continue
             li, lj = c.literals[i], c.literals[j]
             if li.pos is not lj.pos or li.lhs.ty is not lj.lhs.ty:
+                continue
+            if li.is_shorthand and lj.is_shorthand \
+                    and not li.lhs.fvs and not lj.lhs.fvs:
                 continue
             rest = [m for k, m in enumerate(c.literals) if k != j]
             for swap_i in (False, True):
@@ -302,24 +313,52 @@ def _rewrite_once(t: Term, l: Term, r: Term):
     return None
 
 
+def _var_occurrences(t: Term) -> Optional[Counter]:
+    """How often each free variable occurs in t; None when one is applied
+    to arguments."""
+    occ = Counter()
+    for _, s in subterm_positions(t):
+        if isinstance(s, Free):
+            occ[s] += 1
+        elif isinstance(s, App) and isinstance(s.head, Free):
+            return None
+    return occ
+
+
+@cache
 def _orient(lhs: Term, rhs: Term):
-    """Larger side first; None when the equation cannot be oriented."""
-    if lhs.size > rhs.size:
-        return lhs, rhs
-    if rhs.size > lhs.size:
-        return rhs, lhs
-    if lhs.skey > rhs.skey:
-        return lhs, rhs
-    if rhs.skey > lhs.skey:
-        return rhs, lhs
-    return None
+    """Larger side first; None when the equation cannot be oriented.
+
+    A ground equation is oriented by size, then by structural key.  An
+    open one l -> r needs l strictly larger, each free variable occurring
+    in r at most as often as in l, and none applied to arguments, which
+    beta-reduction of an instance could grow.  This is the variable
+    condition of the Knuth-Bendix order: every rewrite step then makes
+    the rewritten instance smaller, so unit rewriting terminates.
+    """
+    if lhs.size == rhs.size:
+        # an open one, such as f X Y = f Y X, could rewrite forever
+        if lhs.fvs or rhs.fvs or lhs is rhs:
+            return None
+        return (lhs, rhs) if lhs.skey > rhs.skey else (rhs, lhs)
+    big, small = (lhs, rhs) if lhs.size > rhs.size else (rhs, lhs)
+    if big.fvs or small.fvs:
+        occ_big = _var_occurrences(big)
+        occ_small = _var_occurrences(small)
+        if occ_big is None or occ_small is None \
+                or any(n > occ_big[x] for x, n in occ_small.items()):
+            return None
+    return big, small
 
 
-def simplify(c: Clause, units=()) -> SimplifyOutcome:
+def simplify(c: Clause, units=(),
+             deadline: Optional[float] = None) -> SimplifyOutcome:
     """Clause contraction to a fixpoint.
 
     units is a sequence of (id, unit Clause) used for oriented rewriting
     and contextual unit cutting; both record the unit id they used.
+    Raises OutOfTime once `deadline` (a `time.monotonic()` value) has
+    passed at the end of a pass that changed the clause.
     """
     lits = list(c.literals)
     changed = False
@@ -402,6 +441,8 @@ def simplify(c: Clause, units=()) -> SimplifyOutcome:
                 break
         if progressed:
             changed = True
+            if deadline is not None and time.monotonic() > deadline:
+                raise OutOfTime
             continue
         break
     # every rule that fires sets `changed`, so an unchanged clause still

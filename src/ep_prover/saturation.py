@@ -211,7 +211,7 @@ class Saturation:
                                  key=lambda x: x._key):
                     stack.append(self.record("cnf", (cur.id,), clause=nc))
                 continue
-            out = simplify(c, self.units)
+            out = simplify(c, self.units, self.deadline)
             if out.clause is None:
                 continue
             if out.changed:
@@ -335,7 +335,10 @@ class Saturation:
             gid = self._select()
             g = self.records[gid]
             # forward simplification against current units
-            out = simplify(g.clause, self.units)
+            try:
+                out = simplify(g.clause, self.units, self.deadline)
+            except OutOfTime:
+                return self._result("Timeout")
             if out.clause is None:
                 continue
             if out.changed:

@@ -1,11 +1,16 @@
 """Inference rules: paramodulation, factoring, extensionality, and
 clause simplification."""
 
+import time
+
+import pytest
+
 from ep_prover.terms import (
     Const, FALSE, I, O, Signature, TRUE, app, bound, canon, const, fn, free,
     lam,
 )
 from ep_prover.clauses import Clause, Literal, head_of, prop_literal
+from ep_prover.cnf import OutOfTime
 from ep_prover.calculus import (
     _orient, bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext,
     finite_domain, inj_rule, match_injectivity, para_candidates, prim_subst,
@@ -51,6 +56,23 @@ def test_eqfac_merges_same_polarity_literals():
     out = list(eqfac_candidates(c))
     assert out
     assert all(len(x) >= 1 for x in out)
+
+
+def test_eqfac_skips_two_ground_propositional_literals():
+    q, r = const("q", O), const("r", O)
+    for pos in (True, False):
+        c = Clause([prop_literal(q, pos), prop_literal(r, pos)])
+        assert list(eqfac_candidates(c)) == []
+
+
+def test_eqfac_factors_pairs_that_are_not_both_ground_propositional():
+    X, Y = free("X", I), free("Y", I)
+    ground, open_ = plit(app(p, a)), plit(app(p, X))
+    assert list(eqfac_candidates(Clause([ground, open_])))
+    assert list(eqfac_candidates(Clause([open_, plit(app(p, Y))])))
+    # ground equations that are not propositional literals
+    assert list(eqfac_candidates(Clause([Literal(a, b, True),
+                                         Literal(app(f, a), b, True)])))
 
 
 def test_bool_ext_positive_split():
@@ -145,6 +167,50 @@ def test_orient_prefers_larger_side():
     assert _orient(small, big) == (big, small)
     assert _orient(big, small) == (big, small)
     assert _orient(small, small) is None
+
+
+# f3 c c X = g2 X X and g2 (d (d Y)) Z = f3 c c Z: each shrinks as
+# written, but the first duplicates X, so f3 c c (d (d a)) rewrites to
+# itself
+c0 = const("c", I)
+d = const("d", fn(I, res=I))
+f3 = const("f3", fn(I, I, I, res=I))
+g2 = const("g2", fn(I, I, res=I))
+
+
+def test_orient_rejects_a_variable_duplicating_equation():
+    X = free("X", I)
+    assert _orient(canon(app(f3, c0, c0, X)), canon(app(g2, X, X))) is None
+    assert _orient(canon(app(g2, X, X)), canon(app(f3, c0, c0, X))) is None
+
+
+def test_orient_rejects_an_open_equation_of_equal_sizes():
+    X, Y = free("X", I), free("Y", I)
+    assert _orient(canon(app(g2, X, Y)), canon(app(g2, Y, X))) is None
+    # a ground one is still oriented, by structural key
+    assert _orient(canon(app(g2, a, b)), canon(app(g2, b, a))) is not None
+
+
+def test_orient_rejects_an_applied_variable():
+    F = free("F", fn(I, res=I))
+    big, small = canon(app(g2, app(F, a), a)), canon(app(F, a))
+    assert _orient(big, small) is None
+    assert _orient(small, big) is None
+
+
+def test_orient_keeps_a_variable_condition_equation():
+    X, Y = free("X", I), free("Y", I)
+    big = canon(app(g2, app(d, app(d, Y)), X))
+    small = canon(app(f3, c0, c0, X))
+    assert _orient(small, big) == (big, small)
+
+
+def test_simplify_checks_the_deadline_after_a_changing_pass():
+    l = plit(app(p, a))
+    past = time.monotonic() - 1
+    assert simplify(Clause([l]), (), past).clause is not None
+    with pytest.raises(OutOfTime):
+        simplify(Clause([l, l]), (), past)
 
 
 def test_simplify_removes_duplicates_and_trivial():

@@ -3,11 +3,15 @@
 import io
 import subprocess
 import sys
+import time
 
 import pytest
 
 from ep_prover import cli
+from ep_prover.calculus import simplify
 from ep_prover.cli import build_parser, main
+from ep_prover.saturation import ProverConfig, Saturation
+from ep_prover.tptp import parse_problem
 
 
 PROBLEMS = "problems"
@@ -149,6 +153,36 @@ def test_timeout_exit_one():
     r = run_cli(f"{PROBLEMS}/inj_cantor.p", "--no-inj", "-t", "2")
     assert r.returncode == 1
     assert "% SZS status Timeout" in r.stdout
+
+
+# u1 duplicates X, so rewriting with u1 and u2 would cycle on
+# f c c (d (d a)) -> g (d (d a)) (d (d a)) -> f c c (d (d a))
+LOOP = """
+thf(c_t,type,c:$i). thf(a_t,type,a:$i). thf(d_t,type,d:$i>$i).
+thf(f_t,type,f:$i>$i>$i>$i). thf(g_t,type,g:$i>$i>$i).
+thf(q_t,type,q:$i>$i>$i>$o).
+thf(u1,axiom,![X:$i]: ((f@c@c@X) = (g@X@X))).
+thf(u2,axiom,![Y:$i,Z:$i]: ((g@(d@(d@Y))@Z) = (f@c@c@Z))).
+thf(goal,conjecture,q@(f@c@c@(d@(d@a)))@(d@(d@(d@a)))@(d@(d@(d@(d@a))))).
+"""
+
+
+def test_variable_duplicating_units_keep_the_time_limit(tmp_path):
+    f = tmp_path / "loop.p"
+    f.write_text(LOOP)
+    # the outer timeout fails a hang instead of stalling the suite
+    r = run_cli(str(f), "-t", "2", timeout=60)
+    assert r.returncode == 1
+    assert r.stdout.splitlines()[0] in ("% SZS status Timeout for loop.p",
+                                        "% SZS status GaveUp for loop.p")
+    # and rewriting the input clauses with each other reaches a normal
+    # form well before the deadline, which a rewrite cycle would pass
+    sat = Saturation(parse_problem(LOOP, "loop.p"), ProverConfig())
+    sat.preprocess()
+    units = [(i, sat.records[i].clause) for i in sat.U]
+    assert len(units) == 3 and all(len(c) == 1 for _, c in units)
+    for _, c in units:
+        assert simplify(c, units, time.monotonic() + 10).clause is not None
 
 
 def test_machine_lines_only_on_stdout():

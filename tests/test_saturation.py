@@ -5,7 +5,7 @@ import time
 
 from ep_prover import saturation
 from ep_prover.clauses import Clause, Literal, pairs_key, prop_literal
-from ep_prover.cnf import normalize
+from ep_prover.cnf import OutOfTime, normalize
 from ep_prover.saturation import (
     Derived, ProverConfig, Saturation, _needs_cnf, extract_proof, saturate,
 )
@@ -15,6 +15,9 @@ from ep_prover.terms import (
     equality, exists, fn, forall, free, iff, implies, neg,
 )
 from ep_prover.tptp import AnnotatedFormula, Problem, parse_problem
+from ep_prover.modal import embed
+
+from test_acceptance import _ATOMS, _gen_formula, _to_term
 
 
 def prove(text, timeout=30.0, **kw):
@@ -177,6 +180,21 @@ def test_timeout_inside_clausification():
     assert res.status == "Timeout"
     assert time.monotonic() - t0 < 2
     assert not any(d.rule == "cnf" for d in res.records.values())
+
+
+def test_timeout_inside_forward_simplification(monkeypatch):
+    sat = Saturation(parse_problem("""
+    thf(p_type, type, (p: $o)). thf(q_type, type, (q: $o)).
+    thf(a1, axiom, ( p | q )).
+    """, "t.p"), ProverConfig(time_limit=30))
+    real = saturation.simplify
+
+    def slow(c, units=(), deadline=None):
+        if sat.picks:     # the given clause's forward simplification
+            raise OutOfTime
+        return real(c, units, deadline)
+    monkeypatch.setattr(saturation, "simplify", slow)
+    assert sat.run().status == "Timeout"
 
 
 def test_definition_expansion_recorded():
@@ -381,3 +399,84 @@ def test_every_cache_hit_of_a_run_equals_a_cold_solve(monkeypatch):
     monkeypatch.setattr(Saturation, "_pre_unify", checked)
     assert sat.run().status == "Theorem"
     assert hits
+
+
+# ---------------------------------------------------------------------------
+# Skipping the factoring of two ground propositional literals leaves the
+# search as it was
+# ---------------------------------------------------------------------------
+
+def _eqfac_every_pair(c):
+    """`eqfac_candidates` as it was before ground propositional pairs were
+    skipped: every same-polarity pair of literals of the same side type."""
+    n = len(c.literals)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            li, lj = c.literals[i], c.literals[j]
+            if li.pos is not lj.pos or li.lhs.ty is not lj.lhs.ty:
+                continue
+            rest = [m for k, m in enumerate(c.literals) if k != j]
+            for swap_i in (False, True):
+                s, t = (li.rhs, li.lhs) if swap_i else (li.lhs, li.rhs)
+                for swap_j in (False, True):
+                    u, v = (lj.rhs, lj.lhs) if swap_j else (lj.lhs, lj.rhs)
+                    yield Clause(rest + [Literal(s, u, False),
+                                         Literal(t, v, False)])
+
+
+def _given_clauses(monkeypatch, make_problem, config, enumerator):
+    """Status and the clauses entering P, in order, of one run."""
+    entered = []
+    generate = Saturation._generate
+
+    def spy(self, gid):
+        entered.append(self.records[gid].clause)
+        return generate(self, gid)
+    with monkeypatch.context() as m:
+        m.setattr(saturation, "eqfac_candidates", enumerator)
+        m.setattr(Saturation, "_generate", spy)
+        status = Saturation(make_problem(), config).run().status
+    return status, entered
+
+
+def _assert_same_search(monkeypatch, make_problem, config):
+    old = _given_clauses(monkeypatch, make_problem, config, _eqfac_every_pair)
+    new = _given_clauses(monkeypatch, make_problem, config,
+                         saturation.eqfac_candidates)
+    assert new == old
+    return new[1]
+
+
+def test_skipped_factorings_leave_propositional_searches_unchanged(
+        monkeypatch):
+    rng = random.Random(11)
+    config = ProverConfig(time_limit=30, naming_threshold=10 ** 9)
+    factored = 0
+    for _ in range(300):
+        term = canon(_to_term(_gen_formula(rng, 8)))
+
+        def make_problem():
+            sig = Signature()
+            for c in _ATOMS:
+                sig.declare(c.name, O)
+            return Problem(sig, [AnnotatedFormula("f", "axiom", term)],
+                           None, "sample.p")
+        given = _assert_same_search(monkeypatch, make_problem, config)
+        factored += any(len(c) > 1 for c in given)
+    # most searches pick a clause with a pair of literals to factor
+    assert factored > 100
+
+
+def test_skipped_factorings_leave_corpus_searches_unchanged(monkeypatch):
+    expected = dict(line.split() for line in
+                    open("problems/corpus/expected_status.txt"))
+    for name in sorted(expected):
+        text = open(f"problems/corpus/{name}").read()
+
+        def make_problem():
+            prob = parse_problem(text, name)
+            return embed(prob) if prob.logic_spec is not None else prob
+        _assert_same_search(monkeypatch, make_problem,
+                            ProverConfig(time_limit=60))
