@@ -50,6 +50,11 @@ def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
     rewritten by an equation l = r of d; the conclusion carries the
     unification constraint between that subterm and l.  The premises
     must already be variable-disjoint.
+
+    A ground atom [p]^tt does not rewrite a different ground atom [q]^ff
+    as a whole.  That conclusion only carries the ground Boolean
+    constraint [q = p]^ff, which the saturation loop splits at once into
+    two clauses, one containing d and the other c.
     """
     for j, lit_d in enumerate(d.literals):
         if not lit_d.pos:
@@ -61,6 +66,10 @@ def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
             # redundant inferences between positive propositional literals
             if lit_c.pos and lit_c.is_shorthand and lit_d.is_shorthand:
                 continue
+            # the root of a different ground atom: see the docstring
+            skip_root = lit_c.is_shorthand and lit_d.is_shorthand \
+                and not lit_c.lhs.fvs and not lit_d.lhs.fvs \
+                and lit_c.lhs is not lit_d.lhs
             rest = [m for k, m in enumerate(c.literals) if k != i]
             rest.extend(rest_d)
             for swap in (False, True):
@@ -74,6 +83,8 @@ def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
                         continue
                     for pi, sub in subterm_positions(s):
                         if sub.ty is not l.ty or not _para_target(sub):
+                            continue
+                        if skip_root and sub is s:
                             continue
                         yield Clause([Literal(replace_at(s, pi, r), t,
                                               lit_c.pos)]

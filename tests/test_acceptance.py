@@ -33,11 +33,11 @@ from ep_prover.unification import (
 PROBLEMS = "problems"
 
 
-def run_problem(path, timeout, **kw):
+def run_problem(path, timeout, s5_mode="relational", **kw):
     name = path.rsplit("/", 1)[-1]
     prob = parse_problem(open(path).read(), name)
     if prob.logic_spec is not None:
-        prob = embed(prob)
+        prob = embed(prob, s5_mode)
     t0 = time.monotonic()
     res = saturate(prob, ProverConfig(time_limit=timeout, **kw))
     return prob, res, time.monotonic() - t0
@@ -493,6 +493,20 @@ def test_ground_steps_valid_in_benchmark_proofs(
     for prob, res, _ in (sur_cantor, inj_cantor, becker, contradictory):
         proof = extract_proof(res.records, res.empty_id)
         assert check_ground_steps(res.records, proof) == [], prob.name
+
+
+def test_every_benchmark_refutation_replays(becker, contradictory):
+    corpus = sorted(line.split()[0] for line in
+                    open(f"{PROBLEMS}/corpus/expected_status.txt"))
+    runs = [run_problem(f"{PROBLEMS}/corpus/{name}", 60) for name in corpus]
+    runs += [becker, contradictory,
+             run_problem(f"{PROBLEMS}/becker.p", 60, s5_mode="universal")]
+    for prob, res, _ in runs:
+        assert res.empty_id is not None, prob.name
+        assert replay_proof(res, prob) == [], prob.name
+        proof = extract_proof(res.records, res.empty_id)
+        assert check_ground_steps(res.records, proof) == [], prob.name
+    assert len(runs) == 25
 
 
 # ---------------------------------------------------------------------------

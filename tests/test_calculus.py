@@ -50,6 +50,47 @@ def test_para_skips_truth_constant_sides():
                for l in x if l.pos and not l.is_shorthand)
 
 
+def test_para_skips_a_ground_atom_into_a_different_ground_atom():
+    q, r = const("q", O), const("r", O)
+    assert list(para_candidates(Clause([prop_literal(r, False)]),
+                                Clause([prop_literal(q, True)]))) == []
+    pa = canon(app(p, a))
+    assert list(para_candidates(Clause([prop_literal(q, False)]),
+                                Clause([prop_literal(pa, True)]))) == []
+
+
+def test_para_keeps_ground_resolution():
+    q = const("q", O)
+    out = list(para_candidates(Clause([prop_literal(q, False)]),
+                               Clause([prop_literal(q, True)])))
+    # [$true = $true]^ff and the trivial constraint [q = q]^ff
+    assert out == [Clause([Literal(TRUE, TRUE, False),
+                           Literal(q, q, False)])]
+
+
+def test_para_keeps_a_ground_atom_into_a_proper_subterm():
+    q = const("q", O)
+    h = const("h", fn(O, res=O))
+    hq = canon(app(h, q))
+    out = list(para_candidates(Clause([prop_literal(hq, False)]),
+                               Clause([prop_literal(q, True)])))
+    assert Clause([prop_literal(canon(app(h, TRUE)), False),
+                   Literal(q, q, False)]) in out
+    # the whole atom h @ q is not rewritten
+    assert all(Literal(hq, q, False) not in x for x in out)
+
+
+def test_para_keeps_atoms_with_free_variables():
+    q = const("q", O)
+    P = free("P", fn(I, res=O))
+    X = free("X", I)
+    PX = canon(app(P, X))
+    assert list(para_candidates(Clause([prop_literal(q, False)]),
+                                Clause([prop_literal(PX, True)])))
+    assert list(para_candidates(Clause([prop_literal(PX, False)]),
+                                Clause([prop_literal(q, True)])))
+
+
 def test_eqfac_merges_same_polarity_literals():
     X, Y = free("X", I), free("Y", I)
     c = Clause([plit(app(p, X)), plit(app(p, Y))])

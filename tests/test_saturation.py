@@ -5,6 +5,7 @@ import time
 
 from ep_prover import saturation
 from ep_prover.clauses import Clause, Literal, pairs_key, prop_literal
+from ep_prover.calculus import _para_target, para_candidates
 from ep_prover.cnf import OutOfTime, normalize
 from ep_prover.saturation import (
     Derived, ProverConfig, Saturation, _needs_cnf, extract_proof, saturate,
@@ -12,7 +13,8 @@ from ep_prover.saturation import (
 from ep_prover.unification import pre_unify
 from ep_prover.terms import (
     FALSE, I, O, TRUE, Signature, app, bound, canon, conj, const, disj,
-    equality, exists, fn, forall, free, iff, implies, neg,
+    equality, exists, fn, forall, free, iff, implies, neg, replace_at,
+    subterm_positions,
 )
 from ep_prover.tptp import AnnotatedFormula, Problem, parse_problem
 from ep_prover.modal import embed
@@ -426,8 +428,9 @@ def _eqfac_every_pair(c):
                                          Literal(t, v, False)])
 
 
-def _given_clauses(monkeypatch, make_problem, config, enumerator):
-    """Status and the clauses entering P, in order, of one run."""
+def _given_clauses(monkeypatch, make_problem, config, name, enumerator):
+    """Status and the clauses entering P, in order, of one run with
+    `enumerator` in place of the saturation module's `name`."""
     entered = []
     generate = Saturation._generate
 
@@ -435,48 +438,134 @@ def _given_clauses(monkeypatch, make_problem, config, enumerator):
         entered.append(self.records[gid].clause)
         return generate(self, gid)
     with monkeypatch.context() as m:
-        m.setattr(saturation, "eqfac_candidates", enumerator)
+        m.setattr(saturation, name, enumerator)
         m.setattr(Saturation, "_generate", spy)
         status = Saturation(make_problem(), config).run().status
     return status, entered
 
 
-def _assert_same_search(monkeypatch, make_problem, config):
-    old = _given_clauses(monkeypatch, make_problem, config, _eqfac_every_pair)
-    new = _given_clauses(monkeypatch, make_problem, config,
-                         saturation.eqfac_candidates)
-    assert new == old
-    return new[1]
+def _assert_same_search(monkeypatch, make_problem, config, name, old,
+                        new=None):
+    """The run with the old enumerator and the run with `new` (by default
+    the current one) pick the same clauses and end in the same status."""
+    old_run = _given_clauses(monkeypatch, make_problem, config, name, old)
+    new_run = _given_clauses(monkeypatch, make_problem, config, name,
+                             new or getattr(saturation, name))
+    assert new_run == old_run
+    return new_run[1]
 
 
-def test_skipped_factorings_leave_propositional_searches_unchanged(
-        monkeypatch):
+def _seeded_problems():
+    """Makers of 300 seeded propositional problems (seed 11)."""
     rng = random.Random(11)
-    config = ProverConfig(time_limit=30, naming_threshold=10 ** 9)
-    factored = 0
     for _ in range(300):
         term = canon(_to_term(_gen_formula(rng, 8)))
 
-        def make_problem():
+        def make_problem(term=term):
             sig = Signature()
             for c in _ATOMS:
                 sig.declare(c.name, O)
             return Problem(sig, [AnnotatedFormula("f", "axiom", term)],
                            None, "sample.p")
-        given = _assert_same_search(monkeypatch, make_problem, config)
+        yield make_problem
+
+
+def _corpus_problems():
+    """Makers of the corpus problems, modal ones embedded."""
+    expected = dict(line.split() for line in
+                    open("problems/corpus/expected_status.txt"))
+    for name in sorted(expected):
+        text = open(f"problems/corpus/{name}").read()
+
+        def make_problem(text=text, name=name):
+            prob = parse_problem(text, name)
+            return embed(prob) if prob.logic_spec is not None else prob
+        yield make_problem
+
+
+_SWEEP_CONFIG = ProverConfig(time_limit=30, naming_threshold=10 ** 9)
+
+
+def test_skipped_factorings_leave_propositional_searches_unchanged(
+        monkeypatch):
+    factored = 0
+    for make_problem in _seeded_problems():
+        given = _assert_same_search(monkeypatch, make_problem, _SWEEP_CONFIG,
+                                    "eqfac_candidates", _eqfac_every_pair)
         factored += any(len(c) > 1 for c in given)
     # most searches pick a clause with a pair of literals to factor
     assert factored > 100
 
 
 def test_skipped_factorings_leave_corpus_searches_unchanged(monkeypatch):
-    expected = dict(line.split() for line in
-                    open("problems/corpus/expected_status.txt"))
-    for name in sorted(expected):
-        text = open(f"problems/corpus/{name}").read()
-
-        def make_problem():
-            prob = parse_problem(text, name)
-            return embed(prob) if prob.logic_spec is not None else prob
+    for make_problem in _corpus_problems():
         _assert_same_search(monkeypatch, make_problem,
-                            ProverConfig(time_limit=60))
+                            ProverConfig(time_limit=60),
+                            "eqfac_candidates", _eqfac_every_pair)
+
+
+# ---------------------------------------------------------------------------
+# Skipping paramodulation between two different ground atoms leaves the
+# search as it was
+# ---------------------------------------------------------------------------
+
+def _para_every_position(c, d):
+    """`para_candidates` as it was before a ground atom [p]^tt stopped
+    rewriting a different ground atom [q]^ff as a whole."""
+    for j, lit_d in enumerate(d.literals):
+        if not lit_d.pos:
+            continue
+        rest_d = d.literals[:j] + d.literals[j + 1:]
+        for i, lit_c in enumerate(c.literals):
+            if c is d and i == j:
+                continue
+            if lit_c.pos and lit_c.is_shorthand and lit_d.is_shorthand:
+                continue
+            rest = [m for k, m in enumerate(c.literals) if k != i]
+            rest.extend(rest_d)
+            for swap in (False, True):
+                l, r = (lit_d.rhs, lit_d.lhs) if swap \
+                    else (lit_d.lhs, lit_d.rhs)
+                if l is TRUE or l is FALSE:
+                    continue
+                for side in (0, 1):
+                    s, t = (lit_c.lhs, lit_c.rhs) if side == 0 \
+                        else (lit_c.rhs, lit_c.lhs)
+                    if side == 1 and s is lit_c.lhs:
+                        continue
+                    for pi, sub in subterm_positions(s):
+                        if sub.ty is not l.ty or not _para_target(sub):
+                            continue
+                        yield Clause([Literal(replace_at(s, pi, r), t,
+                                              lit_c.pos)]
+                                     + rest + [Literal(sub, l, False)])
+
+
+def _para_counting_skips(skipped):
+    """`para_candidates` that adds to skipped[0] the conclusions it leaves
+    out against `_para_every_position`."""
+    def counted(c, d):
+        out = list(para_candidates(c, d))
+        skipped[0] += sum(1 for _ in _para_every_position(c, d)) - len(out)
+        return iter(out)
+    return counted
+
+
+def test_skipped_paramodulants_leave_propositional_searches_unchanged(
+        monkeypatch):
+    fired = 0
+    for make_problem in _seeded_problems():
+        skipped = [0]
+        _assert_same_search(monkeypatch, make_problem, _SWEEP_CONFIG,
+                            "para_candidates", _para_every_position,
+                            _para_counting_skips(skipped))
+        fired += skipped[0] > 0
+    # most searches paramodulate a ground atom into another one
+    assert fired > 100
+
+
+def test_skipped_paramodulants_leave_corpus_searches_unchanged(monkeypatch):
+    for make_problem in _corpus_problems():
+        _assert_same_search(monkeypatch, make_problem,
+                            ProverConfig(time_limit=60),
+                            "para_candidates", _para_every_position)
