@@ -62,12 +62,17 @@ def prop_literal(formula: Term, pos: bool) -> Literal:
 class Clause:
     """Multiset of literals, stored sorted for canonical identity."""
 
-    __slots__ = ("literals", "_key")
+    __slots__ = ("literals", "_key", "_match")
+
+    literals: tuple
+    _key: tuple
+    _match: Optional[tuple]     # what `subsumes` reads, once known
 
     def __init__(self, literals: Iterable[Literal]):
         lits = sorted(literals, key=lambda l: l._key)
         self.literals = tuple(lits)
         self._key = tuple(l._key for l in lits)
+        self._match = None
 
     def __eq__(self, other):
         return isinstance(other, Clause) and self._key == other._key
@@ -139,25 +144,75 @@ def _term_sig(t: Term, names: Optional[dict], out: list, minted):
             _term_sig(a, names, out, minted)
 
 
+_blind_ids: dict = {}
+
+
+@cache
+def _blind(t: Term) -> int:
+    """Name-blind id of t: two terms get the same id exactly when they
+    differ only in the names of their free variables.  A ground term's id
+    is its `tid`; the others get negative ids from `_blind_ids`."""
+    if not t.fvs:
+        return t.tid
+    if isinstance(t, Free):
+        key = ("v", t.ty.uid)
+    elif isinstance(t, Abs):
+        key = ("l", t.var_ty.uid, _blind(t.body))
+    else:
+        key = ("a", _blind(t.head), *map(_blind, t.args))
+    return _blind_ids.setdefault(key, -1 - len(_blind_ids))
+
+
+def _number_vars(t: Term, names: dict, out: list):
+    """Append to out the number of each free-variable occurrence in t,
+    numbering by first occurrence; only subterms with free variables are
+    walked."""
+    while isinstance(t, Abs):
+        t = t.body
+    if isinstance(t, Free):
+        out.append(names.setdefault(t, len(names)))
+        return
+    if t.head.fvs:
+        _number_vars(t.head, names, out)
+    for a in t.args:
+        if a.fvs:
+            _number_vars(a, names, out)
+
+
 def alpha_key(c: Clause, minted=frozenset()) -> tuple:
     """Hashable clause key invariant under free-variable renaming.
 
-    Literals are ordered by a name-blind structural key, then free
-    variables are numbered by first occurrence in that order.  Constants
-    named in `minted` (fresh symbols a run or a replay invented) are
-    numbered the same way, so the key is also invariant under their
-    renaming.
+    Literals are ordered by a name-blind key, then free variables are
+    numbered by first occurrence in that order.  Constants named in
+    `minted` (fresh symbols a run or a replay invented) are numbered the
+    same way, so the key is also invariant under their renaming.
 
-    Renaming cannot change a ground clause, so with nothing minted a
-    ground clause keys on its content, `Clause._key`.  Those keys are
-    tuples of triples and never equal the string tuples built below.
+    With nothing minted, a literal's name-blind key is its polarity and
+    the `_blind` ids of its sides; the sort is stable, so literals with
+    equal keys keep their clause order.  The clause key is the sorted
+    triples followed by the variable numbers.  Renaming cannot change a
+    ground clause, so a ground clause keys on its content, `Clause._key`,
+    whose triples hold strings and never equal the integer triples.
+    With something minted the key is made of `_term_sig` strings.
     """
+    lits = c.literals
     if not minted:
-        for l in c.literals:
+        for l in lits:
             if l.lhs.fvs or l.rhs.fvs:
                 break
         else:
             return c._key
+        keys = [(l.pos, _blind(l.lhs), _blind(l.rhs)) for l in lits]
+        order = sorted(range(len(lits)), key=keys.__getitem__)
+        names: dict = {}
+        out = [keys[i] for i in order]
+        for i in order:
+            l = lits[i]
+            if l.lhs.fvs:
+                _number_vars(l.lhs, names, out)
+            if l.rhs.fvs:
+                _number_vars(l.rhs, names, out)
+        return tuple(out)
 
     def blind(l: Literal) -> tuple:
         acc = ["+" if l.pos else "-"]
@@ -165,12 +220,11 @@ def alpha_key(c: Clause, minted=frozenset()) -> tuple:
         _term_sig(l.rhs, None, acc, minted)
         return tuple(acc)
 
-    order = sorted(range(len(c.literals)),
-                   key=lambda i: blind(c.literals[i]))
-    names: dict = {}
-    out: list = []
+    order = sorted(range(len(lits)), key=lambda i: blind(lits[i]))
+    names = {}
+    out = []
     for i in order:
-        l = c.literals[i]
+        l = lits[i]
         out.append("+" if l.pos else "-")
         _term_sig(l.lhs, names, out, minted)
         _term_sig(l.rhs, names, out, minted)
@@ -293,15 +347,56 @@ def match_literal(pl: Literal, tl: Literal, binding: dict):
                 yield m2
 
 
+def _rigid_head(t: Term):
+    """The `head_of` t as `heads_fit` compares it: a constant itself, a
+    bound variable's index, None for a free variable."""
+    h = head_of(t)
+    if isinstance(h, Bound):
+        return h.index
+    return None if isinstance(h, Free) else h
+
+
+def _match_info(c: Clause) -> tuple:
+    """(rigid heads, matching order) of c, kept in `c._match`.  The heads
+    are (pos, lhs head, rhs head) per literal; the order puts a literal
+    that only matches once its variables are bound last."""
+    info = c._match
+    if info is None:
+        heads = tuple([(l.pos, _rigid_head(l.lhs), _rigid_head(l.rhs))
+                       for l in c.literals])
+        info = c._match = (heads,
+                           tuple(sorted(c.literals,
+                                        key=_needs_binding_literal)))
+    return info
+
+
+def heads_fit(c: Clause, d: Clause) -> bool:
+    """A necessary condition for `subsumes(c, d)`: every literal of c has
+    a literal of d of the same polarity whose rigid heads fit, in either
+    orientation.  A free-variable head of c fits any head; any other head
+    of c must equal d's, and a free-variable head of d equals none of
+    them, because `match_terms` treats it as rigid."""
+    dh = _match_info(d)[0]
+    for pos, a, b in _match_info(c)[0]:
+        for dpos, x, y in dh:
+            if dpos is pos and (
+                    (a is None or a == x) and (b is None or b == y)
+                    or (a is None or a == y) and (b is None or b == x)):
+                break
+        else:
+            return False
+    return True
+
+
 def subsumes(c: Clause, d: Clause) -> bool:
     """True if some substitution of c's variables maps c into d as a
-    literal multiset; c and d may share variable names (`match_terms`)."""
-    if len(c) > len(d):
+    literal multiset; c and d may share variable names (`match_terms`).
+    Matching starts only once `heads_fit` holds."""
+    if len(c) > len(d) or not heads_fit(c, d):
         return False
 
-    # a literal that only matches once its variables are bound goes last
-    cl = sorted(c.literals, key=_needs_binding_literal)
-    dl = list(d.literals)
+    cl = _match_info(c)[1]
+    dl = d.literals
 
     def go(i: int, binding: dict, used: int) -> bool:
         if i == len(cl):

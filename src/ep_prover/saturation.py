@@ -97,6 +97,10 @@ class Saturation:
         self.seen: set = set()        # alpha_keys
         self.U: list = []             # ids
         self.P: list = []             # ids
+        # id -> how many clauses had been appended to P when the clause
+        # entered U, and again when it was appended to P itself
+        self.stamp: dict = {}
+        self.appended = 0
         self.units: list = []         # _units() of the current P
         self.deadline = None
         self.inj_done: set = set()
@@ -243,6 +247,7 @@ class Saturation:
             if subsumes(self.records[pid].clause, c):
                 return
         self.seen.add(key)
+        self.stamp[d.id] = self.appended
         self.U.append(d.id)
 
     def _units(self) -> list:
@@ -334,6 +339,9 @@ class Saturation:
                 return self._result("GaveUp")
             gid = self._select()
             g = self.records[gid]
+            # `_enqueue` found no P entry older than this stamp subsuming
+            # the clause; a simplified clause is checked against all of P
+            since = self.stamp[gid]
             # forward simplification against current units
             try:
                 out = simplify(g.clause, self.units, self.deadline)
@@ -346,14 +354,17 @@ class Saturation:
                                 clause=out.clause)
                 self.seen.add(alpha_key(g.clause))
                 gid = g.id
+                since = 0
             if is_empty_clause(g.clause):
                 self.empty_id = gid
                 continue
             if any(subsumes(self.records[p].clause, g.clause)
-                   for p in self.P):
+                   for p in self.P if self.stamp[p] >= since):
                 continue
             self.P = [p for p in self.P
                       if not subsumes(g.clause, self.records[p].clause)]
+            self.stamp[gid] = self.appended
+            self.appended += 1
             self.P.append(gid)
             self.units = self._units()
             try:

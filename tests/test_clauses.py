@@ -4,15 +4,22 @@ import random
 from collections import Counter
 from itertools import product
 
+import pytest
+
+from ep_prover import clauses
 from ep_prover.terms import (
-    I, O, Signature, app, base_type, bound, canon, const, disj, fn, free,
-    lam, neg, subterm_positions, substitute,
+    Abs, Bound, Const, Free, I, O, Signature, app, base_type, bound, canon,
+    const, disj, fn, free, lam, neg, subterm_positions, substitute, type_str,
 )
 from ep_prover.clauses import (
     Clause, EMPTY_CLAUSE, Literal, alpha_key, clause_weight, head_of,
-    is_empty_clause, is_flex_flex, match_literal, match_terms,
+    heads_fit, is_empty_clause, is_flex_flex, match_literal, match_terms,
     prop_literal, rename_clause, subsumes,
 )
+from ep_prover.saturation import ProverConfig, Saturation, saturate
+from ep_prover.tptp import parse_problem
+
+from test_saturation import _corpus_problems
 
 
 IO = fn(I, res=O)
@@ -318,3 +325,148 @@ def test_subsumes_agrees_with_search_on_shared_names():
         assert subsumes(c, d) is expected, (c, d)
         verdicts[expected] += 1
     assert verdicts[True] >= 100 and verdicts[False] >= 100
+
+
+# ---------------------------------------------------------------------------
+# alpha_key from name-blind ids against the string walk it replaced, and
+# the rigid-head pre-check of subsumes, on the clauses of real runs
+# ---------------------------------------------------------------------------
+
+def _sig_by_strings(t, names, out):
+    if isinstance(t, Const):
+        out.append("c:" + t.name)
+    elif isinstance(t, Free):
+        if names is None:
+            out.append("f:*:" + type_str(t.ty))
+        else:
+            out.append("f:%d:%s" % (names.setdefault(t, len(names)),
+                                    type_str(t.ty)))
+    elif isinstance(t, Bound):
+        out.append("b:%d" % t.index)
+    elif isinstance(t, Abs):
+        out.append("l:" + type_str(t.var_ty))
+        _sig_by_strings(t.body, names, out)
+    else:
+        out.append("a:%d" % len(t.args))
+        _sig_by_strings(t.head, names, out)
+        for a in t.args:
+            _sig_by_strings(a, names, out)
+
+
+def _alpha_key_by_strings(c):
+    """`alpha_key` with nothing minted as it was before `_blind`: literals
+    sorted by a name-blind string walk, then walked again to number the
+    variables."""
+    if not c.free_vars():
+        return c._key
+
+    def blind(l):
+        acc = ["+" if l.pos else "-"]
+        _sig_by_strings(l.lhs, None, acc)
+        _sig_by_strings(l.rhs, None, acc)
+        return tuple(acc)
+
+    names = {}
+    out = []
+    for l in sorted(c.literals, key=blind):
+        out.append("+" if l.pos else "-")
+        _sig_by_strings(l.lhs, names, out)
+        _sig_by_strings(l.rhs, names, out)
+    return tuple(out)
+
+
+def _assert_bijection(pairs):
+    forward, backward = {}, {}
+    for x, y in pairs:
+        assert forward.setdefault(x, y) == y
+        assert backward.setdefault(y, x) == x
+    return len(forward)
+
+
+def _run_problem(path):
+    prob = parse_problem(open(path).read(), path.rsplit("/", 1)[-1])
+    return saturate(prob, ProverConfig(time_limit=60))
+
+
+@pytest.fixture(scope="module")
+def sur_cantor_enqueued():
+    """The records of a `sur_cantor` run, and every (P clause, new
+    clause) pair of its `_enqueue` calls."""
+    pairs = []
+    enqueue = Saturation._enqueue
+
+    def spy(self, d, key):
+        pairs.extend((self.records[p].clause, d.clause) for p in self.P)
+        return enqueue(self, d, key)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Saturation, "_enqueue", spy)
+        res = _run_problem("problems/sur_cantor.p")
+    assert res.status == "Theorem"
+    return res.records, pairs
+
+
+def test_alpha_key_partitions_recorded_clauses_like_the_string_walk(
+        sur_cantor_enqueued):
+    runs = [sur_cantor_enqueued[0],
+            _run_problem("problems/inj_cantor.p").records]
+    runs += [saturate(make(), ProverConfig(time_limit=60)).records
+             for make in _corpus_problems()]
+    assert len(runs) == 24
+    # keys are compared within a run: runs may mint the same name at
+    # different types
+    clauses_seen = shared = 0
+    for records in runs:
+        cs = [d.clause for d in records.values() if d.clause is not None]
+        keys = _assert_bijection((_alpha_key_by_strings(c), alpha_key(c))
+                                 for c in cs)
+        # a minted set that names none of the constants changes nothing
+        assert _assert_bijection(
+            (alpha_key(c), alpha_key(c, {"no_such_constant"}))
+            for c in cs) == keys
+        clauses_seen += len(cs)
+        shared += len({c._key for c in cs}) - keys
+    assert clauses_seen > 5000
+    # some keys are shared by clauses that differ in their names
+    assert shared > 0
+
+
+def test_heads_fit_rejects_rigid_mismatches():
+    P = free("P", IO)
+    ii = fn(I, res=I)
+    k = const("k", fn(ii, ii, res=I))
+    f, g = bound(1, ii), bound(0, ii)
+    for c, d in (
+            # a constant head against the target's free-variable head
+            (Clause([lit(app(p, X))]), Clause([lit(app(P, a))])),
+            # different bound variables as heads
+            (Clause([Literal(lam(ii, lam(ii, app(f, X))), canon(k), True)]),
+             Clause([Literal(lam(ii, lam(ii, app(g, a))), canon(k), True)])),
+            # opposite polarity
+            (Clause([lit(app(p, X))]), Clause([lit(app(p, a), False)]))):
+        assert not heads_fit(c, d)
+        assert not subsumes(c, d)
+
+
+def test_heads_fit_keeps_flexible_heads_and_swapped_sides():
+    F = free("F", IO)
+    # a flexible head of c fits any head of d: F -> p
+    c = Clause([Literal(F, q, True)])
+    d = Clause([Literal(p, q, True)])
+    assert head_of(c.literals[0].rhs) is F
+    assert heads_fit(c, d) and subsumes(c, d)
+    # b = X matches a = b with its sides swapped
+    c = Clause([Literal(b, X, True)])
+    d = Clause([Literal(a, b, True)])
+    assert c.literals[0].lhs is b and d.literals[0].rhs is b
+    assert heads_fit(c, d) and subsumes(c, d)
+
+
+def test_heads_fit_never_rejects_a_match(sur_cantor_enqueued):
+    pairs = [(c, d) for c, d in sur_cantor_enqueued[1] if len(c) <= len(d)]
+    fits = [heads_fit(c, d) for c, d in pairs]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(clauses, "heads_fit", lambda c, d: True)
+        matched = [subsumes(c, d) for c, d in pairs]
+    assert any(matched)
+    assert not any(m and not f for m, f in zip(matched, fits))
+    assert fits.count(False) * 2 > len(pairs)

@@ -4,7 +4,9 @@ import random
 import time
 
 from ep_prover import saturation
-from ep_prover.clauses import Clause, Literal, pairs_key, prop_literal
+from ep_prover.clauses import (
+    Clause, Literal, pairs_key, prop_literal, subsumes,
+)
 from ep_prover.calculus import _para_target, para_candidates
 from ep_prover.cnf import OutOfTime, normalize
 from ep_prover.saturation import (
@@ -569,3 +571,43 @@ def test_skipped_paramodulants_leave_corpus_searches_unchanged(monkeypatch):
         _assert_same_search(monkeypatch, make_problem,
                             ProverConfig(time_limit=60),
                             "para_candidates", _para_every_position)
+
+
+# ---------------------------------------------------------------------------
+# The given clause is checked only against P entries newer than its entry
+# into U
+# ---------------------------------------------------------------------------
+
+def _counting_subsumes(calls):
+    def counted(c, d):
+        calls[0] += 1
+        return subsumes(c, d)
+    return counted
+
+
+_ENQUEUE = Saturation._enqueue
+
+
+def _enqueue_stamped_zero(self, d, key):
+    """`_enqueue` as if no clause had entered P yet, so that `run` checks
+    every given clause against all of P, as it did before the stamps."""
+    _ENQUEUE(self, d, key)
+    if d.id in self.stamp:
+        self.stamp[d.id] = 0
+
+
+def test_given_clause_skips_p_entries_it_was_enqueued_against(monkeypatch):
+    problems = [(make, _SWEEP_CONFIG) for make in _seeded_problems()]
+    problems += [(make, ProverConfig(time_limit=60))
+                 for make in _corpus_problems()]
+    new_calls, old_calls = [0], [0]
+    for make_problem, config in problems:
+        new = _given_clauses(monkeypatch, make_problem, config, "subsumes",
+                             _counting_subsumes(new_calls))
+        with monkeypatch.context() as m:
+            m.setattr(Saturation, "_enqueue", _enqueue_stamped_zero)
+            old = _given_clauses(monkeypatch, make_problem, config,
+                                 "subsumes", _counting_subsumes(old_calls))
+        assert new == old
+    # 6,029 against 6,389 when this was written
+    assert new_calls[0] < old_calls[0]
