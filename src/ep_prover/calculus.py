@@ -19,13 +19,13 @@ from typing import Iterator, Optional
 from .terms import (
     App, Const, Free, FunType, I, NOT, O, OR, Signature, SimpleType, Term,
     TermError, TRUE, FALSE, app, base_types_in, bound, const, eq_const, fn,
-    head_of, is_eta_var, lam, neg, pi_const, replace_at, spine,
-    subterm_positions, substitute,
+    head_of, is_eta_var, lam, neg, ordered_free_vars, pi_const, replace_at,
+    spine, subterm_positions, substitute,
 )
 from .clauses import (
     Clause, Literal, match_literal, match_terms, prop_literal,
 )
-from .cnf import OutOfTime, ordered_free_vars, skolem_term
+from .cnf import OutOfTime, skolem_term
 from .unification import general_bindings
 
 

@@ -6,8 +6,9 @@ from functools import cache
 from typing import Iterable, Optional
 
 from .terms import (
-    Abs, Bound, Const, Free, Term, TRUE, canon, distinct_bound_args, head_of,
-    invert_pattern, same_rigid_head, spine, substitute, type_str,
+    Abs, Bound, Free, Term, TRUE, canon, constants, distinct_bound_args,
+    free, head_of, invert_pattern, number_vars, replace_consts,
+    same_rigid_head, spine, substitute,
 )
 
 
@@ -116,34 +117,6 @@ def clause_weight(c: Clause) -> int:
     return sum(l.lhs.size + l.rhs.size for l in c.literals)
 
 
-def _term_sig(t: Term, names: Optional[dict], out: list, minted):
-    if isinstance(t, Const):
-        if t.name not in minted:
-            out.append("c:" + t.name)
-        elif names is None:
-            out.append("k:*:" + type_str(t.ty))
-        else:
-            # a minted constant is numbered like a free variable
-            out.append("k:%d:%s" % (names.setdefault(t, len(names)),
-                                    type_str(t.ty)))
-    elif isinstance(t, Free):
-        if names is None:
-            out.append("f:*:" + type_str(t.ty))
-        else:
-            out.append("f:%d:%s" % (names.setdefault(t, len(names)),
-                                    type_str(t.ty)))
-    elif isinstance(t, Bound):
-        out.append("b:%d" % t.index)
-    elif isinstance(t, Abs):
-        out.append("l:" + type_str(t.var_ty))
-        _term_sig(t.body, names, out, minted)
-    else:
-        out.append("a:%d" % len(t.args))
-        _term_sig(t.head, names, out, minted)
-        for a in t.args:
-            _term_sig(a, names, out, minted)
-
-
 _blind_ids: dict = {}
 
 
@@ -163,85 +136,60 @@ def _blind(t: Term) -> int:
     return _blind_ids.setdefault(key, -1 - len(_blind_ids))
 
 
-def _number_vars(t: Term, names: dict, out: list):
-    """Append to out the number of each free-variable occurrence in t,
-    numbering by first occurrence; only subterms with free variables are
-    walked."""
-    while isinstance(t, Abs):
-        t = t.body
-    if isinstance(t, Free):
-        out.append(names.setdefault(t, len(names)))
-        return
-    if t.head.fvs:
-        _number_vars(t.head, names, out)
-    for a in t.args:
-        if a.fvs:
-            _number_vars(a, names, out)
-
-
 def alpha_key(c: Clause, minted=frozenset()) -> tuple:
     """Hashable clause key invariant under free-variable renaming.
 
-    Literals are ordered by a name-blind key, then free variables are
-    numbered by first occurrence in that order.  Constants named in
-    `minted` (fresh symbols a run or a replay invented) are numbered the
-    same way, so the key is also invariant under their renaming.
+    A literal's name-blind key is its polarity and the `_blind` ids of its
+    sides.  Literals are sorted by it, stably, so literals with equal keys
+    keep their clause order; then the free variables are numbered by
+    first occurrence in that order (`number_vars`).  The clause key is
+    the sorted triples followed by the variable numbers.  Renaming cannot
+    change a ground clause, so a ground clause keys on its content,
+    `Clause._key`, whose triples hold strings and never equal the integer
+    triples.
 
-    With nothing minted, a literal's name-blind key is its polarity and
-    the `_blind` ids of its sides; the sort is stable, so literals with
-    equal keys keep their clause order.  The clause key is the sorted
-    triples followed by the variable numbers.  Renaming cannot change a
-    ground clause, so a ground clause keys on its content, `Clause._key`,
-    whose triples hold strings and never equal the integer triples.
-    With something minted the key is made of `_term_sig` strings.
+    Constants named in `minted` (fresh symbols a run or a replay
+    invented) are keyed as stand-in free variables, and the key ends
+    with the numbers the stand-ins got: so it is also invariant under
+    renaming minted constants to minted constants, and only to them.
     """
+    # a stand-in's name starts with `$`, which no free variable's does
+    ins = minted and {k.name: free("$" + k.name, k.ty)
+                      for l in c.literals for side in (l.lhs, l.rhs)
+                      for k in constants(side) if k.name in minted}
+    if ins:
+        c = Clause([Literal(replace_consts(l.lhs, ins),
+                            replace_consts(l.rhs, ins), l.pos)
+                    for l in c.literals])
     lits = c.literals
-    if not minted:
-        for l in lits:
-            if l.lhs.fvs or l.rhs.fvs:
-                break
-        else:
-            return c._key
-        keys = [(l.pos, _blind(l.lhs), _blind(l.rhs)) for l in lits]
-        order = sorted(range(len(lits)), key=keys.__getitem__)
-        names: dict = {}
-        out = [keys[i] for i in order]
-        for i in order:
-            l = lits[i]
-            if l.lhs.fvs:
-                _number_vars(l.lhs, names, out)
-            if l.rhs.fvs:
-                _number_vars(l.rhs, names, out)
-        return tuple(out)
-
-    def blind(l: Literal) -> tuple:
-        acc = ["+" if l.pos else "-"]
-        _term_sig(l.lhs, None, acc, minted)
-        _term_sig(l.rhs, None, acc, minted)
-        return tuple(acc)
-
-    order = sorted(range(len(lits)), key=lambda i: blind(lits[i]))
-    names = {}
-    out = []
+    for l in lits:
+        if l.lhs.fvs or l.rhs.fvs:
+            break
+    else:
+        return c._key
+    keys = [(l.pos, _blind(l.lhs), _blind(l.rhs)) for l in lits]
+    order = sorted(range(len(lits)), key=keys.__getitem__)
+    out = [keys[i] for i in order]
+    sides = []
     for i in order:
         l = lits[i]
-        out.append("+" if l.pos else "-")
-        _term_sig(l.lhs, names, out, minted)
-        _term_sig(l.rhs, names, out, minted)
+        sides += l.lhs, l.rhs
+    names = number_vars(sides, out)
+    if ins:
+        stand_ins = set(ins.values())
+        out.extend(n for n, v in enumerate(names) if v in stand_ins)
     return tuple(out)
 
 
 def pairs_key(pairs) -> tuple:
     """(key, variables) of an ordered list of term pairs.  The key is
     invariant under free-variable renaming only: unlike `alpha_key` it
-    keeps the order of the pairs and of their sides.  The variables come
-    in the order the key numbers them, their first occurrence."""
-    names: dict = {}
-    out: list = []
-    for s, t in pairs:
-        out.append(type_str(s.ty))
-        _term_sig(s, names, out, ())
-        _term_sig(t, names, out, ())
+    keeps the order of the pairs and of their sides.  It is the `_blind`
+    id pair of each term pair followed by the variable numbers; the
+    variables come in the order `number_vars` numbers them, their first
+    occurrence."""
+    out: list = [(_blind(s), _blind(t)) for s, t in pairs]
+    names = number_vars([x for p in pairs for x in p], out)
     return tuple(out), list(names)
 
 

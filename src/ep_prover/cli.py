@@ -188,7 +188,7 @@ def run(args) -> int:
     except OSError as e:
         return _error(name, f"cannot read problem file: {e}")
     try:
-        problem = parse_problem(text, name, args.include_dir)
+        problem = parse_problem(text, name, args.include_dir, args.problem)
         if problem.logic_spec is not None:
             problem = embed(problem, args.modal_s5)
         elif uses_modal_operators(problem):

@@ -13,10 +13,11 @@ from functools import cache
 from typing import Optional
 
 from .terms import (
-    Abs, App, Bound, Const, Free, FunType, O, PI_NAME, SIGMA_NAME, Signature,
+    Abs, App, Bound, Const, FunType, O, PI_NAME, SIGMA_NAME, Signature,
     SimpleType, Term, app, arg_types, canon, conj, constants, disj, equality,
     exists, fn, forall, iff, implies, is_eta_var, lam, match_quant, neg,
-    result_type, shift, spine, FALSE, NOT, OR, AND, IMPLIES, IFF,
+    ordered_free_vars, replace_consts, result_type, shift, spine, FALSE, NOT,
+    OR, AND, IMPLIES, IFF,
 )
 from .clauses import Clause, Literal, prop_literal
 
@@ -96,30 +97,6 @@ def skolem_term(sig: Signature, existential_type: SimpleType,
     """Fresh Skolem constant applied to exactly the captured variables."""
     sk = sig.fresh_skolem(fn(*[v.ty for v in captured], res=existential_type))
     return app(sk, *captured) if captured else sk
-
-
-def ordered_free_vars(terms) -> list:
-    """Free variables of the terms in first-occurrence (preorder) order."""
-    seen = []
-    found = set()
-
-    def walk(t: Term):
-        if not t.fvs:
-            return
-        if isinstance(t, Free):
-            if t not in found:
-                found.add(t)
-                seen.append(t)
-        elif isinstance(t, Abs):
-            walk(t.body)
-        elif isinstance(t, App):
-            walk(t.head)
-            for a in t.args:
-                walk(a)
-
-    for t in terms:
-        walk(t)
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +307,6 @@ def definition_map(formulas) -> dict:
     defs = dict(definition_parts(f) for f in formulas
                 if f.role == "definition")
     return expand_definition_map(defs) if defs else {}
-
-
-def replace_consts(t: Term, mapping: dict) -> Term:
-    """Replace constants by closed terms (by name), without normalizing."""
-    if isinstance(t, Const):
-        r = mapping.get(t.name)
-        return shift(r, t.loose) if r is not None else t
-    if isinstance(t, Abs):
-        return lam(t.var_ty, replace_consts(t.body, mapping))
-    if isinstance(t, App):
-        return app(replace_consts(t.head, mapping),
-                   *[replace_consts(a, mapping) for a in t.args])
-    return t
 
 
 def expand_definition_map(defs: dict) -> dict:

@@ -13,6 +13,7 @@ from .terms import (
     Abs, Bound, Const, FALSE, FunType, O, Signature, SimpleType, Term, TRUE,
     app, arg_types, base_type, bound, canon, conj, const, constants,
     equality, exists, forall, fun_type, implies, lam, shift, spine,
+    wrap_binders,
 )
 from .tptp import (
     MODAL_OPERATORS, AnnotatedFormula, LogicSpec, Problem,
@@ -99,10 +100,8 @@ def _connective_body(c: Const, universal: bool) -> Term:
         return lam(W2O, lam(MWORLD, forall(
             MWORLD, implies(app(MREL, _w(1), _w(0)), at(2, 0)))))
     n = len(arg_types(c.ty))
-    body = lam(MWORLD, app(c, *[at(n - i, 0) for i in range(n)]))
-    for _ in range(n):
-        body = lam(W2O, body)
-    return body
+    return wrap_binders(
+        [W2O] * n, lam(MWORLD, app(c, *[at(n - i, 0) for i in range(n)])))
 
 
 MVALID = const("mvalid", fun_type(W2O, O))

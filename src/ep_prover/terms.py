@@ -310,6 +310,14 @@ def strip_binders(t: Term) -> tuple:
     return tys, t
 
 
+def wrap_binders(tys, body: Term) -> Term:
+    """Abstraction of body over binders of the types tys, outermost
+    first: the inverse of `strip_binders`."""
+    for ty in reversed(tys):
+        body = lam(ty, body)
+    return body
+
+
 def head_of(t: Term) -> Term:
     """Head symbol of t under its leading binders."""
     return spine(strip_binders(t)[1])[0]
@@ -344,6 +352,50 @@ def constants(t: Term) -> Iterator[Const]:
         elif isinstance(s, App):
             stack.extend(reversed(s.args))
             stack.append(s.head)
+
+
+def replace_consts(t: Term, mapping: dict) -> Term:
+    """Replace constants by closed terms (by name), without normalizing."""
+    if isinstance(t, Const):
+        return mapping.get(t.name, t)
+    if isinstance(t, Abs):
+        return lam(t.var_ty, replace_consts(t.body, mapping))
+    if isinstance(t, App):
+        return app(replace_consts(t.head, mapping),
+                   *[replace_consts(a, mapping) for a in t.args])
+    return t
+
+
+def number_vars(ts, out: list) -> dict:
+    """Number the free variables of the terms ts by first occurrence
+    (preorder, heads before arguments) and append to out the number of
+    each occurrence.  Returns the {variable: number} map, in numbering
+    order."""
+    names: dict = {}
+    for t in ts:
+        if t.fvs:
+            _number_vars(t, names, out)
+    return names
+
+
+def _number_vars(t: Term, names: dict, out: list):
+    """`number_vars` of one term with free variables; only subterms with
+    free variables are walked."""
+    while isinstance(t, Abs):
+        t = t.body
+    if isinstance(t, Free):
+        out.append(names.setdefault(t, len(names)))
+        return
+    if t.head.fvs:
+        _number_vars(t.head, names, out)
+    for a in t.args:
+        if a.fvs:
+            _number_vars(a, names, out)
+
+
+def ordered_free_vars(ts) -> list:
+    """Free variables of the terms ts in first-occurrence order."""
+    return list(number_vars(ts, []))
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +557,8 @@ def canon(t: Term) -> Term:
                 args = [shift(a, n) for a in args] \
                     + [canon(bound(n - 1 - k, ats[k])) for k in range(n)]
                 h = shift(h, n)
-            res = _app(result_type(t.ty), h, args) if args else h
-            for ty in reversed(ats):
-                res = lam(ty, res)
+            res = wrap_binders(
+                ats, _app(result_type(t.ty), h, args) if args else h)
     t._canon = res
     return res
 
@@ -536,9 +587,7 @@ def invert_pattern(args: tuple, target: Term) -> Optional[Term]:
     body = _remap_bounds(target, remap, 0)
     if body is None:
         return None
-    for a in reversed(args):
-        body = lam(a.ty, body)
-    return canon(body)
+    return canon(wrap_binders([a.ty for a in args], body))
 
 
 def _remap_bounds(t: Term, remap: dict, depth: int):

@@ -17,11 +17,10 @@ from .terms import (
     Abs, Bound, Const, Free, O, PI_NAME, SIGMA_NAME, Signature, SimpleType,
     Term, TermError, TRUE, FALSE, NOT, OR, AND, IMPLIES, IFF, app,
     base_type, bound, canon, conj, const, disj, equality, exists, forall,
-    fun_type, iff, implies, lam, match_quant, neg, spine, substitute_raw,
-    type_str,
+    fun_type, iff, implies, lam, match_quant, neg, ordered_free_vars, spine,
+    substitute_raw, type_str,
 )
 from .clauses import Clause, Literal
-from .cnf import ordered_free_vars
 
 
 class ParseError(Exception):
@@ -173,6 +172,7 @@ class Parser:
                  include_dir: Optional[str] = None):
         self.sig = sig if sig is not None else Signature()
         self.include_dir = include_dir
+        self.including: dict = {}  # real path -> path, of open includes
         self.formulas: list = []
         self.logic_spec: Optional[LogicSpec] = None
         self.names: set = set()
@@ -515,16 +515,31 @@ class Parser:
         for root in roots:
             full = os.path.join(root, path)
             if os.path.exists(full):
-                with open(full, encoding="utf-8") as fh:
-                    self.parse_file(TokenStream(tokenize(fh.read())))
+                real = os.path.realpath(full)
+                if real in self.including:
+                    cycle = list(self.including.values())[
+                        list(self.including).index(real):] + [path]
+                    raise ParseError(f"line {tok.line}: include cycle: "
+                                     + " -> ".join(cycle))
+                self.including[real] = path
+                try:
+                    with open(full, encoding="utf-8") as fh:
+                        self.parse_file(TokenStream(tokenize(fh.read())))
+                finally:
+                    del self.including[real]
                 return
         raise ParseError(
             f"line {tok.line}: cannot resolve include {path!r}")
 
 
 def parse_problem(text: str, name: str = "problem",
-                  include_dir: Optional[str] = None) -> Problem:
+                  include_dir: Optional[str] = None,
+                  path: Optional[str] = None) -> Problem:
+    """The problem in text; path, when given, is the file text was read
+    from, so that an include of it is reported as a cycle."""
     parser = Parser(include_dir=include_dir)
+    if path is not None:
+        parser.including[os.path.realpath(path)] = name
     parser.parse_file(TokenStream(tokenize(text)))
     return Problem(parser.sig, parser.formulas, parser.logic_spec, name)
 

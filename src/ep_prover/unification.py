@@ -15,8 +15,9 @@ from typing import Optional
 
 from .terms import (
     Const, Free, SimpleType, Subst, Term, app, arg_types, bound, canon,
-    distinct_bound_args, fn, head_of, invert_pattern, is_eta_var, lam,
+    distinct_bound_args, fn, head_of, invert_pattern, is_eta_var,
     result_type, same_rigid_head, spine, strip_binders, substitute,
+    wrap_binders,
 )
 
 
@@ -51,12 +52,6 @@ class _Clash(Exception):
     """Definitive non-unifiability found during simplification."""
 
 
-def _wrap(binders: list, t: Term) -> Term:
-    for ty in reversed(binders):
-        t = lam(ty, t)
-    return t
-
-
 def _decompose(binders: list, hs: Term, sargs: tuple, ht: Term,
                targs: tuple, work: list) -> bool:
     """Rigid-rigid step: False on a head clash, else push the argument
@@ -64,7 +59,7 @@ def _decompose(binders: list, hs: Term, sargs: tuple, ht: Term,
     if not same_rigid_head(hs, ht):
         return False
     for sa, ta in zip(sargs, targs):
-        work.append((_wrap(binders, sa), _wrap(binders, ta)))
+        work.append((wrap_binders(binders, sa), wrap_binders(binders, ta)))
     return True
 
 
@@ -137,13 +132,13 @@ def general_bindings(var_ty: SimpleType, rigid_head: Optional[Term],
     if isinstance(rigid_head, Const):
         head_args = arg_types(rigid_head.ty)
         body = app(rigid_head, *[fresh_applied(g) for g in head_args])
-        out.append(canon(_wrap(ats, body)))
+        out.append(canon(wrap_binders(ats, body)))
     for i, aty in enumerate(ats):
         if result_type(aty) is not res:
             continue
         proj_args = arg_types(aty)
         body = app(xs[i], *[fresh_applied(g) for g in proj_args])
-        out.append(canon(_wrap(ats, body)))
+        out.append(canon(wrap_binders(ats, body)))
     return out
 
 

@@ -14,7 +14,7 @@ from ep_prover.terms import (
 from ep_prover.clauses import (
     Clause, EMPTY_CLAUSE, Literal, alpha_key, clause_weight, head_of,
     heads_fit, is_empty_clause, is_flex_flex, match_literal, match_terms,
-    prop_literal, rename_clause, subsumes,
+    pairs_key, prop_literal, rename_clause, subsumes,
 )
 from ep_prover.saturation import ProverConfig, Saturation, saturate
 from ep_prover.tptp import parse_problem
@@ -389,26 +389,34 @@ def _run_problem(path):
 
 
 @pytest.fixture(scope="module")
-def sur_cantor_enqueued():
-    """The records of a `sur_cantor` run, and every (P clause, new
-    clause) pair of its `_enqueue` calls."""
-    pairs = []
-    enqueue = Saturation._enqueue
+def cantor_runs():
+    """Per Cantor problem: the records of its run, every (P clause, new
+    clause) pair of its `_enqueue` calls and the constraint pairs of
+    every `_pre_unify` call."""
+    runs = {}
+    enqueue, pre_unify = Saturation._enqueue, Saturation._pre_unify
+    for name in ("sur_cantor", "inj_cantor"):
+        pairs, problems = [], []
 
-    def spy(self, d, key):
-        pairs.extend((self.records[p].clause, d.clause) for p in self.P)
-        return enqueue(self, d, key)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(Saturation, "_enqueue", spy)
-        res = _run_problem("problems/sur_cantor.p")
-    assert res.status == "Theorem"
-    return res.records, pairs
+        def spy_enqueue(self, d, key):
+            pairs.extend((self.records[p].clause, d.clause) for p in self.P)
+            return enqueue(self, d, key)
+
+        def spy_pre_unify(self, constraints):
+            problems.append(list(constraints))
+            return pre_unify(self, constraints)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Saturation, "_enqueue", spy_enqueue)
+            m.setattr(Saturation, "_pre_unify", spy_pre_unify)
+            res = _run_problem(f"problems/{name}.p")
+        assert res.status == "Theorem"
+        runs[name] = res.records, pairs, problems
+    return runs
 
 
 def test_alpha_key_partitions_recorded_clauses_like_the_string_walk(
-        sur_cantor_enqueued):
-    runs = [sur_cantor_enqueued[0],
-            _run_problem("problems/inj_cantor.p").records]
+        cantor_runs):
+    runs = [records for records, _, _ in cantor_runs.values()]
     runs += [saturate(make(), ProverConfig(time_limit=60)).records
              for make in _corpus_problems()]
     assert len(runs) == 24
@@ -428,6 +436,32 @@ def test_alpha_key_partitions_recorded_clauses_like_the_string_walk(
     assert clauses_seen > 5000
     # some keys are shared by clauses that differ in their names
     assert shared > 0
+
+
+def _pairs_key_by_strings(pairs):
+    """`pairs_key` as it was before `_blind`: each pair's type, then both
+    sides walked as strings, variables numbered by first occurrence."""
+    names = {}
+    out = []
+    for s, t in pairs:
+        out.append(type_str(s.ty))
+        _sig_by_strings(s, names, out)
+        _sig_by_strings(t, names, out)
+    return tuple(out), list(names)
+
+
+def test_pairs_key_partitions_unification_problems_like_the_string_walk(
+        cantor_runs):
+    for _, _, problems in cantor_runs.values():
+        assert len(problems) > 100
+        keys = []
+        for pairs in problems:
+            key, xs = pairs_key(pairs)
+            old_key, old_xs = _pairs_key_by_strings(pairs)
+            assert xs == old_xs
+            keys.append((old_key, key))
+        # the cache hits: some problems are renamings of earlier ones
+        assert _assert_bijection(keys) < len(problems)
 
 
 def test_heads_fit_rejects_rigid_mismatches():
@@ -461,8 +495,9 @@ def test_heads_fit_keeps_flexible_heads_and_swapped_sides():
     assert heads_fit(c, d) and subsumes(c, d)
 
 
-def test_heads_fit_never_rejects_a_match(sur_cantor_enqueued):
-    pairs = [(c, d) for c, d in sur_cantor_enqueued[1] if len(c) <= len(d)]
+def test_heads_fit_never_rejects_a_match(cantor_runs):
+    pairs = [(c, d) for c, d in cantor_runs["sur_cantor"][1]
+             if len(c) <= len(d)]
     fits = [heads_fit(c, d) for c, d in pairs]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(clauses, "heads_fit", lambda c, d: True)

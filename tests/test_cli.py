@@ -141,6 +141,18 @@ def test_parse_error_is_error(tmp_path):
     assert r.stderr.strip()
 
 
+def test_include_cycles_are_error(tmp_path):
+    (tmp_path / "self.p").write_text("include('self.p').\n")
+    (tmp_path / "a.p").write_text("thf(p_type, type, (p: $o)).\n"
+                                  "include('b.p').\n")
+    (tmp_path / "b.p").write_text("include('a.p').\n")
+    for top, cycle in (("self.p", "self.p -> self.p"),
+                       ("a.p", "a.p -> b.p -> a.p")):
+        r = run_cli(str(tmp_path / top), "--include-dir", str(tmp_path))
+        _assert_input_error(r)
+        assert f"include cycle: {cycle}" in r.stderr
+
+
 def test_modal_without_spec_is_error(tmp_path):
     f = tmp_path / "m.p"
     f.write_text("thf(p_type, type, (p: $o)).\n"

@@ -8,12 +8,13 @@ import pytest
 
 from ep_prover.terms import (
     Abs, App, Free, I, O, Signature, app, bound, canon, conj, const, disj,
-    equality, exists, fn, forall, free, iff, implies, neg, spine,
+    equality, exists, fn, forall, free, iff, implies, neg,
+    ordered_free_vars, spine,
 )
 from ep_prover.clauses import Clause, prop_literal
 from ep_prover.cnf import (
     CyclicDefinitionError, OutOfTime, expand_definition_map, expand_term,
-    formula_kind, miniscope, normalize, ordered_free_vars,
+    formula_kind, miniscope, normalize,
     replace_defined_equalities_term,
 )
 

@@ -64,6 +64,19 @@ def test_blind_key_identifies_skolem_renamings():
     # but a non-minted constant is not blinded
     c3 = Clause([prop_literal(canon(app(const("g", fn(I, res=O)), a)), True)])
     assert alpha_key(c1, minted) != alpha_key(c3, minted)
+    # a minted constant renames to a minted constant, not to a variable
+    p = const("p", fn(I, res=O))
+    s1, s2 = const("sk1", I), const("sk2", I)
+    assert alpha_key(Clause([prop_literal(app(p, s1), True)]), minted) \
+        != alpha_key(Clause([prop_literal(app(p, free("X", I)), True)]),
+                     minted)
+    # and the renaming may swap minted constants, but not merge them
+    q = const("q", fn(I, I, res=O))
+
+    def q_key(x, y):
+        return alpha_key(Clause([prop_literal(app(q, x, y), True)]), minted)
+    assert q_key(s1, s2) == q_key(s2, s1)
+    assert q_key(s1, s1) != q_key(s1, s2)
 
 
 def _step(records, rule, parents=(), **fields):
