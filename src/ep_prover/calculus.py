@@ -23,7 +23,7 @@ from .terms import (
     spine, subterm_positions, substitute,
 )
 from .clauses import (
-    Clause, Literal, match_literal, match_terms, prop_literal,
+    Clause, Literal, cuts, match_terms, prop_literal,
 )
 from .cnf import OutOfTime, skolem_term
 from .unification import general_bindings
@@ -438,10 +438,7 @@ def simplify(c: Clause, units=(),
             # unit cutting: drop literals contradicting the unit
             cut = None
             for k, l in enumerate(lits):
-                if l.pos is ul.pos:
-                    continue
-                probe = Literal(ul.lhs, ul.rhs, l.pos)
-                if any(True for _ in match_literal(probe, l, {})):
+                if l.pos is not ul.pos and cuts(unit, l):
                     cut = k
                     break
             if cut is not None:

@@ -336,26 +336,44 @@ def heads_fit(c: Clause, d: Clause) -> bool:
     return True
 
 
+def cuts(unit: Clause, l: Literal) -> bool:
+    """Whether some instance of the literal of the unit clause `unit`,
+    with its polarity flipped, is l: unit cutting may then drop l.  The
+    polarities are not compared; the caller pairs opposite ones.  Each
+    orientation of l is matched only once its rigid heads fit the
+    unit's, the test of `heads_fit`."""
+    ul = unit.literals[0]
+    _, a, b = _match_info(unit)[0][0]
+    x = _rigid_head(l.lhs)
+    y = _rigid_head(l.rhs)
+    for p, q, s, t in ((x, y, l.lhs, l.rhs), (y, x, l.rhs, l.lhs)):
+        if (a is None or a == p) and (b is None or b == q):
+            m = match_terms(ul.lhs, s, {})
+            if m is not None and match_terms(ul.rhs, t, m) is not None:
+                return True
+    return False
+
+
 def subsumes(c: Clause, d: Clause) -> bool:
     """True if some substitution of c's variables maps c into d as a
     literal multiset; c and d may share variable names (`match_terms`).
     Matching starts only once `heads_fit` holds."""
     if len(c) > len(d) or not heads_fit(c, d):
         return False
+    return _embed(_match_info(c)[1], d.literals, 0, {}, 0)
 
-    cl = _match_info(c)[1]
-    dl = d.literals
 
-    def go(i: int, binding: dict, used: int) -> bool:
-        if i == len(cl):
-            return True
-        pl = cl[i]
-        for j, tl in enumerate(dl):
-            if used & (1 << j):
-                continue
-            for m in match_literal(pl, tl, binding):
-                if go(i + 1, m, used | (1 << j)):
-                    return True
-        return False
-
-    return go(0, {}, 0)
+def _embed(cl: tuple, dl: tuple, i: int, binding: dict, used: int) -> bool:
+    """Whether binding extends to map the pattern literals cl[i:] onto
+    distinct literals of dl outside the bit set `used`: the depth-first
+    search of `subsumes`."""
+    if i == len(cl):
+        return True
+    pl = cl[i]
+    for j, tl in enumerate(dl):
+        if used & (1 << j):
+            continue
+        for m in match_literal(pl, tl, binding):
+            if _embed(cl, dl, i + 1, m, used | (1 << j)):
+                return True
+    return False

@@ -317,25 +317,27 @@ def expand_definition_map(defs: dict) -> dict:
     names = set(defs)
     order = []
     state = {}
-
-    def visit(n):
-        if state.get(n) == 2:
-            return
-        if state.get(n) == 1:
-            raise CyclicDefinitionError(f"cyclic definition involving {n}")
-        state[n] = 1
-        for d in sorted({c.name for c in constants(defs[n])
-                         if c.name in names}):
-            visit(d)
-        state[n] = 2
-        order.append(n)
-
     for n in sorted(defs):
-        visit(n)
+        _visit(n, defs, names, state, order)
     expanded: dict = {}
     for n in order:
         expanded[n] = canon(replace_consts(defs[n], expanded))
     return expanded
+
+
+def _visit(n: str, defs: dict, names: set, state: dict, order: list):
+    """Append n to order after the definitions its body uses, depth
+    first; state maps a name to 1 while it is open and 2 once done."""
+    if state.get(n) == 2:
+        return
+    if state.get(n) == 1:
+        raise CyclicDefinitionError(f"cyclic definition involving {n}")
+    state[n] = 1
+    for d in sorted({c.name for c in constants(defs[n])
+                     if c.name in names}):
+        _visit(d, defs, names, state, order)
+    state[n] = 2
+    order.append(n)
 
 
 def expand_term(t: Term, expanded: dict) -> Term:

@@ -9,6 +9,7 @@ raw constrained clause.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -321,6 +322,19 @@ class Saturation:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> Result:
+        """Preprocess and saturate.  The search allocates no reference
+        cycles, so reference counting frees all it drops: Python's
+        cyclic collector is paused for the run, which spares it walks
+        over the growing term table, and restored as the caller had it."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def _run(self) -> Result:
         self.deadline = time.monotonic() + self.config.time_limit
         try:
             self.preprocess()

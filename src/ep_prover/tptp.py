@@ -657,16 +657,15 @@ class TermPrinter:
 
     def _chain(self, t: Term, op: Const, sym: str, env: list) -> str:
         parts = []
-
-        def collect(s):
+        stack = [t]
+        while stack:
+            s = stack.pop()
             sh, sa = spine(s)
             if sh is op and len(sa) == 2:
-                collect(sa[0])
-                collect(sa[1])
+                stack.append(sa[1])
+                stack.append(sa[0])
             else:
                 parts.append(self._operand(s, env))
-
-        collect(t)
         return f" {sym} ".join(parts)
 
 

@@ -156,34 +156,39 @@ def pre_unify(pairs: list, sig, depth: int = DEFAULT_DEPTH,
     """
     pairs = [(canon(a), canon(b)) for a, b in pairs]
     outcome = UnifOutcome([], False)
-
-    def search(pairs, subst, d):
-        if len(outcome.unifiers) >= limit:
-            return
-        try:
-            subst, flex_rigid, flex_flex = simplify_pairs(pairs, subst)
-        except _Clash:
-            return
-        if not flex_rigid:
-            outcome.unifiers.append(Unifier(subst, tuple(flex_flex)))
-            return
-        if d >= depth or (deadline is not None
-                          and time.monotonic() > deadline):
-            outcome.exhausted = True
-            return
-        s, t = flex_rigid[0]
-        fv = head_of(s)
-        rigid = head_of(t)
-        head = rigid if isinstance(rigid, Const) else None
-        for b in general_bindings(fv.ty, head, sig, outcome.fresh):
-            if len(outcome.unifiers) >= limit:
-                return
-            search(flex_rigid + flex_flex, subst.bind(fv, b), d + 1)
-
-    search(pairs, Subst(), 0)
+    _search(pairs, Subst(), 0, sig, depth, limit, deadline, outcome)
     for u in outcome.unifiers:
         _verify(pairs, u)
     return outcome
+
+
+def _search(pairs: list, subst: Subst, d: int, sig, depth: int, limit: int,
+            deadline: Optional[float], outcome: UnifOutcome) -> None:
+    """The depth-first search of `pre_unify` below a node at depth d:
+    appends the unifiers found, and the variables taken from sig, to
+    outcome until it holds `limit` unifiers."""
+    if len(outcome.unifiers) >= limit:
+        return
+    try:
+        subst, flex_rigid, flex_flex = simplify_pairs(pairs, subst)
+    except _Clash:
+        return
+    if not flex_rigid:
+        outcome.unifiers.append(Unifier(subst, tuple(flex_flex)))
+        return
+    if d >= depth or (deadline is not None
+                      and time.monotonic() > deadline):
+        outcome.exhausted = True
+        return
+    s, t = flex_rigid[0]
+    fv = head_of(s)
+    rigid = head_of(t)
+    head = rigid if isinstance(rigid, Const) else None
+    for b in general_bindings(fv.ty, head, sig, outcome.fresh):
+        if len(outcome.unifiers) >= limit:
+            return
+        _search(flex_rigid + flex_flex, subst.bind(fv, b), d + 1, sig,
+                depth, limit, deadline, outcome)
 
 
 def _verify(pairs, u: Unifier):

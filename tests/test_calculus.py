@@ -6,16 +6,22 @@ import time
 import pytest
 
 from ep_prover.terms import (
-    Const, FALSE, I, O, Signature, TRUE, app, bound, canon, const, fn, free,
-    lam,
+    Const, FALSE, Free, I, O, Signature, TRUE, app, bound, canon, const, fn,
+    free, lam,
 )
-from ep_prover.clauses import Clause, Literal, head_of, prop_literal
+from ep_prover import calculus, saturation
+from ep_prover.clauses import (
+    Clause, Literal, head_of, match_literal, prop_literal,
+)
 from ep_prover.cnf import OutOfTime
 from ep_prover.calculus import (
-    _orient, bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext,
-    finite_domain, inj_rule, match_injectivity, para_candidates, prim_subst,
-    simplify,
+    SimplifyOutcome, _orient, _rewrite_once, _try_der, bool_ext,
+    eqfac_candidates, exhaustive_instantiate, func_ext, finite_domain,
+    inj_rule, match_injectivity, para_candidates, prim_subst, simplify,
 )
+from ep_prover.modal import embed
+from ep_prover.saturation import ProverConfig, saturate
+from ep_prover.tptp import parse_problem
 
 
 IO = fn(I, res=O)
@@ -310,6 +316,140 @@ def test_simplify_unit_cutting():
     out = simplify(c, [(3, unit)])
     assert out.changed
     assert out.clause.literals == (plit(app(p, b)),)
+    # an instance of the unit, in either orientation
+    X = free("X", I)
+    eq_unit = Clause([Literal(app(f, X), a, True)])
+    for lit in (Literal(app(f, b), a, False), Literal(a, app(f, b), False)):
+        out = simplify(Clause([lit, plit(app(p, b))]), [(5, eq_unit)])
+        assert out.used_units == (5,) and out.rule == "rewrite"
+        assert out.clause.literals == (plit(app(p, b)),)
+    # no cut without fitting heads or opposite polarity
+    q = const("q", IO)
+    for lits in ([plit(app(q, a), False), plit(app(p, b))],
+                 [plit(app(p, a)), plit(app(q, b))]):
+        c = Clause(lits)
+        assert simplify(c, [(3, unit)]) == SimplifyOutcome(c)
+
+
+def _simplify_with_probes(c, units=()):
+    """`simplify` as it was when unit cutting built a probe literal per
+    (unit, literal) pair and matched it with `match_literal`."""
+    lits = list(c.literals)
+    changed = False
+    used = []
+    rule = "simp"
+    while True:
+        progressed = False
+        out = []
+        seen = set()
+        for l in lits:
+            lhs, rhs, pos = l.lhs, l.rhs, l.pos
+            if lhs is rhs:
+                if pos:
+                    return SimplifyOutcome(None, changed=True)
+                progressed = True
+                continue
+            if lhs is FALSE and rhs is TRUE:
+                if pos:
+                    progressed = True
+                    continue
+                return SimplifyOutcome(None, changed=True)
+            if (lhs, rhs, pos) in seen:
+                progressed = True
+                continue
+            if (lhs, rhs, not pos) in seen:
+                return SimplifyOutcome(None, changed=True)
+            seen.add((lhs, rhs, pos))
+            out.append(l)
+        lits = out
+        der = _try_der(lits)
+        if der is not None:
+            lits = der
+            changed = True
+            continue
+        for uid, unit in units:
+            if len(unit.literals) != 1 or unit is c:
+                continue
+            ul = unit.literals[0]
+            if ul.pos and not ul.is_shorthand:
+                ori = _orient(ul.lhs, ul.rhs)
+                if ori is not None and not isinstance(
+                        head_of(ori[1]), Free):
+                    big, small = ori
+                    for k, l in enumerate(lits):
+                        nl = _rewrite_once(l.lhs, big, small)
+                        if nl is not None:
+                            lits[k] = Literal(nl, l.rhs, l.pos)
+                            progressed = True
+                            used.append(uid)
+                            rule = "rewrite"
+                            break
+                        nr = _rewrite_once(l.rhs, big, small)
+                        if nr is not None:
+                            lits[k] = Literal(l.lhs, nr, l.pos)
+                            progressed = True
+                            used.append(uid)
+                            rule = "rewrite"
+                            break
+                    if progressed:
+                        break
+            cut = None
+            for k, l in enumerate(lits):
+                if l.pos is ul.pos:
+                    continue
+                probe = Literal(ul.lhs, ul.rhs, l.pos)
+                if any(True for _ in match_literal(probe, l, {})):
+                    cut = k
+                    break
+            if cut is not None:
+                del lits[cut]
+                progressed = True
+                used.append(uid)
+                rule = "rewrite"
+                break
+        if progressed:
+            changed = True
+            continue
+        break
+    if not changed:
+        return SimplifyOutcome(c)
+    return SimplifyOutcome(Clause(lits), changed=True,
+                           used_units=tuple(dict.fromkeys(used)), rule=rule)
+
+
+def test_unit_cutting_without_probes_simplifies_as_before(monkeypatch):
+    """Every `simplify` call of a `sur_cantor` run and of the corpus runs
+    returns what the probe-literal version returns."""
+    calls, cuts, differ = [0], [0], []
+
+    def both(c, units=(), deadline=None):
+        got = simplify(c, units, deadline)
+        want = _simplify_with_probes(c, units)
+        calls[0] += 1
+        if got != want:
+            differ.append((c, got, want))
+        return got
+
+    def counted_cuts(unit, l):
+        found = real_cuts(unit, l)
+        cuts[0] += found
+        return found
+    real_cuts = calculus.cuts
+    monkeypatch.setattr(saturation, "simplify", both)
+    monkeypatch.setattr(calculus, "cuts", counted_cuts)
+    expected = dict(line.split() for line in
+                    open("problems/corpus/expected_status.txt"))
+    paths = ["problems/sur_cantor.p"]
+    paths += [f"problems/corpus/{name}" for name in sorted(expected)]
+    for path in paths:
+        prob = parse_problem(open(path).read(), path.rsplit("/", 1)[-1])
+        if prob.logic_spec is not None:
+            prob = embed(prob)
+        assert saturate(prob, ProverConfig(time_limit=60)).status in (
+            "Theorem", "ContradictoryAxioms", "Unsatisfiable")
+    assert differ == []
+    # 1,837 calls and 202 cuts when this was written
+    assert calls[0] > 1000 and cuts[0] > 100
 
 
 def test_simplify_never_rewrites_toward_flexible_head():

@@ -1,7 +1,10 @@
 """Saturation loop: statuses, proof extraction, determinism."""
 
+import gc
 import random
 import time
+
+import pytest
 
 from ep_prover import saturation
 from ep_prover.clauses import (
@@ -611,3 +614,82 @@ def test_given_clause_skips_p_entries_it_was_enqueued_against(monkeypatch):
         assert new == old
     # 6,029 against 6,389 when this was written
     assert new_calls[0] < old_calls[0]
+
+
+# ---------------------------------------------------------------------------
+# A run allocates no reference cycles and pauses the cyclic collector only
+# while it runs
+# ---------------------------------------------------------------------------
+
+def _benchmark_problems():
+    """(label, maker) of the 27 benchmark runs: the corpus, both Cantor
+    problems, contradictory.p and becker.p under both S5 encodings."""
+    expected = dict(line.split() for line in
+                    open("problems/corpus/expected_status.txt"))
+    for name, make in zip(sorted(expected), _corpus_problems()):
+        yield name, make
+    for name in ("sur_cantor.p", "inj_cantor.p", "contradictory.p"):
+        text = open(f"problems/{name}").read()
+        yield name, lambda text=text, name=name: parse_problem(text, name)
+    text = open("problems/becker.p").read()
+    for mode in ("relational", "universal"):
+        yield (f"becker.p {mode}",
+               lambda mode=mode: embed(parse_problem(text, "becker.p"), mode))
+
+
+def test_a_run_leaves_no_cyclic_garbage():
+    """With the collector off throughout, nothing a run drops is left for
+    it: reference counting has freed it all."""
+    was_enabled = gc.isenabled()
+    found = {}
+    try:
+        for label, make_problem in _benchmark_problems():
+            prob = make_problem()
+            gc.disable()
+            gc.collect()
+            res = saturate(prob, ProverConfig(time_limit=60))
+            found[label] = gc.collect()
+            assert res.status in ("Theorem", "ContradictoryAxioms"), label
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(found) == 27
+    assert {k: n for k, n in found.items() if n} == {}
+
+
+_SAT_TEXT = """
+thf(p_type, type, (p: $o)). thf(q_type, type, (q: $o)).
+thf(a1, axiom, ( p | q )).
+"""
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_collectors_state(monkeypatch, enabled):
+    real = saturation.simplify
+    inside = []
+
+    def watched(c, units=(), deadline=None):
+        inside.append(gc.isenabled())
+        return real(c, units, deadline)
+
+    def failing(c, units=(), deadline=None):
+        raise RuntimeError("simplify failed")
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setattr(saturation, "simplify", watched)
+        assert prove("""
+        thf(p_type, type, (p: $o)). thf(a1, axiom, p).
+        thf(c, conjecture, p).
+        """).status == "Theorem"
+        assert inside and not any(inside)
+        assert gc.isenabled() is enabled
+        assert prove(_SAT_TEXT, timeout=-1).status == "Timeout"
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(saturation, "simplify", failing)
+        with pytest.raises(RuntimeError, match="simplify failed"):
+            prove(_SAT_TEXT)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

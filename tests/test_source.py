@@ -36,3 +36,46 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {p.name: unused_imports(ast.parse(p.read_text()))
              for p in SOURCES}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def recursive_closures(tree: ast.Module) -> list:
+    """Functions defined inside a function whose body refers to their own
+    name, with their line numbers and dotted names.  Such a function is a
+    reference cycle (it holds a cell that holds it), which only Python's
+    cyclic collector can free."""
+    found = []
+    stack = [(tree, "", False)]
+    while stack:
+        node, prefix, in_function = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                stack.append((child, prefix, in_function))
+                continue
+            name = prefix + child.name
+            is_function = not isinstance(child, ast.ClassDef)
+            if in_function and is_function and any(
+                    isinstance(n, ast.Name) and n.id == child.name
+                    for stmt in child.body for n in ast.walk(stmt)):
+                found.append((child.lineno, name))
+            stack.append((child, name + ".", in_function or is_function))
+    return sorted(found)
+
+
+def test_the_checker_sees_recursive_closures():
+    tree = ast.parse("def f(n):\n"
+                     "    def go(k):\n        return k and go(k - 1)\n"
+                     "    def add(k):\n        return k + n\n"
+                     "    return go(n) + add(n)\n"
+                     "def top(k):\n    return k and top(k - 1)\n"
+                     "class C:\n    def m(self):\n"
+                     "        def walk(x):\n"
+                     "            return [walk(y) for y in x]\n"
+                     "        return walk\n")
+    assert recursive_closures(tree) == [(2, "f.go"), (11, "C.m.walk")]
+
+
+def test_no_module_defines_a_recursive_closure():
+    found = {p.name: recursive_closures(ast.parse(p.read_text()))
+             for p in SOURCES}
+    assert {k: v for k, v in found.items() if v} == {}

@@ -3,7 +3,7 @@
 import pytest
 
 from ep_prover.terms import (
-    I, O, app, canon, const, fn, free,
+    I, O, app, canon, conj, const, disj, fn, free,
 )
 from ep_prover.clauses import Clause, Literal, prop_literal
 from ep_prover.tptp import (
@@ -41,6 +41,18 @@ def test_parse_connectives_round_trip():
         "thf(p_type, type, (p: $o)). thf(q_type, type, (q: $o)).\n"
         f"thf(x, axiom, ( {text2} )).", "u.p")
     assert prob2.formulas[-1].formula is f
+
+
+def test_print_chains_operands_left_to_right_at_any_length():
+    ps = [const(f"p{i}", O) for i in range(6)]
+    t = disj(disj(ps[0], disj(ps[1], ps[2])),
+             disj(conj(ps[3], ps[4]), ps[5]))
+    assert print_formula(t) == "p0 | p1 | p2 | ( p3 & p4 ) | p5"
+    long = ps[0]
+    for i in range(1, 3000):
+        long = disj(long, ps[i % 6])
+    assert print_formula(long) == " | ".join(f"p{i % 6}"
+                                             for i in range(3000))
 
 
 def test_parse_binders_and_application():
