@@ -8,7 +8,7 @@ from typing import Iterable, Optional
 from .terms import (
     Abs, Bound, Free, Term, TRUE, canon, constants, distinct_bound_args,
     free, head_of, invert_pattern, number_vars, replace_consts,
-    same_rigid_head, spine, substitute,
+    same_rigid_head, spine, substitute, union_fvs,
 )
 
 
@@ -48,7 +48,7 @@ class Literal:
         return self.rhs is TRUE and self.lhs is not TRUE
 
     def free_vars(self) -> frozenset:
-        return self.lhs.fvs | self.rhs.fvs
+        return union_fvs(self.lhs.fvs, self.rhs.fvs)
 
 
 def _orient_key(t: Term):
@@ -95,7 +95,8 @@ class Clause:
     def free_vars(self) -> frozenset:
         out = frozenset()
         for l in self.literals:
-            out |= l.free_vars()
+            if l.lhs.fvs or l.rhs.fvs:
+                out = union_fvs(out, l.free_vars())
         return out
 
 

@@ -137,15 +137,23 @@ def base_types_in(types) -> tuple:
 # ---------------------------------------------------------------------------
 
 class Term:
-    __slots__ = ("ty", "tid", "fvs", "loose", "size", "skey", "_canon")
+    __slots__ = ("ty", "tid", "fvs", "loose", "size", "_skey", "_canon")
 
     ty: SimpleType
     tid: int
-    fvs: frozenset
+    fvs: frozenset      # may be the very set of a subterm; see union_fvs
     loose: int          # number of binders the term reaches out of (0 = closed)
     size: int           # number of leaf symbol occurrences
-    skey: str           # structural sort key, stable across intern orders
+    _skey: Optional[str]        # `skey` of an atom; filled lazily otherwise
     _canon: Optional["Term"]    # canonical form, once known; see canon
+
+    @property
+    def skey(self) -> str:
+        """Structural sort key, stable across intern orders.  An atom's is
+        built when it is interned; an application's or abstraction's on
+        first read, since only literal sides are ever compared by it."""
+        k = self._skey
+        return k if k is not None else _fill_skey(self)
 
 
 class Const(Term):
@@ -194,7 +202,7 @@ def _register(key, node: Term, ty, fvs, loose, size, skey,
     node.fvs = fvs
     node.loose = loose
     node.size = size
-    node.skey = skey
+    node._skey = skey
     node._canon = node if canonical else None
     node.tid = _term_tid = _term_tid + 1
     _term_table[key] = node
@@ -243,8 +251,7 @@ def lam(var_ty: SimpleType, body: Term) -> Abs:
         node.var_ty = var_ty
         node.body = body
         t = _register(key, node, fun_type(var_ty, body.ty), body.fvs,
-                      max(0, body.loose - 1), body.size,
-                      f"l{var_ty.uid}\x00" + body.skey,
+                      max(0, body.loose - 1), body.size, None,
                       body._canon is body)
     return t
 
@@ -283,15 +290,50 @@ def _app(ty: SimpleType, head: Term, args) -> Term:
         size = head.size
         canonical = isinstance(ty, BaseType) and not isinstance(head, Abs)
         for a in args:
-            fvs = fvs | a.fvs
+            if a.fvs:
+                fvs = union_fvs(fvs, a.fvs)
             if a.loose > loose:
                 loose = a.loose
             size += a.size
             if a._canon is not a:
                 canonical = False
-        skey = "a(" + head.skey + "".join([a.skey for a in args]) + ")"
-        t = _register(key, node, ty, fvs, loose, size, skey, canonical)
+        t = _register(key, node, ty, fvs, loose, size, None, canonical)
     return t
+
+
+def union_fvs(a: frozenset, b: frozenset) -> frozenset:
+    """The union of two free-variable sets, as one of them when it
+    already covers the other, so terms share their sets where they can."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _fill_skey(t: Term) -> str:
+    """Build the `skey` of t and of every subterm that lacks one, with an
+    explicit stack (deep terms do not recurse), memoizing each."""
+    stack = [t]
+    while stack:
+        s = stack[-1]
+        if s._skey is not None:
+            stack.pop()
+            continue
+        if isinstance(s, Abs):
+            parts = (s.body,)
+        else:
+            parts = (s.head,) + s.args
+        missing = [p for p in parts if p._skey is None]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        if isinstance(s, Abs):
+            s._skey = f"l{s.var_ty.uid}\x00" + s.body._skey
+        else:
+            s._skey = "a(" + "".join([p._skey for p in parts]) + ")"
+    return t._skey
 
 
 def spine(t: Term) -> tuple:

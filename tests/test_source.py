@@ -79,3 +79,42 @@ def test_no_module_defines_a_recursive_closure():
     found = {p.name: recursive_closures(ast.parse(p.read_text()))
              for p in SOURCES}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+TERM_SLOTS = {"_skey", "fvs", "_canon", "tid"}
+
+
+def term_slot_assignments(tree: ast.Module) -> list:
+    """Assignments to an attribute named like a `Term` slot, with their
+    line numbers.  Interned terms are shared, so only `terms` may set
+    what they memoize."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Attribute) and n.attr in TERM_SLOTS \
+                        and isinstance(n.ctx, ast.Store):
+                    found.append((n.lineno, n.attr))
+    return sorted(found)
+
+
+def test_the_checker_sees_term_slot_assignments():
+    tree = ast.parse("t.fvs = s\nu._canon, w = x, y\nv.tid += 1\n"
+                     "k = t._skey\nt.skey = k\nn: int = t.tid\n"
+                     "t._skey: str = ''\n[a.b.tid for a in c]\n")
+    assert term_slot_assignments(tree) == [
+        (1, "fvs"), (2, "_canon"), (3, "tid"), (7, "_skey")]
+
+
+def test_only_terms_assigns_a_term_slot():
+    found = {p.name: term_slot_assignments(ast.parse(p.read_text()))
+             for p in SOURCES if p.name != "terms.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+    terms_py = next(p for p in SOURCES if p.name == "terms.py")
+    assert term_slot_assignments(ast.parse(terms_py.read_text()))

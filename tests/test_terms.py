@@ -1,18 +1,21 @@
 """Core term representation: interning, normalization, substitution."""
 
 import random
+import sys
 from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
 
 import ep_prover.terms as terms
+from ep_prover.clauses import Literal
 from ep_prover.saturation import ProverConfig, saturate
 from ep_prover.terms import (
     Abs, App, Bound, Const, Free, FunType, I, O, Signature, Subst, TermError,
     app, base_type, bound, canon, conj, const, disj,
     fn, forall, free, fun_type, implies, lam, neg, replace_at, shift, spine,
     subterm_at, subterm_positions, substitute, substitute_raw, type_str,
+    union_fvs,
 )
 from ep_prover.tptp import parse_problem
 
@@ -515,6 +518,95 @@ def test_every_term_flagged_canonical_is_a_reference_normal_form():
             assert _reference(t) is t, t
             checked += 1
     assert checked > 10000
+
+
+def _eager_skey(t, spelled: dict) -> str:
+    """The `skey` of t as it was spelled when every node built its key on
+    interning, from the spellings of its subterms in spelled (by tid)."""
+    if isinstance(t, Const):
+        return f"c{t.name}\x00{t.ty.uid}\x01"
+    if isinstance(t, Free):
+        return f"v{t.name}\x00{t.ty.uid}\x01"
+    if isinstance(t, Bound):
+        return f"b{t.index}\x01"
+    if isinstance(t, Abs):
+        return f"l{t.var_ty.uid}\x00" + spelled[t.body.tid]
+    return "a(" + spelled[t.head.tid] \
+        + "".join(spelled[a.tid] for a in t.args) + ")"
+
+
+def _children_fvs(t) -> set:
+    if isinstance(t, Free):
+        return {t}
+    if isinstance(t, Abs):
+        return set(t.body.fvs)
+    if isinstance(t, App):
+        return set(t.head.fvs).union(*(a.fvs for a in t.args))
+    return set()
+
+
+def test_every_interned_term_has_its_eager_skey_and_its_free_variables():
+    with open("problems/sur_cantor.p") as fh:
+        prob = parse_problem(fh.read(), "sur_cantor.p")
+    assert saturate(prob, ProverConfig(time_limit=60)).status == "Theorem"
+    table = sorted(terms._term_table.values(), key=lambda t: t.tid)
+    # by tid, so each term's subterms are spelled already
+    spelled = {}
+    for t in table:
+        spelled[t.tid] = _eager_skey(t, spelled)
+    assert sum(t._skey is None for t in table) > 10000
+    # newest first, so most reads fill a whole unread subterm
+    for t in reversed(table):
+        assert t.skey == spelled[t.tid], t
+        assert t.fvs == _children_fvs(t), t
+
+
+def test_skey_is_filled_on_first_read_of_every_subterm():
+    f = const("lazy_f", fn(I, I, res=I))
+    a = const("lazy_a", I)
+    x = free("LazyX", I)
+    t = app(f, a, x)
+    body = app(f, bound(0, I), a)
+    abst = lam(I, body)
+    inner = app(f, a, a)
+    inst = substitute(t, {x: inner})
+    for u in (t, body, abst, inner, inst):
+        assert u._skey is None, u
+    assert inst.skey == "a(" + f.skey + a.skey + inner.skey + ")"
+    assert inner._skey is not None and t._skey is None
+    assert abst.skey == f"l{I.uid}\x00" + body.skey
+    for atom in (f, a, x, bound(0, I)):
+        assert atom._skey is not None
+
+
+def test_an_application_shares_an_argument_set_that_covers_the_union():
+    f = const("share_f", fn(I, I, res=I))
+    g = const("share_g", fn(I, res=I))
+    x, y = free("ShareX", I), free("ShareY", I)
+    gx = app(g, x)
+    assert gx.fvs is x.fvs
+    assert terms._app(I, f, [x, gx]).fvs is gx.fvs
+    fxy = app(f, x, y)
+    assert fxy.fvs == {x, y}
+    assert app(f, fxy, x).fvs is fxy.fvs
+    assert app(f, gx, fxy).fvs is fxy.fvs
+    a, b = frozenset({x}), frozenset({y})
+    assert union_fvs(a, frozenset()) is a and union_fvs(frozenset(), b) is b
+    assert union_fvs(a, b) == {x, y}
+
+
+def test_skey_of_a_chain_deeper_than_the_recursion_limit():
+    depth = 2000
+    assert depth > sys.getrecursionlimit()
+    f = const("d", fn(I, res=I))
+    a = const("e", I)
+    t = a
+    for _ in range(depth):
+        t = terms._app(I, f, [t])
+    assert t.skey == ("a(" + f.skey) * depth + a.skey + ")" * depth
+    lit = Literal(t, a, True)
+    assert (lit.lhs, lit.rhs) == (t, a)
+    assert Literal(a, t, False).lhs is t
 
 
 def test_signature_fresh_names():
