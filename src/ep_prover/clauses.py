@@ -23,13 +23,15 @@ class Literal:
             raise ValueError("equation sides must share a type")
         lhs = canon(lhs)
         rhs = canon(rhs)
+        lk = lhs.skey
+        rk = rhs.skey
         # canonical orientation: structural key order, $true always right
-        if _orient_key(lhs) > _orient_key(rhs):
-            lhs, rhs = rhs, lhs
+        if (lhs is TRUE, lk) > (rhs is TRUE, rk):
+            lhs, rhs, lk, rk = rhs, lhs, rk, lk
         self.lhs = lhs
         self.rhs = rhs
         self.pos = pos
-        self._key = (lhs.skey, rhs.skey, pos)
+        self._key = (lk, rk, pos)
 
     def __eq__(self, other):
         return isinstance(other, Literal) and self.lhs is other.lhs \
@@ -49,10 +51,6 @@ class Literal:
 
     def free_vars(self) -> frozenset:
         return union_fvs(self.lhs.fvs, self.rhs.fvs)
-
-
-def _orient_key(t: Term):
-    return (t is TRUE, t.skey)
 
 
 def prop_literal(formula: Term, pos: bool) -> Literal:

@@ -17,7 +17,7 @@ from typing import Optional
 from .terms import FunType, O, Term, canon, fn, neg
 from .clauses import (
     Clause, Literal, alpha_key, clause_weight, is_empty_clause,
-    is_flex_flex, pairs_key, prop_literal, rename_clause, subsumes,
+    is_flex_flex, prop_literal, rename_clause, subsumes,
 )
 from .cnf import (
     NAMING_THRESHOLD, OutOfTime, definition_map, expand_definitions,
@@ -28,8 +28,8 @@ from .calculus import (
     inst_types, para_candidates, prim_subst, simplify,
 )
 from .unification import (
-    DEFAULT_DEPTH, DEFAULT_LIMIT, FAIL, NOT_PATTERN, UnifOutcome, _verify,
-    pattern_unify, pre_unify,
+    DEFAULT_DEPTH, DEFAULT_LIMIT, FAIL, NOT_PATTERN, pattern_unify,
+    pre_unify,
 )
 from .tptp import Problem, rule_status
 
@@ -105,7 +105,7 @@ class Saturation:
         self.units: list = []         # _units() of the current P
         self.deadline = None
         self.inj_done: set = set()
-        self.solved: dict = {}        # pairs_key -> (variables, UnifOutcome)
+        self.unif_memo: dict = {}     # pre-unification subtrees
         self.empty_id: Optional[int] = None
         self.picks = 0
         self.dropped_heavy = False    # the weight cut discarded a clause
@@ -274,37 +274,11 @@ class Saturation:
         if res is not NOT_PATTERN:
             self._emit_unified(d, rest, res, (), "pattern_uni")
             return
-        for u in self._pre_unify(pairs).unifiers:
-            self._emit_unified(d, rest, u.subst, u.residuals, "pre_uni")
-
-    def _pre_unify(self, pairs: list) -> UnifOutcome:
-        """`pre_unify` of the canonical pairs, solved once per run up to
-        renaming of their variables.
-
-        A renamed copy of a solved problem gets the stored outcome with
-        the solved problem's variables renamed to the copy's, and the
-        variables that solve minted to ones minted now, in its order.  So
-        the fresh-variable counter moves as a new solve would move it.
-        The outcome of a solve that ended past the deadline, which may
-        have been cut short, is not stored."""
-        key, xs = pairs_key(pairs)
-        hit = self.solved.get(key)
-        if hit is None:
-            out = pre_unify(pairs, self.sig,
-                            depth=self.config.unif_depth,
-                            limit=self.config.unifiers_per_inference,
-                            deadline=self.deadline)
-            if not self.out_of_time():
-                self.solved[key] = (xs, out)
-            return out
-        ys, out = hit
-        ren = dict(zip(ys, xs))
-        for v in out.fresh:
-            ren[v] = self.sig.fresh_free(v.ty)
-        out = out.renamed(ren)
+        out = pre_unify(pairs, self.sig, depth=self.config.unif_depth,
+                        limit=self.config.unifiers_per_inference,
+                        deadline=self.deadline, memo=self.unif_memo)
         for u in out.unifiers:
-            _verify(pairs, u)
-        return out
+            self._emit_unified(d, rest, u.subst, u.residuals, "pre_uni")
 
     def _emit_unified(self, d: Derived, rest, subst, residuals, rule):
         lits = [Literal(subst.apply(l.lhs), subst.apply(l.rhs), l.pos)

@@ -796,16 +796,6 @@ class Subst:
         out._memo = {}
         return out
 
-    def renamed(self, ren: dict) -> "Subst":
-        """This substitution with every variable renamed by the injective
-        {Free -> Free} map ren, simultaneously, bindings in the same
-        order; variables outside ren keep their names."""
-        out = Subst.__new__(Subst)
-        out.map = {ren.get(v, v): substitute(r, ren)
-                   for v, r in self.map.items()}
-        out._memo = {}
-        return out
-
     def items(self, among=None):
         """(variable, resolved image) pairs, in binding order; only the
         variables in `among` when it is given."""

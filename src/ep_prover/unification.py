@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .clauses import pairs_key
 from .terms import (
     Const, Free, SimpleType, Subst, Term, app, arg_types, bound, canon,
     distinct_bound_args, fn, head_of, invert_pattern, is_eta_var,
@@ -36,16 +37,6 @@ class UnifOutcome:
     unifiers: list
     exhausted: bool = False  # search hit the depth or time budget somewhere
     fresh: list = field(default_factory=list)  # minted variables, in order
-
-    def renamed(self, ren: dict) -> "UnifOutcome":
-        """This outcome with its variables renamed by the injective
-        {Free -> Free} map ren (see `Subst.renamed`)."""
-        return UnifOutcome(
-            [Unifier(u.subst.renamed(ren),
-                     tuple((substitute(a, ren), substitute(b, ren))
-                           for a, b in u.residuals))
-             for u in self.unifiers],
-            self.exhausted, [ren.get(v, v) for v in self.fresh])
 
 
 class _Clash(Exception):
@@ -144,7 +135,8 @@ def general_bindings(var_ty: SimpleType, rigid_head: Optional[Term],
 
 def pre_unify(pairs: list, sig, depth: int = DEFAULT_DEPTH,
               limit: int = DEFAULT_LIMIT,
-              deadline: Optional[float] = None) -> UnifOutcome:
+              deadline: Optional[float] = None,
+              memo: Optional[dict] = None) -> UnifOutcome:
     """Pre-unify a list of closed term pairs.
 
     Returns up to `limit` unifiers, each with its flex-flex residuals.
@@ -153,20 +145,26 @@ def pre_unify(pairs: list, sig, depth: int = DEFAULT_DEPTH,
     budget or the deadline, so an empty result list is only a definitive
     failure when it is False.  `fresh` lists the variables the search
     took from sig, in the order it took them.
+
+    `memo`, a dict shared by one run's calls, holds each subtree searched
+    up to renaming; a repeat gets what a new search would find and mint.
     """
     pairs = [(canon(a), canon(b)) for a, b in pairs]
     outcome = UnifOutcome([], False)
-    _search(pairs, Subst(), 0, sig, depth, limit, deadline, outcome)
+    _search(pairs, Subst(), 0, sig, depth, limit, deadline, outcome, memo)
     for u in outcome.unifiers:
         _verify(pairs, u)
     return outcome
 
 
 def _search(pairs: list, subst: Subst, d: int, sig, depth: int, limit: int,
-            deadline: Optional[float], outcome: UnifOutcome) -> None:
+            deadline: Optional[float], outcome: UnifOutcome,
+            memo: Optional[dict]) -> None:
     """The depth-first search of `pre_unify` below a node at depth d:
     appends the unifiers found, and the variables taken from sig, to
-    outcome until it holds `limit` unifiers."""
+    outcome until it holds `limit` unifiers.  A branching node's subtree
+    is memoized on its pending pairs up to renaming and remaining depth
+    and limit, unless it ended past the deadline: see `_recall`."""
     if len(outcome.unifiers) >= limit:
         return
     try:
@@ -180,15 +178,55 @@ def _search(pairs: list, subst: Subst, d: int, sig, depth: int, limit: int,
                       and time.monotonic() > deadline):
         outcome.exhausted = True
         return
+    pending = flex_rigid + flex_flex
+    if memo is not None:
+        key, xs = pairs_key(pending)
+        key = key, depth - d, limit - len(outcome.unifiers)
+        hit = memo.get(key)
+        if hit is not None:
+            _recall(hit, xs, subst, sig, outcome)
+            return
+    n, m, cut = len(outcome.unifiers), len(outcome.fresh), outcome.exhausted
+    outcome.exhausted = False
     s, t = flex_rigid[0]
     fv = head_of(s)
     rigid = head_of(t)
     head = rigid if isinstance(rigid, Const) else None
     for b in general_bindings(fv.ty, head, sig, outcome.fresh):
         if len(outcome.unifiers) >= limit:
-            return
-        _search(flex_rigid + flex_flex, subst.bind(fv, b), d + 1, sig,
-                depth, limit, deadline, outcome)
+            break
+        _search(pending, subst.bind(fv, b), d + 1, sig, depth, limit,
+                deadline, outcome, memo)
+    if memo is not None and (deadline is None
+                             or time.monotonic() <= deadline):
+        k = len(subst.map)
+        memo[key] = (xs, [(list(u.subst.map.items())[k:], u.residuals)
+                          for u in outcome.unifiers[n:]],
+                     outcome.exhausted, outcome.fresh[m:])
+    outcome.exhausted = outcome.exhausted or cut
+
+
+def _recall(entry: tuple, xs: list, subst: Subst, sig,
+            outcome: UnifOutcome) -> None:
+    """Append to outcome what the memoized subtree `entry` found: per
+    unifier the bindings made below its node and the residuals, whether
+    it was cut, and the variables it minted, all renamed at once: its
+    node's variables ys to xs, each minted one to one minted now."""
+    ys, found, cut, minted = entry
+    ren = dict(zip(ys, xs))
+    for v in minted:
+        ren[v] = sig.fresh_free(v.ty)
+        outcome.fresh.append(ren[v])
+
+    def rename(t):  # t's variables only: substitute canons every image
+        return substitute(t, {v: ren[v] for v in t.fvs})
+    for binds, residuals in found:
+        u = subst
+        for v, r in binds:
+            u = u.bind(ren[v], rename(r))
+        outcome.unifiers.append(Unifier(u, tuple(
+            (rename(a), rename(b)) for a, b in residuals)))
+    outcome.exhausted = outcome.exhausted or cut
 
 
 def _verify(pairs, u: Unifier):

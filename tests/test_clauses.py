@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from ep_prover import clauses
+from ep_prover import clauses, unification
 from ep_prover.terms import (
     Abs, Bound, Const, Free, I, O, Signature, app, base_type, bound, canon,
     const, disj, fn, free, lam, neg, subterm_positions, substitute, type_str,
@@ -391,10 +391,10 @@ def _run_problem(path):
 @pytest.fixture(scope="module")
 def cantor_runs():
     """Per Cantor problem: the records of its run, every (P clause, new
-    clause) pair of its `_enqueue` calls and the constraint pairs of
-    every `_pre_unify` call."""
+    clause) pair of its `_enqueue` calls and the pending pairs of every
+    node that pre-unification looked up in its memo."""
     runs = {}
-    enqueue, pre_unify = Saturation._enqueue, Saturation._pre_unify
+    enqueue = Saturation._enqueue
     for name in ("sur_cantor", "inj_cantor"):
         pairs, problems = [], []
 
@@ -402,12 +402,12 @@ def cantor_runs():
             pairs.extend((self.records[p].clause, d.clause) for p in self.P)
             return enqueue(self, d, key)
 
-        def spy_pre_unify(self, constraints):
-            problems.append(list(constraints))
-            return pre_unify(self, constraints)
+        def spy_pairs_key(pending):
+            problems.append(list(pending))
+            return pairs_key(pending)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(Saturation, "_enqueue", spy_enqueue)
-            m.setattr(Saturation, "_pre_unify", spy_pre_unify)
+            m.setattr(unification, "pairs_key", spy_pairs_key)
             res = _run_problem(f"problems/{name}.p")
         assert res.status == "Theorem"
         runs[name] = res.records, pairs, problems
@@ -460,7 +460,7 @@ def test_pairs_key_partitions_unification_problems_like_the_string_walk(
             old_key, old_xs = _pairs_key_by_strings(pairs)
             assert xs == old_xs
             keys.append((old_key, key))
-        # the cache hits: some problems are renamings of earlier ones
+        # the memo hits: some problems are renamings of earlier ones
         assert _assert_bijection(keys) < len(problems)
 
 

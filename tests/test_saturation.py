@@ -3,13 +3,12 @@
 import gc
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from ep_prover import saturation
-from ep_prover.clauses import (
-    Clause, Literal, pairs_key, prop_literal, subsumes,
-)
+from ep_prover import saturation, unification
+from ep_prover.clauses import Clause, Literal, prop_literal, subsumes
 from ep_prover.calculus import _para_target, para_candidates
 from ep_prover.cnf import OutOfTime, normalize
 from ep_prover.saturation import (
@@ -25,6 +24,7 @@ from ep_prover.tptp import AnnotatedFormula, Problem, parse_problem
 from ep_prover.modal import embed
 
 from test_acceptance import _ATOMS, _gen_formula, _to_term
+from test_unification import _count_recalls
 
 
 def prove(text, timeout=30.0, **kw):
@@ -306,10 +306,11 @@ def test_normalize_returns_no_clause_that_needs_cnf():
 
 
 # ---------------------------------------------------------------------------
-# The unifier cache: each pre-unification problem is solved once per run
+# The pre-unification memo: each subtree is searched once per run, up to
+# renaming, and a memo answer equals a cold search
 # ---------------------------------------------------------------------------
 
-def _cache_run():
+def _memo_run():
     prob = parse_problem("""
     thf(f_type, type, (f: $i > $i)).
     thf(a_type, type, (a: $i)).
@@ -319,7 +320,7 @@ def _cache_run():
 
 def _flex_problem(sig, f_name, h_name, k_name):
     """F a = f a, then the flex-flex pair H a = K a: two unifiers, each
-    with a residual, and a fresh variable minted by the imitation."""
+    with a residual, and fresh variables minted by the imitations."""
     f = const("f", sig.constants["f"])
     a = const("a", sig.constants["a"])
     F, H, K = (free(n, fn(I, res=I)) for n in (f_name, h_name, k_name))
@@ -332,6 +333,13 @@ def _cold(sat, pairs, sig):
                      limit=sat.config.unifiers_per_inference)
 
 
+def _memo_solve(sat, pairs, deadline=None):
+    """`pre_unify` as `Saturation._eager_unify` calls it."""
+    return pre_unify(pairs, sat.sig, depth=sat.config.unif_depth,
+                     limit=sat.config.unifiers_per_inference,
+                     deadline=deadline, memo=sat.unif_memo)
+
+
 def _assert_same_outcome(got, want):
     assert [list(u.subst.map.items()) for u in got.unifiers] \
         == [list(u.subst.map.items()) for u in want.unifiers]
@@ -341,71 +349,104 @@ def _assert_same_outcome(got, want):
     assert got.fresh == want.fresh
 
 
-def _count_solves(monkeypatch):
-    calls = []
-
-    def counted(*args, **kw):
-        calls.append(args[0])
-        return pre_unify(*args, **kw)
-    monkeypatch.setattr(saturation, "pre_unify", counted)
-    return calls
-
-
-def test_renamed_problem_is_a_cache_hit_equal_to_a_cold_solve(monkeypatch):
-    sat = _cache_run()
-    solves = _count_solves(monkeypatch)
-    first = sat._pre_unify(_flex_problem(sat.sig, "F", "H", "K"))
-    assert len(first.unifiers) == 2 and first.fresh
-    # the copy's F is the variable the first solve minted, so the
-    # renaming must be simultaneous
+def test_renamed_problem_is_a_memo_hit_equal_to_a_cold_solve(monkeypatch):
+    sat = _memo_run()
+    recalls = _count_recalls(monkeypatch)
+    first = _memo_solve(sat, _flex_problem(sat.sig, "F", "H", "K"))
+    assert len(first.unifiers) == 2 and not recalls
+    # each copy names a variable after the one the first solve minted,
+    # so the renaming must be simultaneous: F, bound by the unifiers, and
+    # H, which stays in their residuals
     (minted,) = first.fresh
-    pairs = _flex_problem(sat.sig, minted.name, "Y", "Z")
-    cold_sig = sat.sig.copy()
-    hit = sat._pre_unify(pairs)
-    assert len(solves) == 1
-    _assert_same_outcome(hit, _cold(sat, pairs, cold_sig))
-    assert sat.sig._fv == cold_sig._fv
-    assert all(u.residuals for u in hit.unifiers)
+    for names in ((minted.name, "Y", "Z"), ("X", minted.name, "Z")):
+        pairs = _flex_problem(sat.sig, *names)
+        cold_sig = sat.sig.copy()
+        hit = _memo_solve(sat, pairs)
+        # the root of the copy was answered from the memo
+        assert recalls.pop()[1] == [free(n, minted.ty) for n in names]
+        assert not recalls
+        _assert_same_outcome(hit, _cold(sat, pairs, cold_sig))
+        assert sat.sig._fv == cold_sig._fv
+        assert all(u.residuals for u in hit.unifiers)
 
 
-def test_a_solve_that_ends_past_the_deadline_is_not_stored(monkeypatch):
-    sat = _cache_run()
+def _clock(monkeypatch, late_from):
+    """Make `unification` read a clock that counts its readings: reading
+    number late_from and every later one is past the deadline 1.0."""
+    readings = []
+
+    def monotonic():
+        readings.append(None)
+        return 2.0 if len(readings) >= late_from else 0.0
+    monkeypatch.setattr(unification, "time",
+                        SimpleNamespace(monotonic=monotonic))
+    return readings
+
+
+def test_a_subtree_that_ends_past_the_deadline_is_not_stored(monkeypatch):
+    sat = _memo_run()
     pairs = _flex_problem(sat.sig, "F", "H", "K")
-    sat.deadline = time.monotonic() - 1
-    assert sat._pre_unify(pairs).exhausted
-    assert sat.solved == {}
+    assert _memo_solve(sat, pairs, time.monotonic() - 1).exhausted
+    assert sat.unif_memo == {}
+    # on time throughout: the inner node and then the root are stored
+    depth = sat.config.unif_depth
+    readings = _clock(monkeypatch, late_from=10 ** 9)
+    sat = _memo_run()
+    want = _memo_solve(sat, pairs, deadline=1.0)
+    assert not want.exhausted and len(want.unifiers) == 2
+    assert [k[1] for k in sat.unif_memo] == [depth - 1, depth]
+    # complete, but the clock passed the deadline at its last reading,
+    # after the last branching check: the root's subtree, which ended
+    # last, is not stored
+    _clock(monkeypatch, late_from=len(readings))
+    sat = _memo_run()
+    _assert_same_outcome(_memo_solve(sat, pairs, deadline=1.0), want)
+    assert [k[1] for k in sat.unif_memo] == [depth - 1]
 
-    # complete, but the deadline passed before the solve returned
-    def slow(*args, **kw):
-        kw["deadline"] = None
-        out = pre_unify(*args, **kw)
-        sat.deadline = time.monotonic() - 1
-        return out
-    sat.deadline = time.monotonic() + 60
-    monkeypatch.setattr(saturation, "pre_unify", slow)
-    assert not sat._pre_unify(pairs).exhausted
-    assert sat.solved == {}
 
-
-def test_every_cache_hit_of_a_run_equals_a_cold_solve(monkeypatch):
+def test_every_memo_answer_of_a_run_equals_a_cold_solve(monkeypatch):
     prob = parse_problem(open("problems/sur_cantor.p").read(), "s.p")
     sat = Saturation(prob, ProverConfig(time_limit=60))
-    cached = Saturation._pre_unify
+    recalls = _count_recalls(monkeypatch)
     hits = []
 
-    def checked(self, pairs):
-        if pairs_key(pairs)[0] not in self.solved:
-            return cached(self, pairs)
-        cold_sig = self.sig.copy()
-        cold = _cold(self, pairs, cold_sig)
-        out = cached(self, pairs)
+    def checked(pairs, sig, **kw):
+        cold_sig = sig.copy()
+        cold = _cold(sat, pairs, cold_sig)
+        before = len(recalls)
+        out = pre_unify(pairs, sig, **kw)
         _assert_same_outcome(out, cold)
-        assert self.sig._fv == cold_sig._fv
-        hits.append(pairs)
+        assert sig._fv == cold_sig._fv
+        hits.append(len(recalls) > before)
         return out
-    monkeypatch.setattr(Saturation, "_pre_unify", checked)
+    monkeypatch.setattr(saturation, "pre_unify", checked)
     assert sat.run().status == "Theorem"
-    assert hits
+    # some solves were answered in part from the memo
+    assert any(hits) and sat.unif_memo
+
+
+def test_the_memo_key_holds_both_budgets(monkeypatch):
+    """The same pending pairs met again under another remaining depth or
+    limit are searched again, not answered from the first entry, which
+    holds a different outcome."""
+    recalls = _count_recalls(monkeypatch)
+    for budget, first, second in (("depth", 1, 8), ("depth", 8, 1),
+                                  ("limit", 1, 4), ("limit", 4, 1)):
+        sat = _memo_run()
+        kw = {"depth": sat.config.unif_depth,
+              "limit": sat.config.unifiers_per_inference}
+        outs = []
+        for n, value in enumerate((first, second)):
+            kw[budget] = value
+            pairs = _flex_problem(sat.sig, f"F{n}", f"H{n}", f"K{n}")
+            cold_sig = sat.sig.copy()
+            cold = pre_unify(pairs, cold_sig, **kw)
+            outs.append(pre_unify(pairs, sat.sig, memo=sat.unif_memo, **kw))
+            _assert_same_outcome(outs[-1], cold)
+            assert sat.sig._fv == cold_sig._fv
+        assert recalls == [], budget
+        assert (len(outs[0].unifiers), outs[0].exhausted) \
+            != (len(outs[1].unifiers), outs[1].exhausted), budget
 
 
 # ---------------------------------------------------------------------------

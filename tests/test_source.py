@@ -118,3 +118,67 @@ def test_only_terms_assigns_a_term_slot():
     assert {k: v for k, v in found.items() if v} == {}
     terms_py = next(p for p in SOURCES if p.name == "terms.py")
     assert term_slot_assignments(ast.parse(terms_py.read_text()))
+
+
+TREES = ("src", "tests", "perfbench")
+
+
+def names_in_use(tree: ast.Module) -> set:
+    """Every name a module reads, imports or spells as an identifier
+    string (`getattr` arguments, the spans of perfbench)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            used.add(node.value)
+    return used
+
+
+def dead_functions(defining: dict, using: list) -> list:
+    """(module, line, name) of each function or method defined in the
+    trees of `defining` ({module name: tree}) whose name no tree in
+    `using` uses.  Dunder methods are called by Python, and replay's
+    `_r_<rule>` methods are looked up by rule name."""
+    used = set().union(*map(names_in_use, using))
+    found = []
+    for module, tree in defining.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name in used or (name.startswith("__")
+                                and name.endswith("__")) \
+                    or (module == "replay.py" and name.startswith("_r_")):
+                continue
+            found.append((module, node.lineno, name))
+    return sorted(found)
+
+
+def test_the_checker_sees_dead_functions():
+    lib = ast.parse("class C:\n    def __init__(self):\n        pass\n"
+                    "    def used(self):\n        return helper()\n"
+                    "    def gone(self):\n        pass\n"
+                    "def helper():\n    pass\n"
+                    "def by_name():\n    pass\n"
+                    "def _r_rule():\n    pass\n")
+    user = ast.parse("from lib import C\nC().used()\n"
+                     "getattr(lib, 'by_name')\n")
+    assert dead_functions({"lib.py": lib}, [lib, user]) == [
+        ("lib.py", 6, "gone"), ("lib.py", 12, "_r_rule")]
+    assert dead_functions({"replay.py": lib}, [lib, user]) == [
+        ("replay.py", 6, "gone")]
+
+
+def test_every_function_of_the_package_is_used():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    using = [ast.parse(p.read_text()) for d in TREES
+             for p in sorted((root / d).rglob("*.py"))]
+    assert len(using) > 2 * len(SOURCES)
+    defining = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    assert dead_functions(defining, using) == []
