@@ -242,7 +242,7 @@ def match_terms(pattern: Term, target: Term,
             if img is None:
                 return None
         elif all(v in binding for v in pattern.fvs):
-            inst = substitute(pattern, {v: binding[v] for v in pattern.fvs})
+            inst = _instance(pattern, *[binding[v] for v in pattern.fvs])
             return binding if inst is target else None
         else:
             return None
@@ -261,6 +261,15 @@ def match_terms(pattern: Term, target: Term,
         if binding is None:
             return None
     return binding
+
+
+@cache
+def _instance(pattern: Term, *images: Term) -> Term:
+    """substitute(pattern, ...) with images[k] for the k-th variable of
+    pattern.fvs: the instance `match_terms` compares with its target.
+    An interned term always holds the same set object, so the order of
+    its variables, and with it this memo's key, is fixed."""
+    return substitute(pattern, dict(zip(pattern.fvs, images)))
 
 
 @cache
@@ -294,9 +303,11 @@ def match_literal(pl: Literal, tl: Literal, binding: dict):
                 yield m2
 
 
+@cache
 def _rigid_head(t: Term):
     """The `head_of` t as `heads_fit` compares it: a constant itself, a
-    bound variable's index, None for a free variable."""
+    bound variable's index, None for a free variable.  Memoized, since
+    `cuts` asks for the heads of a target literal once per unit."""
     h = head_of(t)
     if isinstance(h, Bound):
         return h.index

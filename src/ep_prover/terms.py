@@ -22,6 +22,7 @@ O(1) on it; on any other node the slot memoizes its canonical form once
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator, Optional
 
 
@@ -620,10 +621,12 @@ def distinct_bound_args(args) -> bool:
     return True
 
 
+@cache
 def invert_pattern(args: tuple, target: Term) -> Optional[Term]:
     """The solution for X of X args = target, where args are distinct
     bound variables: the abstraction of target over args.  None when
-    target reaches a bound variable that is not among args."""
+    target reaches a bound variable that is not among args.  Memoized on
+    the interned args and target, which are never freed."""
     n = len(args)
     remap = {a.index: n - 1 - k for k, a in enumerate(args)}
     body = _remap_bounds(target, remap, 0)

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from ep_prover import cli
 from ep_prover.terms import (
     AND, Const, IFF, IMPLIES, NOT, O, OR, Signature, Subst, app,
     arg_types, canon, const, free, fn, I,
@@ -529,6 +530,16 @@ def test_proof_output_byte_identical_across_runs():
         name = path.rsplit("/", 1)[-1][:-2]
         with open(f"tests/golden/{name}.out") as f:
             assert outs[0] == f.read(), path
+
+
+def test_proof_output_unchanged_by_earlier_runs_in_the_process(capsys):
+    """The intern table and the memos built on it outlive a run, so a
+    later run in the same process starts warm; its proof must still be
+    the golden one."""
+    for name in ("inj_cantor", "sur_cantor", "contradictory"):
+        assert cli.main([f"{PROBLEMS}/{name}.p", "-p"]) == 0, name
+        with open(f"tests/golden/{name}.out") as f:
+            assert capsys.readouterr().out == f.read(), name
 
 
 # ---------------------------------------------------------------------------

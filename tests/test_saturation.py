@@ -678,6 +678,7 @@ def _benchmark_problems():
                lambda mode=mode: embed(parse_problem(text, "becker.p"), mode))
 
 
+@pytest.mark.slow
 def test_a_run_leaves_no_cyclic_garbage():
     """With the collector off throughout, nothing a run drops is left for
     it: reference counting has freed it all."""
