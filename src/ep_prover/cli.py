@@ -7,9 +7,10 @@ request, a TSTP refutation certificate.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .terms import (
     LOGICAL_NAMES, Term, const, constants, substitute_raw, type_str,
@@ -30,43 +31,31 @@ SUCCESS_STATUSES = ("Theorem", "Unsatisfiable", "ContradictoryAxioms",
 _BUILTIN_NAMES = LOGICAL_NAMES | MODAL_OPERATORS
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors keep the stdout contract: the
-    SZS line first, then argparse's message on stderr and exit 2."""
-
-    problem_name = "unknown"
-
-    def error(self, message):
-        _emit(print_szs("Error", self.problem_name))
-        super().error(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    defaults = ProverConfig()
-    ap = _Parser(
-        prog="ep-prover",
-        description="saturation prover for monomorphic higher-order logic")
-    ap.add_argument("problem", help="THF problem file")
-    ap.add_argument("-t", "--timeout", type=float,
-                    default=defaults.time_limit,
-                    help="wall clock limit in seconds (default %(default)g)")
-    ap.add_argument("-p", "--proof", action="store_true",
-                    help="print a TSTP refutation certificate")
-    ap.add_argument("--unif-depth", type=int, default=defaults.unif_depth,
-                    help="pre-unification search depth")
-    ap.add_argument("--unifiers", type=int,
-                    default=defaults.unifiers_per_inference,
-                    help="unifiers kept per constraint set")
-    ap.add_argument("--ps-limit", type=int, default=defaults.ps_limit,
-                    help="primitive substitution depth per clause lineage")
-    ap.add_argument("--no-inj", action="store_true",
-                    help="disable the injectivity postulate rule")
-    ap.add_argument("--modal-s5", choices=("relational", "universal"),
-                    default="relational",
-                    help="S5 accessibility encoding for modal problems")
-    ap.add_argument("--include-dir", default=None,
-                    help="directory for TPTP include resolution")
-    return ap
+# The option table: the spellings, the attribute run() reads (None for
+# -h), the kind of value (None for a flag, else a converter or a tuple of
+# choices), the default and the help text.  It drives the scan, the
+# defaults and the -h text.
+_OPTIONS = (
+    (("-h", "--help"), None, None, None, "print this help and exit"),
+    (("-t", "--timeout"), "timeout", float, ProverConfig.time_limit,
+     "wall clock limit in seconds"),
+    (("-p", "--proof"), "proof", None, False,
+     "print a TSTP refutation certificate"),
+    (("--unif-depth",), "unif_depth", int, ProverConfig.unif_depth,
+     "pre-unification search depth"),
+    (("--unifiers",), "unifiers", int, ProverConfig.unifiers_per_inference,
+     "unifiers kept per constraint set"),
+    (("--ps-limit",), "ps_limit", int, ProverConfig.ps_limit,
+     "primitive substitution depth per clause lineage"),
+    (("--no-inj",), "no_inj", None, False,
+     "disable the injectivity postulate rule"),
+    (("--modal-s5",), "modal_s5", ("relational", "universal"), "relational",
+     "S5 accessibility encoding for modal problems"),
+    (("--include-dir",), "include_dir", str, None,
+     "directory for TPTP include resolution"),
+)
+_BY_SPELLING = {s: row for row in _OPTIONS for s in row[0]}
+_USAGE = "usage: ep-prover [-h] [options] problem"
 
 
 def _add_consts(t: Term, out: dict):
@@ -226,33 +215,114 @@ def run(args) -> int:
     return 2
 
 
-def _problem_name(ap: argparse.ArgumentParser, argv: list) -> str:
-    """Basename of the first argument that is neither an option nor an
-    option's value; "unknown" if there is none."""
-    takes_value = {s for a in ap._actions if a.nargs != 0
-                   for s in a.option_strings}
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-        elif tok.startswith("-") and len(tok) > 1:
-            skip = tok in takes_value
+def _is_option(tok: str) -> bool:
+    """Whether tok reads as an option: it starts with "-", is longer than
+    that, and is no negative number (argparse's rule)."""
+    return (len(tok) > 1 and tok[0] == "-"
+            and not re.fullmatch(r"-\d+|-\d*\.\d+", tok))
+
+
+def _help_text() -> str:
+    lines = [_USAGE, "", "saturation prover for monomorphic higher-order "
+             "logic", "", "  problem", "      THF problem file"]
+    for spellings, dest, kind, default, text in _OPTIONS:
+        left = ", ".join(spellings)
+        if kind is not None:
+            left += " " + ("{" + ",".join(kind) + "}"
+                           if isinstance(kind, tuple) else dest.upper())
+            if default is not None:
+                text += f" (default {default})"
+        lines += [f"  {left}", f"      {text}"]
+    return "\n".join(lines)
+
+
+def _usage_error(argv: list, message: str):
+    """Report a usage error and exit 2.  Stdout gets the SZS Error line
+    for the basename of the first argument that is neither an option nor
+    an option's value ("unknown" if there is none; here every argument
+    longer than "-" that starts with "-" counts as an option, a negative
+    number too); stderr gets the usage line and the message."""
+    name = "unknown"
+    tokens = iter(argv)
+    for tok in tokens:
+        if not (len(tok) > 1 and tok[0] == "-"):
+            name = tok.rsplit("/", 1)[-1]
+            break
+        row = _BY_SPELLING.get(tok)
+        if row is not None and row[2] is not None:
+            next(tokens, None)      # the option's value
+    _emit(print_szs("Error", name))
+    print(_USAGE, f"ep-prover: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The problem and the options of argv, scanned by the option table.
+
+    Options are spelled in full; a long option that takes a value also
+    reads `--opt=V`.  As in argparse, a value may start with "-" only if
+    it is a number, a bad value is an error when it is met and -h prints
+    the help and exits 0 when it is met, while an unknown option, a
+    second problem argument or none are reported after the scan."""
+    args = {dest: default for _, dest, _, default, _ in _OPTIONS if dest}
+    problem, extras = None, []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        i += 1
+        spelling, eq, value = (tok.partition("=") if tok[:2] == "--"
+                               else (tok, "", ""))
+        row = _BY_SPELLING.get(spelling)
+        if row is None:
+            if problem is None and not _is_option(tok):
+                problem = tok
+            else:
+                extras.append(tok)
+            continue
+        spellings, dest, kind, _, _ = row
+        label = "/".join(spellings)
+        if kind is None:
+            if eq:
+                _usage_error(argv, f"argument {label}: ignored explicit "
+                                   f"argument {value!r}")
+            if dest is None:
+                _emit(_help_text())
+                raise SystemExit(0)
+            args[dest] = True
+            continue
+        if not eq:
+            if i == len(argv) or _is_option(argv[i]):
+                _usage_error(argv, f"argument {label}: expected one "
+                                   "argument")
+            value = argv[i]
+            i += 1
+        if isinstance(kind, tuple):
+            if value not in kind:
+                _usage_error(argv, f"argument {label}: invalid choice: "
+                                   f"{value!r} (choose from "
+                                   f"{', '.join(map(repr, kind))})")
         else:
-            return tok.rsplit("/", 1)[-1]
-    return "unknown"
+            try:
+                value = kind(value)
+            except ValueError:
+                _usage_error(argv, f"argument {label}: invalid "
+                                   f"{kind.__name__} value: {value!r}")
+        args[dest] = value
+    if problem is None:
+        _usage_error(argv, "the following arguments are required: problem")
+    if extras:
+        _usage_error(argv, "unrecognized arguments: " + " ".join(extras))
+    if not args["timeout"] > 0:     # also rejects nan
+        _usage_error(argv, "timeout must be positive")
+    if min(args["unif_depth"], args["unifiers"], args["ps_limit"]) < 0:
+        _usage_error(argv, "--unif-depth, --unifiers and --ps-limit must "
+                           "not be negative")
+    return SimpleNamespace(problem=problem, **args)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser()
-    ap.problem_name = _problem_name(ap, argv)
-    args = ap.parse_args(argv)
-    if not args.timeout > 0:    # also rejects nan
-        ap.error("timeout must be positive")
-    if min(args.unif_depth, args.unifiers, args.ps_limit) < 0:
-        ap.error("--unif-depth, --unifiers and --ps-limit must not be "
-                 "negative")
-    return run(args)
+    return run(parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, stream discipline, proof output."""
 
+import argparse
+import contextlib
 import io
+import random
 import subprocess
 import sys
 import time
@@ -9,9 +12,9 @@ import pytest
 
 from ep_prover import cli
 from ep_prover.calculus import simplify
-from ep_prover.cli import build_parser, main
+from ep_prover.cli import main, parse_args
 from ep_prover.saturation import ProverConfig, Saturation
-from ep_prover.tptp import parse_problem
+from ep_prover.tptp import parse_problem, print_szs
 
 
 PROBLEMS = "problems"
@@ -213,7 +216,7 @@ def test_satisfiable_counts_as_success(tmp_path):
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args(["x.p"])
+    args = parse_args(["x.p"])
     assert args.timeout == 60.0
     assert args.unif_depth == 8
     assert args.unifiers == 4
@@ -305,3 +308,204 @@ def test_reader_leaving_early_gets_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=180) == 0
     assert err == b""
+
+
+def test_a_call_imports_no_argparse_gettext_or_locale():
+    # a fresh interpreter: each of these costs every CLI call its import
+    code = ("import sys\n"
+            "from ep_prover import cli\n"
+            "rc = cli.main([sys.argv[1], '-p'])\n"
+            "print(rc, sorted(m for m in ('argparse', 'gettext', 'locale')\n"
+            "                 if m in sys.modules))\n")
+    r = subprocess.run(
+        [sys.executable, "-c", code, f"{PROBLEMS}/corpus/prop_k.p"],
+        capture_output=True, text=True, timeout=180)
+    assert r.stdout.splitlines()[0] == "% SZS status Theorem for prop_k.p"
+    assert r.stdout.splitlines()[-1] == "0 []"
+
+
+# The reference for the option scanner: the argparse front end it
+# replaced, with its two checks after parsing and its problem naming.
+
+class _ReferenceParser(argparse.ArgumentParser):
+    problem_name = "unknown"
+
+    def error(self, message):
+        print(print_szs("Error", self.problem_name))
+        super().error(message)
+
+
+def _reference_parser():
+    defaults = ProverConfig()
+    ap = _ReferenceParser(
+        prog="ep-prover",
+        description="saturation prover for monomorphic higher-order logic")
+    ap.add_argument("problem", help="THF problem file")
+    ap.add_argument("-t", "--timeout", type=float,
+                    default=defaults.time_limit,
+                    help="wall clock limit in seconds (default %(default)g)")
+    ap.add_argument("-p", "--proof", action="store_true",
+                    help="print a TSTP refutation certificate")
+    ap.add_argument("--unif-depth", type=int, default=defaults.unif_depth,
+                    help="pre-unification search depth")
+    ap.add_argument("--unifiers", type=int,
+                    default=defaults.unifiers_per_inference,
+                    help="unifiers kept per constraint set")
+    ap.add_argument("--ps-limit", type=int, default=defaults.ps_limit,
+                    help="primitive substitution depth per clause lineage")
+    ap.add_argument("--no-inj", action="store_true",
+                    help="disable the injectivity postulate rule")
+    ap.add_argument("--modal-s5", choices=("relational", "universal"),
+                    default="relational",
+                    help="S5 accessibility encoding for modal problems")
+    ap.add_argument("--include-dir", default=None,
+                    help="directory for TPTP include resolution")
+    return ap
+
+
+def _reference_problem_name(ap, argv):
+    takes_value = {s for a in ap._actions if a.nargs != 0
+                   for s in a.option_strings}
+    skip = False
+    for tok in argv:
+        if skip:
+            skip = False
+        elif tok.startswith("-") and len(tok) > 1:
+            skip = tok in takes_value
+        else:
+            return tok.rsplit("/", 1)[-1]
+    return "unknown"
+
+
+def _reference_parse_args(argv):
+    ap = _reference_parser()
+    ap.problem_name = _reference_problem_name(ap, argv)
+    args = ap.parse_args(argv)
+    if not args.timeout > 0:
+        ap.error("timeout must be positive")
+    if min(args.unif_depth, args.unifiers, args.ps_limit) < 0:
+        ap.error("--unif-depth, --unifiers and --ps-limit must not be "
+                 "negative")
+    return args
+
+
+def _outcome(parse, argv):
+    """("ok", fields), ("help",) or ("error", exit code, first stdout
+    line, whether stderr got a usage line and an error line)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(list(argv))
+    except SystemExit as e:
+        if e.code == 0:
+            return ("help",)
+        lines = err.getvalue().splitlines()
+        return ("error", e.code, out.getvalue().splitlines()[0],
+                lines[0].startswith("usage: ep-prover")
+                and lines[-1].startswith("ep-prover: error: "))
+    return ("ok", vars(args))
+
+
+_LONG = ("--help", "--timeout", "--proof", "--unif-depth", "--unifiers",
+         "--ps-limit", "--no-inj", "--modal-s5", "--include-dir")
+
+
+def _dropped_form(argv) -> bool:
+    """Whether argv spells a form argparse accepts and the scanner does
+    not: an abbreviated long option (`--time 5`), a short option with
+    text attached (`-t5`, `-t=5`, bundled `-pt 5`), or `--`."""
+    for tok in argv:
+        head = tok.partition("=")[0]
+        if tok == "--" or (len(tok) > 2 and tok[0] == "-" and tok[1] in "htp"):
+            return True
+        if tok.startswith("--") and head not in _LONG \
+                and any(s.startswith(head) for s in _LONG):
+            return True
+    return False
+
+
+_HAND_ARGV = [
+    # every option in each accepted form, and the defaults
+    ["x.p"], ["dir/x.p", "-p"], ["--proof", "x.p"],
+    ["-t", "5", "x.p"], ["x.p", "--timeout", "2.5"], ["--timeout=7", "x.p"],
+    ["x.p", "--unif-depth", "3"], ["x.p", "--unif-depth=0"],
+    ["x.p", "--unifiers", "1"], ["x.p", "--unifiers=6"],
+    ["x.p", "--ps-limit", "0"], ["x.p", "--ps-limit=2"],
+    ["x.p", "--no-inj"], ["x.p", "--modal-s5", "universal"],
+    ["--modal-s5=relational", "x.p"], ["x.p", "--include-dir", "inc"],
+    ["x.p", "--include-dir=a=b"], ["x.p", "--include-dir="],
+    ["x.p", "--include-dir", "-"], ["-"], [""],
+    ["-t", "1", "-t", "2", "x.p"], ["x.p", "-p", "--proof", "--no-inj"],
+    ["-t", "1e3", "--unifiers", " 3", "x.p"], ["x.p", "-t", "inf"],
+    # negative numbers: a value, or the problem argument
+    ["x.p", "-t", "-1"], ["x.p", "-t", "-.5"], ["x.p", "--unif-depth", "-2"],
+    ["x.p", "--ps-limit=-1"], ["x.p", "--include-dir", "-3"], ["-1"],
+    ["-1", "x.p"], ["x.p", "-2.5"],
+    # each reason for rejection
+    [], ["-p"], ["a/x.p", "b/y.p"], ["x.p", "--no-such-flag"],
+    ["--no-such-flag", "x.p"], ["x.p", "-t"], ["x.p", "-t", "-p"],
+    ["-t", "-p", "x.p"], ["x.p", "-t", "-1."], ["x.p", "-t", "-inf"],
+    ["--include-dir", "-p", "x.p"], ["x.p", "--include-dir", "--proof"],
+    ["x.p", "-t", "abc"], ["x.p", "--timeout="], ["x.p", "-t", "0"],
+    ["x.p", "-t", "nan"], ["x.p", "--unifiers", "2.5"],
+    ["x.p", "--unif-depth", "x"], ["x.p", "--modal-s5", "s4"],
+    ["x.p", "--modal-s5=Universal"], ["x.p", "--proof=yes"],
+    ["x.p", "--no-inj="], ["x.p", "-x"], ["x.p", "-P"],
+    ["--unifiers", "-1"], ["-t", "0", "a/y.p"], ["x.p", "--unif", "3"],
+    # -h exits 0 when it is met: before a bad value, after a deferred
+    # error, or not at all
+    ["-h"], ["--help"], ["x.p", "-h"], ["-h", "-t", "abc"],
+    ["-t", "0", "-h"], ["--no-such-flag", "-h"], ["a.p", "b.p", "--help"],
+    ["-t", "abc", "-h"], ["x.p", "-t", "-h"], ["x.p", "--help=1"],
+]
+
+# Forms argparse reads and the scanner rejects: an abbreviated long
+# option, a short option with text attached, and the `--` separator.
+_DROPPED_ARGV = [
+    ["--time", "5", "x.p"], ["--pro", "x.p"], ["x.p", "--no"],
+    ["x.p", "--modal=universal"], ["--he"], ["-t5", "x.p"], ["-t=5", "x.p"],
+    ["-pt", "5", "x.p"], ["x.p", "-ph"], ["--", "x.p"],
+]
+
+_POOL = [
+    "-t", "--timeout", "-p", "--proof", "--unif-depth", "--unifiers",
+    "--ps-limit", "--no-inj", "--modal-s5", "--include-dir",
+    "--timeout=5", "--timeout=-1", "--unif-depth=2", "--unifiers=0",
+    "--ps-limit=-1", "--modal-s5=universal", "--modal-s5=bad",
+    "--include-dir=inc", "--no-inj=1",
+    "5", "0", "-1", "2.5", "-0.5", "nan", "abc", "1e2",
+    "relational", "universal", "modal",
+    "-h", "--no-such-flag", "a/x.p", "y.p",
+]
+
+
+def _differential(argvs):
+    counts = {"ok": 0, "help": 0, "error": 0, "dropped": 0}
+    for argv in argvs:
+        ref = _outcome(_reference_parse_args, argv)
+        new = _outcome(parse_args, argv)
+        if ref != new and _dropped_form(argv):
+            assert new[0] != "ok", argv
+            counts["dropped"] += 1
+            continue
+        assert new == ref, argv
+        counts[new[0]] += 1
+        if new[0] == "error":
+            assert new[1] == 2 and new[3], argv
+    return counts
+
+
+def test_option_scanner_agrees_with_argparse_by_hand():
+    counts = _differential(_HAND_ARGV + _DROPPED_ARGV)
+    assert counts["dropped"] == len(_DROPPED_ARGV)
+    for argv in _DROPPED_ARGV:
+        assert _outcome(parse_args, argv)[:2] == ("error", 2), argv
+
+
+def test_option_scanner_agrees_with_argparse_on_seeded_argv():
+    rng = random.Random(19)
+    argvs = [[rng.choice(_POOL) for _ in range(rng.randint(0, 5))]
+             for _ in range(2000)]
+    counts = _differential(argvs)
+    assert counts["dropped"] == 0
+    assert min(counts["ok"], counts["help"], counts["error"]) >= 100, counts
