@@ -66,8 +66,12 @@ class ProofChecker:
             if d.status != rule_status(d.rule):
                 complaints.append(
                     f"{d.id}: status {d.status} for rule {d.rule}")
+            replay = self.REPLAY.get(d.rule)
+            if replay is None:
+                complaints.append(f"{d.id}: no replay for rule {d.rule}")
+                continue
             try:
-                self._check_rule(d)
+                replay(self, d, [self.records[p] for p in d.parents])
             except ReplayError as e:
                 complaints.append(f"{d.id} ({d.rule}): {e}")
         return complaints
@@ -80,12 +84,6 @@ class ProofChecker:
         return self.sig.system - held
 
     # -- per rule -----------------------------------------------------------
-
-    def _check_rule(self, d):
-        parents = [self.records[p] for p in d.parents]
-        handler = getattr(self, "_r_" + d.rule.replace("-", "_"), None)
-        if handler is not None:
-            handler(d, parents)
 
     def _r_input(self, d, parents):
         if d.formula is None:
@@ -181,12 +179,6 @@ class ProofChecker:
                 return
         raise ReplayError("no primitive substitution matches")
 
-    def _r_rewrite(self, d, parents):
-        self._replay_simplify(d, parents)
-
-    def _r_simp(self, d, parents):
-        self._replay_simplify(d, parents)
-
     def _replay_simplify(self, d, parents):
         c = parents[0].clause
         if c is None:
@@ -197,12 +189,6 @@ class ProofChecker:
             raise ReplayError("parent simplifies to a tautology")
         if alpha_key(out.clause) != alpha_key(d.clause):
             raise ReplayError("simplification does not replay")
-
-    def _r_pattern_uni(self, d, parents):
-        self._replay_unifier(d, parents)
-
-    def _r_pre_uni(self, d, parents):
-        self._replay_unifier(d, parents)
 
     def _replay_unifier(self, d, parents):
         c = parents[0].clause
@@ -226,6 +212,19 @@ class ProofChecker:
         lits = kept + [Literal(a, b, False) for a, b in flex_flex]
         if alpha_key(Clause(lits)) != alpha_key(d.clause):
             raise ReplayError("substituted clause differs from the record")
+
+    # The replay of each rule of RULE_VOCABULARY and of input formulas.
+    REPLAY = {
+        "input": _r_input, "neg_conjecture": _r_neg_conjecture,
+        "defexp_and_simp_and_etaexpand": _r_defexp_and_simp_and_etaexpand,
+        "miniscope": _r_miniscope, "cnf": _r_cnf, "func_ext": _r_func_ext,
+        "bool_ext": _r_bool_ext, "paramod_ordered": _r_paramod_ordered,
+        "eqfactor_ordered": _r_eqfactor_ordered,
+        "pre_uni": _replay_unifier, "pattern_uni": _replay_unifier,
+        "rewrite": _replay_simplify, "simp": _replay_simplify,
+        "prim_subst": _r_prim_subst, "inj": _r_inj,
+        "instantiate": _r_instantiate,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, NoReturn, Optional, Union
 
 from .terms import (
     Abs, Bound, Const, Free, O, PI_NAME, SIGMA_NAME, Signature, SimpleType,
@@ -87,63 +87,58 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-@dataclass
-class Token:
-    kind: str
+class Token(NamedTuple):
+    kind: str       # a group of _TOKEN_RE, or "eof" at the end
     text: str
-    line: int
-    col: int
-
-
-def tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise ParseError(
-                f"line {line}, column {col}: unexpected character {text[pos]!r}")
-        kind = m.lastgroup
-        tok_text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, tok_text, line, pos - line_start + 1))
-        nl = tok_text.count("\n")
-        if nl:
-            line += nl
-            line_start = pos + tok_text.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, pos - line_start + 1))
-    return tokens
+    at: int         # offset in the input
 
 
 class TokenStream:
-    def __init__(self, tokens: list):
-        self.tokens = tokens
-        self.i = 0
+    """The tokens of one input, each matched only when the parser asks
+    for it, so a parse that stops early never scans the rest."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0            # where the next match starts
+        self.tok = None         # the next token, once matched
 
     def peek(self) -> Token:
-        return self.tokens[self.i]
+        while self.tok is None:
+            pos = self.pos
+            if pos == len(self.text):
+                self.tok = Token("eof", "", pos)
+                break
+            m = _TOKEN_RE.match(self.text, pos)
+            if m is None:
+                self.error(f"unexpected character {self.text[pos]!r}", pos)
+            self.pos = m.end()
+            if m.lastgroup != "ws" and m.lastgroup != "comment":
+                self.tok = Token(m.lastgroup, m.group(), pos)
+        return self.tok
 
     def next(self) -> Token:
-        t = self.tokens[self.i]
+        t = self.peek()
         if t.kind != "eof":
-            self.i += 1
+            self.tok = None
         return t
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str):
         t = self.next()
         if t.text != text:
-            raise ParseError(
-                f"line {t.line}, column {t.col}: expected {text!r}, "
-                f"found {t.text!r}")
-        return t
+            self.error(f"expected {text!r}, found {t.text!r}", t.at)
 
-    def error(self, msg: str):
-        t = self.peek()
-        raise ParseError(f"line {t.line}, column {t.col}: {msg}")
+    def line_col(self, at: int) -> tuple:
+        """Line and column, both from 1, of offset `at`."""
+        return (self.text.count("\n", 0, at) + 1,
+                at - self.text.rfind("\n", 0, at))
+
+    def error(self, msg: str, at: Optional[int] = None, *,
+              column: bool = True, cls: type = ParseError) -> NoReturn:
+        """Raise cls(msg) located at offset `at`, by default at the next
+        token; with column False the location is the line alone."""
+        line, col = self.line_col(self.peek().at if at is None else at)
+        where = f"line {line}, column {col}" if column else f"line {line}"
+        raise cls(f"{where}: {msg}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +190,14 @@ class Parser:
         if t.text in ("$o", "$i"):
             return base_type(t.text)
         if t.text == "$tType":
-            raise UnsupportedInputError(
-                f"line {t.line}, column {t.col}: type-valued expression "
-                "outside a declaration (TH1 is unsupported)")
+            ts.error("type-valued expression outside a declaration (TH1 is "
+                     "unsupported)", t.at, cls=UnsupportedInputError)
         if t.kind in ("lower", "squote"):
             name = _unquote(t.text)
             if name in self.sig.base_types:
                 return base_type(name)
-            raise ParseError(
-                f"line {t.line}, column {t.col}: unknown type {name!r}")
-        raise ParseError(
-            f"line {t.line}, column {t.col}: expected a type, found {t.text!r}")
+            ts.error(f"unknown type {name!r}", t.at)
+        ts.error(f"expected a type, found {t.text!r}", t.at)
 
     # -- formulas -----------------------------------------------------------
 
@@ -277,8 +269,7 @@ class Parser:
             while True:
                 v = ts.next()
                 if v.kind != "upper":
-                    raise ParseError(
-                        f"line {v.line}, column {v.col}: expected a variable")
+                    ts.error("expected a variable", v.at)
                 ts.expect(":")
                 ty = self.parse_type(ts)
                 binders.append((v.text, ty))
@@ -286,9 +277,8 @@ class Parser:
                 if nxt.text == "]":
                     break
                 if nxt.text != ",":
-                    raise ParseError(
-                        f"line {nxt.line}, column {nxt.col}: expected ',' "
-                        f"or ']', found {nxt.text!r}")
+                    ts.error(f"expected ',' or ']', found {nxt.text!r}",
+                             nxt.at)
             ts.expect(":")
             body = self.parse_eq(ts, env + binders)
             for name, ty in reversed(binders):
@@ -331,22 +321,17 @@ class Parser:
                 ts.error(f"undeclared symbol {name!r}")
             return const(name, ty)
         if tok.kind == "dollar":
-            raise UnsupportedInputError(
-                f"line {tok.line}, column {tok.col}: unsupported defined "
-                f"symbol {text!r}")
+            ts.error(f"unsupported defined symbol {text!r}", tok.at,
+                     cls=UnsupportedInputError)
         ts.error(f"unexpected token {text!r} in formula")
 
     # -- logic specifications ----------------------------------------------
 
     def parse_logic_spec(self, ts: TokenStream) -> LogicSpec:
-        parens = 0
-        while ts.peek().text == "(":
-            ts.next()
-            parens += 1
         head = ts.next()
         if head.text != "$modal":
-            raise UnsupportedInputError(
-                f"line {head.line}: unsupported logic {head.text!r}")
+            ts.error(f"unsupported logic {head.text!r}", head.at,
+                     column=False, cls=UnsupportedInputError)
         ts.expect(":=")
         ts.expect("[")
         spec = LogicSpec()
@@ -401,8 +386,6 @@ class Parser:
                 break
             if nxt != ",":
                 ts.error("expected ',' or ']' in logic specification")
-        for _ in range(parens):
-            ts.expect(")")
         return spec
 
     # -- top level ----------------------------------------------------------
@@ -430,31 +413,29 @@ class Parser:
                 path_tok = ts.next()
                 if path_tok.kind != "squote":
                     ts.error("include path must be quoted")
-                self.load_include(_unquote(path_tok.text), path_tok)
+                self.load_include(ts, path_tok)
                 ts.expect(")")
                 ts.expect(".")
                 continue
             if t.text in ("fof", "cnf", "tff", "tcf", "tpi"):
-                raise UnsupportedInputError(
-                    f"line {t.line}: the {t.text.upper()} dialect is not "
-                    "supported; only THF input is accepted")
+                ts.error(f"the {t.text.upper()} dialect is not supported; "
+                         "only THF input is accepted", t.at, column=False,
+                         cls=UnsupportedInputError)
             if t.text != "thf":
-                raise ParseError(
-                    f"line {t.line}, column {t.col}: expected 'thf' or "
-                    f"'include', found {t.text!r}")
+                ts.error(f"expected 'thf' or 'include', found {t.text!r}",
+                         t.at)
             ts.expect("(")
             name_tok = ts.next()
             name = _unquote(name_tok.text)
             if name in self.names:
-                raise ParseError(f"line {name_tok.line}: duplicate formula "
-                                 f"name {name!r}")
+                ts.error(f"duplicate formula name {name!r}", name_tok.at,
+                         column=False)
             ts.expect(",")
             role_tok = ts.next()
             role = ROLE_ALIASES.get(role_tok.text)
             if role is None:
-                raise ParseError(
-                    f"line {role_tok.line}: unknown formula role "
-                    f"{role_tok.text!r}")
+                ts.error(f"unknown formula role {role_tok.text!r}",
+                         role_tok.at, column=False)
             ts.expect(",")
             self.parse_annotated(ts, name, role)
             if ts.peek().text == ",":
@@ -466,33 +447,17 @@ class Parser:
 
     def parse_annotated(self, ts: TokenStream, name: str, role: str):
         if role == "type":
-            parens = 0
-            while ts.peek().text == "(":
-                ts.next()
-                parens += 1
-            sym_tok = ts.next()
-            sym = _unquote(sym_tok.text)
-            ts.expect(":")
-            if ts.peek().text == "$tType":
-                ts.next()
-                self.sig.declare_base_type(sym)
-                decl = (sym, None)
-            else:
-                ty = self.parse_type(ts)
-                try:
-                    self.sig.declare(sym, ty)
-                except TermError as exc:
-                    raise ParseError(f"formula {name}: {exc}")
-                decl = (sym, ty)
-            for _ in range(parens):
-                ts.expect(")")
+            try:
+                decl = self.in_parens(ts, self.parse_declaration)
+            except TermError as exc:
+                raise ParseError(f"formula {name}: {exc}")
             self.formulas.append(AnnotatedFormula(name, "type", decl))
             return
         if role == "logic":
             if self.logic_spec is not None:
                 raise ParseError(f"formula {name}: duplicate logic "
                                  "specification")
-            self.logic_spec = self.parse_logic_spec(ts)
+            self.logic_spec = self.in_parens(ts, self.parse_logic_spec)
             self.formulas.append(AnnotatedFormula(name, "logic",
                                                   self.logic_spec))
             return
@@ -507,7 +472,33 @@ class Parser:
             raise ParseError(f"formula {name}: not a Boolean formula")
         self.formulas.append(AnnotatedFormula(name, role, canon(f)))
 
-    def load_include(self, path: str, tok: Token):
+    def in_parens(self, ts: TokenStream, parse):
+        """parse(ts) after any number of "(", closing each after it."""
+        parens = 0
+        while ts.peek().text == "(":
+            ts.next()
+            parens += 1
+        out = parse(ts)
+        for _ in range(parens):
+            ts.expect(")")
+        return out
+
+    def parse_declaration(self, ts: TokenStream) -> tuple:
+        """The body of a type formula: (symbol, type), or (symbol, None)
+        for a base type."""
+        sym = _unquote(ts.next().text)
+        ts.expect(":")
+        if ts.peek().text == "$tType":
+            ts.next()
+            self.sig.declare_base_type(sym)
+            return sym, None
+        ty = self.parse_type(ts)
+        self.sig.declare(sym, ty)
+        return sym, ty
+
+    def load_include(self, ts: TokenStream, tok: Token):
+        """Parse the file named by the quoted token tok of ts."""
+        path = _unquote(tok.text)
         roots = []
         if self.include_dir:
             roots.append(self.include_dir)
@@ -519,17 +510,16 @@ class Parser:
                 if real in self.including:
                     cycle = list(self.including.values())[
                         list(self.including).index(real):] + [path]
-                    raise ParseError(f"line {tok.line}: include cycle: "
-                                     + " -> ".join(cycle))
+                    ts.error("include cycle: " + " -> ".join(cycle),
+                             tok.at, column=False)
                 self.including[real] = path
                 try:
                     with open(full, encoding="utf-8") as fh:
-                        self.parse_file(TokenStream(tokenize(fh.read())))
+                        self.parse_file(TokenStream(fh.read()))
                 finally:
                     del self.including[real]
                 return
-        raise ParseError(
-            f"line {tok.line}: cannot resolve include {path!r}")
+        ts.error(f"cannot resolve include {path!r}", tok.at, column=False)
 
 
 def parse_problem(text: str, name: str = "problem",
@@ -540,7 +530,7 @@ def parse_problem(text: str, name: str = "problem",
     parser = Parser(include_dir=include_dir)
     if path is not None:
         parser.including[os.path.realpath(path)] = name
-    parser.parse_file(TokenStream(tokenize(text)))
+    parser.parse_file(TokenStream(text))
     return Problem(parser.sig, parser.formulas, parser.logic_spec, name)
 
 

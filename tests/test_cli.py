@@ -82,8 +82,12 @@ def test_deeply_nested_term_is_error(tmp_path):
     f.write_text("thf(f_type, type, (f: $i > $i)).\n"
                  "thf(a_type, type, (a: $i)).\n"
                  "thf(p_type, type, (p: $i > $o)).\n"
-                 f"thf(goal, conjecture, ( ( p @ {t} ) => ( p @ {t} ) )).")
-    _assert_input_error(run_cli(str(f)))
+                 f"thf(goal, conjecture, ( ( p @ {t} ) => ( p @ {t} ) )).\n"
+                 "#\n")
+    r = run_cli(str(f))
+    _assert_input_error(r)
+    # the parser stops at its nesting limit before it reads the stray "#"
+    assert "input nested too deeply" in r.stderr
 
 
 def test_variables_of_another_sort_are_no_duplicate(tmp_path):

@@ -9,7 +9,9 @@ from ep_prover.replay import ProofChecker, ground_step_valid, replay_proof
 from ep_prover.saturation import (
     Derived, ProverConfig, extract_proof, saturate,
 )
-from ep_prover.tptp import Problem, parse_problem, rule_status
+from ep_prover.tptp import (
+    Problem, RULE_VOCABULARY, parse_problem, rule_status,
+)
 
 
 def run(path, timeout=30.0):
@@ -51,6 +53,19 @@ def test_unknown_rule_is_detected():
     proof[-1].rule = "made_up_rule"
     checker = ProofChecker(res.records, prob)
     assert any("unknown rule" in c for c in checker.check(proof))
+
+
+def test_every_rule_has_a_replay():
+    assert set(ProofChecker.REPLAY) == set(RULE_VOCABULARY) | {"input"}
+
+
+def test_rule_without_replay_is_detected(monkeypatch):
+    prob, res = run("problems/corpus/prop_k.p")
+    proof = extract_proof(res.records, res.empty_id)
+    monkeypatch.delitem(ProofChecker.REPLAY, proof[-1].rule)
+    complaints = ProofChecker(res.records, prob).check(proof)
+    assert f"{proof[-1].id}: no replay for rule {proof[-1].rule}" \
+        in complaints
 
 
 def test_blind_key_identifies_skolem_renamings():

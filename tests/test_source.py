@@ -4,6 +4,7 @@ import ast
 import pathlib
 
 import ep_prover
+from ep_prover import tptp
 
 SOURCES = sorted(pathlib.Path(ep_prover.__file__).parent.glob("*.py"))
 
@@ -143,8 +144,7 @@ def names_in_use(tree: ast.Module) -> set:
 def dead_functions(defining: dict, using: list) -> list:
     """(module, line, name) of each function or method defined in the
     trees of `defining` ({module name: tree}) whose name no tree in
-    `using` uses.  Dunder methods are called by Python, and replay's
-    `_r_<rule>` methods are looked up by rule name."""
+    `using` uses.  Dunder methods are called by Python."""
     used = set().union(*map(names_in_use, using))
     found = []
     for module, tree in defining.items():
@@ -153,8 +153,7 @@ def dead_functions(defining: dict, using: list) -> list:
                 continue
             name = node.name
             if name in used or (name.startswith("__")
-                                and name.endswith("__")) \
-                    or (module == "replay.py" and name.startswith("_r_")):
+                                and name.endswith("__")):
                 continue
             found.append((module, node.lineno, name))
     return sorted(found)
@@ -171,8 +170,6 @@ def test_the_checker_sees_dead_functions():
                      "getattr(lib, 'by_name')\n")
     assert dead_functions({"lib.py": lib}, [lib, user]) == [
         ("lib.py", 6, "gone"), ("lib.py", 12, "_r_rule")]
-    assert dead_functions({"replay.py": lib}, [lib, user]) == [
-        ("replay.py", 6, "gone")]
 
 
 def test_every_function_of_the_package_is_used():
@@ -182,3 +179,19 @@ def test_every_function_of_the_package_is_used():
     assert len(using) > 2 * len(SOURCES)
     defining = {p.name: ast.parse(p.read_text()) for p in SOURCES}
     assert dead_functions(defining, using) == []
+
+
+def test_the_benchmark_spans_find_every_name_they_patch(monkeypatch):
+    # perfbench patches prover functions by name: a renamed one must fail
+    # here, not only when the benchmark runs
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    from spans import Tracer, prover_spans
+    original = tptp.parse_problem
+    tracer = Tracer()
+    try:
+        tracer.install(prover_spans())
+        assert tptp.parse_problem is not original
+    finally:
+        tracer.uninstall()
+    assert tptp.parse_problem is original

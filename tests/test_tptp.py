@@ -1,5 +1,8 @@
 """THF parsing and TSTP-style printing."""
 
+import pathlib
+import random
+
 import pytest
 
 from ep_prover.terms import (
@@ -8,9 +11,12 @@ from ep_prover.terms import (
 from ep_prover.clauses import Clause, Literal, prop_literal
 from ep_prover.tptp import (
     InferenceRecord, ParseError, ProofLine, RULE_VOCABULARY, SZS_STATUSES,
-    UnsupportedInputError, parse_problem, print_clause, print_formula,
-    print_proof, print_szs, render_file_source, render_inference,
+    TokenStream, UnsupportedInputError, _TOKEN_RE, parse_problem,
+    print_clause, print_formula, print_proof, print_szs, render_file_source,
+    render_inference,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 BASIC = """
@@ -73,6 +79,80 @@ def test_parse_error_reports_position():
         parse_problem("thf(x, axiom, ( p | )).", "t.p")
     with pytest.raises(ParseError):
         parse_problem("thf(x, axiom, q).", "t.p")  # undeclared symbol
+
+
+def test_the_first_error_in_reading_order_is_reported():
+    text = "thf(x, axiom $true).\n\nthf(y, axiom, # ).\n"
+    with pytest.raises(ParseError, match="^line 1, column 14: expected ','"):
+        parse_problem(text, "t.p")
+
+
+def reference_tokenize(text: str) -> list:
+    """The scanner of earlier versions: the whole input as
+    (kind, text, line, column) tuples, matched before parsing starts."""
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            col = pos - line_start + 1
+            raise ParseError(
+                f"line {line}, column {col}: unexpected character {text[pos]!r}")
+        kind = m.lastgroup
+        tok_text = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, tok_text, line, pos - line_start + 1))
+        nl = tok_text.count("\n")
+        if nl:
+            line += nl
+            line_start = pos + tok_text.rfind("\n") + 1
+        pos = m.end()
+    tokens.append(("eof", "", line, pos - line_start + 1))
+    return tokens
+
+
+def stream_tokens(text: str) -> list:
+    ts = TokenStream(text)
+    tokens = []
+    while not tokens or tokens[-1][0] != "eof":
+        t = ts.next()
+        tokens.append((t.kind, t.text, *ts.line_col(t.at)))
+    return tokens
+
+
+def scanned(scan, text: str):
+    try:
+        return scan(text)
+    except ParseError as e:
+        return str(e)
+
+
+PIECES = ("thf", "(", ")", ",", ".", ":", "[", "]", "X1", "a_b", "$o",
+          "$$x", "$", "@", "~", "|", "&", "=", "!=", "=>", "<=", "<=>",
+          ":=", "!!", "??", "!", "?", "^", ">", "<", "*", "42", "3.14", "3.",
+          " ", "  ", "\t", "\n", "\r\n", "\n\n", "% note\n", "%",
+          "/* a\nb */", "/* x */", "/*\n\n*/", "/*", "*/", "'q'", "'a\\'b'",
+          "'x\\\\'", "'multi\nline'", "'", "\\", "#", "{", "}", "\"", "é")
+
+
+def test_scanner_matches_the_reference_tokenizer(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from inputs import FAULTS
+    texts = [p.read_text() for p in sorted(ROOT.glob("problems/**/*.p"))]
+    assert len(texts) > 20
+    texts += [make() for make, _ in FAULTS.values()]
+    rng = random.Random(20)
+    for _ in range(1500):
+        texts.append("".join(rng.choice(PIECES)
+                             for _ in range(rng.randrange(1, 30))))
+    errors = 0
+    for text in texts:
+        want = scanned(reference_tokenize, text)
+        assert scanned(stream_tokens, text) == want, text
+        errors += isinstance(want, str)
+    assert 100 < errors < len(texts) - 100
 
 
 def test_duplicate_name_rejected():
