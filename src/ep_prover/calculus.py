@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .terms import (
     App, Const, Free, FunType, I, NOT, O, OR, Signature, SimpleType, Term,
@@ -289,8 +288,7 @@ def exhaustive_instantiate(c: Clause, x: Free) -> set:
 # Simplification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SimplifyOutcome:
+class SimplifyOutcome(NamedTuple):
     clause: Optional[Clause]    # None when the clause is redundant
     changed: bool = False
     used_units: tuple = ()      # ids of unit clauses used for rewrite/cut

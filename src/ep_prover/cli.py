@@ -7,6 +7,7 @@ request, a TSTP refutation certificate.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
@@ -197,6 +198,10 @@ def run(args) -> int:
     )
     try:
         result = saturate(problem, config)
+        # The search ran with the collector paused, so all that the run
+        # kept sits in the youngest generation, and the first young
+        # collection would walk it; frozen objects are never walked.
+        gc.freeze()
         proof = None
         if args.proof and result.empty_id is not None:
             proof = print_proof(build_proof_lines(result, problem), name)
@@ -204,6 +209,8 @@ def run(args) -> int:
         return _error(name, str(e))
     except Exception as e:      # no traceback escapes the CLI
         return _error(name, f"{type(e).__name__}: {e}")
+    finally:
+        gc.unfreeze()   # into the oldest generation, which young ones skip
     texts = [print_szs(result.status, name)]
     if proof is not None:
         texts.append(proof)

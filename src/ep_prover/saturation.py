@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .terms import FunType, O, Term, canon, fn, neg
@@ -47,28 +46,47 @@ MAX_CLAUSES = 200000
 EXHAUSTIVE_INST_TYPES = frozenset((O, fn(O, res=O)))
 
 
-@dataclass
 class ProverConfig:
-    time_limit: float = 60.0
-    unif_depth: int = DEFAULT_DEPTH
-    unifiers_per_inference: int = DEFAULT_LIMIT
-    ps_limit: int = 3
-    naming_threshold: int = NAMING_THRESHOLD
-    enable_inj: bool = True
+    """The settings of one run.  The defaults are class attributes, which
+    the CLI's option table reads."""
+    time_limit = 60.0
+    unif_depth = DEFAULT_DEPTH
+    unifiers_per_inference = DEFAULT_LIMIT
+    ps_limit = 3
+    naming_threshold = NAMING_THRESHOLD
+    enable_inj = True
+
+    def __init__(self, time_limit=time_limit, unif_depth=unif_depth,
+                 unifiers_per_inference=unifiers_per_inference,
+                 ps_limit=ps_limit, naming_threshold=naming_threshold,
+                 enable_inj=enable_inj):
+        self.time_limit = time_limit
+        self.unif_depth = unif_depth
+        self.unifiers_per_inference = unifiers_per_inference
+        self.ps_limit = ps_limit
+        self.naming_threshold = naming_threshold
+        self.enable_inj = enable_inj
 
 
-@dataclass
 class Derived:
-    id: int
-    rule: str                     # "input" or a proof-rule name
-    status: str                   # thm / esa / cth / axiom-ish tag
-    parents: tuple = ()
-    clause: Optional[Clause] = None
-    formula: Optional[Term] = None
-    role: str = "plain"
-    source: Optional[tuple] = None   # (file name, original formula name)
-    bindings: tuple = ()             # ((Free, Term), ...) on first parent
-    ps_depth: int = 0
+    __slots__ = ("id", "rule", "status", "parents", "clause", "formula",
+                 "role", "source", "bindings", "ps_depth")
+
+    def __init__(self, id: int, rule: str, status: str, parents: tuple = (),
+                 clause: Optional[Clause] = None,
+                 formula: Optional[Term] = None, role: str = "plain",
+                 source: Optional[tuple] = None, bindings: tuple = (),
+                 ps_depth: int = 0):
+        self.id = id
+        self.rule = rule            # "input" or a proof-rule name
+        self.status = status        # thm / esa / cth / axiom-ish tag
+        self.parents = parents
+        self.clause = clause
+        self.formula = formula
+        self.role = role
+        self.source = source        # (file name, original formula name)
+        self.bindings = bindings    # ((Free, Term), ...) on first parent
+        self.ps_depth = ps_depth
 
     def terms(self):
         """The literal sides of the clause, or else the formula."""
@@ -80,12 +98,16 @@ class Derived:
             yield self.formula
 
 
-@dataclass
 class Result:
-    status: str
-    records: dict = field(default_factory=dict)
-    empty_id: Optional[int] = None
-    naming_threshold: int = NAMING_THRESHOLD  # clausification of the run
+    __slots__ = ("status", "records", "empty_id", "naming_threshold")
+
+    def __init__(self, status: str, records: Optional[dict] = None,
+                 empty_id: Optional[int] = None,
+                 naming_threshold: int = NAMING_THRESHOLD):
+        self.status = status
+        self.records = {} if records is None else records
+        self.empty_id = empty_id
+        self.naming_threshold = naming_threshold  # clausification of the run
 
 
 class Saturation:

@@ -820,24 +820,6 @@ class Subst:
 # head and k >= 1 into the k-th spine argument; at an Abs node, 0 descends
 # into the body.
 
-def subterm_at(t: Term, pos: tuple) -> Term:
-    for step in pos:
-        if isinstance(t, App):
-            if step == 0:
-                t = t.head
-            elif 1 <= step <= len(t.args):
-                t = t.args[step - 1]
-            else:
-                raise TermError(f"invalid position step {step}")
-        elif isinstance(t, Abs):
-            if step != 0:
-                raise TermError(f"invalid position step {step}")
-            t = t.body
-        else:
-            raise TermError("position descends below a leaf")
-    return t
-
-
 def replace_at(t: Term, pos: tuple, r: Term) -> Term:
     if not pos:
         if t.ty is not r.ty:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn, Optional, Union
 
 from .terms import (
@@ -39,32 +38,37 @@ MODAL_SYSTEMS = ("K", "D", "T", "B", "S4", "S5")
 MODAL_AXIOMS = ("K", "D", "T", "B", "4", "5")
 
 
-@dataclass
 class LogicSpec:
     """A modal logic specification.  Constants are always rigid and
     quantification has constant domains: the parser rejects the rest."""
-    consequence: str = "global"
-    system: Optional[str] = None       # one of MODAL_SYSTEMS
-    axioms: tuple = ()                 # alternative: axiom scheme names
+    __slots__ = ("consequence", "system", "axioms")
+
+    def __init__(self, consequence: str = "global",
+                 system: Optional[str] = None, axioms: tuple = ()):
+        self.consequence = consequence
+        self.system = system        # one of MODAL_SYSTEMS
+        self.axioms = axioms        # alternative: axiom scheme names
 
 
-@dataclass
-class AnnotatedFormula:
+class AnnotatedFormula(NamedTuple):
     name: str
     role: str
     formula: Union[Term, tuple, LogicSpec, None]
 
 
-@dataclass
 class Problem:
-    signature: Signature
-    formulas: list = field(default_factory=list)
-    logic_spec: Optional[LogicSpec] = None
-    name: str = "problem"
+    __slots__ = ("signature", "formulas", "logic_spec", "name")
+
+    def __init__(self, signature: Signature, formulas: Optional[list] = None,
+                 logic_spec: Optional[LogicSpec] = None,
+                 name: str = "problem"):
+        self.signature = signature
+        self.formulas = [] if formulas is None else formulas
+        self.logic_spec = logic_spec
+        self.name = name
 
 
-@dataclass
-class InferenceRecord:
+class InferenceRecord(NamedTuple):
     rule: str
     status: str
     parents: tuple
@@ -336,34 +340,34 @@ class Parser:
         ts.expect("[")
         spec = LogicSpec()
         while True:
-            key = ts.next().text
+            key = ts.next()
             ts.expect(":=")
-            if key == "$constants":
-                val = ts.next().text
-                if val != "$rigid":
-                    raise UnsupportedInputError(
-                        f"unsupported semantics: constants {val}")
-            elif key == "$quantification":
-                val = ts.next().text
-                if val != "$constant":
-                    raise UnsupportedInputError(
-                        f"unsupported semantics: quantification {val}")
-            elif key == "$consequence":
-                val = ts.next().text
-                if val not in ("$global", "$local"):
-                    raise UnsupportedInputError(
-                        f"unsupported semantics: consequence {val}")
-                spec.consequence = val[1:]
-            elif key == "$modalities":
+            if key.text == "$constants":
+                val = ts.next()
+                if val.text != "$rigid":
+                    ts.error(f"unsupported semantics: constants {val.text}",
+                             val.at, cls=UnsupportedInputError)
+            elif key.text == "$quantification":
+                val = ts.next()
+                if val.text != "$constant":
+                    ts.error("unsupported semantics: quantification "
+                             f"{val.text}", val.at, cls=UnsupportedInputError)
+            elif key.text == "$consequence":
+                val = ts.next()
+                if val.text not in ("$global", "$local"):
+                    ts.error(f"unsupported semantics: consequence {val.text}",
+                             val.at, cls=UnsupportedInputError)
+                spec.consequence = val.text[1:]
+            elif key.text == "$modalities":
                 if ts.peek().text == "[":
                     ts.next()
                     axioms = []
                     while True:
-                        a = ts.next().text
-                        m = re.fullmatch(r"\$modal_axiom_([A-Z0-9]+)", a)
+                        a = ts.next()
+                        m = re.fullmatch(r"\$modal_axiom_([A-Z0-9]+)", a.text)
                         if m is None or m.group(1) not in MODAL_AXIOMS:
-                            raise UnsupportedInputError(
-                                f"unsupported modal axiom {a}")
+                            ts.error(f"unsupported modal axiom {a.text}",
+                                     a.at, cls=UnsupportedInputError)
                         axioms.append(m.group(1))
                         nxt = ts.next().text
                         if nxt == "]":
@@ -372,15 +376,15 @@ class Parser:
                             ts.error("expected ',' or ']' in axiom list")
                     spec.axioms = tuple(axioms)
                 else:
-                    v = ts.next().text
-                    m = re.fullmatch(r"\$modal_system_([A-Z0-9]+)", v)
+                    v = ts.next()
+                    m = re.fullmatch(r"\$modal_system_([A-Z0-9]+)", v.text)
                     if m is None or m.group(1) not in MODAL_SYSTEMS:
-                        raise UnsupportedInputError(
-                            f"unsupported modal system {v}")
+                        ts.error(f"unsupported modal system {v.text}", v.at,
+                                 cls=UnsupportedInputError)
                     spec.system = m.group(1)
             else:
-                raise UnsupportedInputError(
-                    f"unsupported logic specification key {key}")
+                ts.error(f"unsupported logic specification key {key.text}",
+                         key.at, cls=UnsupportedInputError)
             nxt = ts.next().text
             if nxt == "]":
                 break
@@ -726,8 +730,7 @@ def print_szs(status: str, problem_name: str) -> str:
     return f"% SZS status {status} for {problem_name}"
 
 
-@dataclass
-class ProofLine:
+class ProofLine(NamedTuple):
     name: str
     role: str
     content: str          # rendered formula or type declaration

@@ -10,8 +10,7 @@ Flex-flex pairs are never solved here, they are returned as residuals.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .clauses import pairs_key
 from .terms import (
@@ -26,17 +25,18 @@ DEFAULT_DEPTH = 8
 DEFAULT_LIMIT = 4
 
 
-@dataclass
-class Unifier:
+class Unifier(NamedTuple):
     subst: Subst
     residuals: tuple  # flex-flex pairs left unsolved
 
 
-@dataclass
 class UnifOutcome:
-    unifiers: list
-    exhausted: bool = False  # search hit the depth or time budget somewhere
-    fresh: list = field(default_factory=list)  # minted variables, in order
+    __slots__ = ("unifiers", "exhausted", "fresh")
+
+    def __init__(self, unifiers: list, exhausted: bool = False):
+        self.unifiers = unifiers
+        self.exhausted = exhausted  # search hit the depth or time budget
+        self.fresh = []             # minted variables, in order
 
 
 class _Clash(Exception):

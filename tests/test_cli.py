@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import random
 import subprocess
@@ -314,18 +315,54 @@ def test_reader_leaving_early_gets_no_traceback():
     assert err == b""
 
 
-def test_a_call_imports_no_argparse_gettext_or_locale():
-    # a fresh interpreter: each of these costs every CLI call its import
+def _imported_by_a_call(*modules):
+    """Which of `modules` a fresh interpreter holds after one CLI call;
+    each costs every CLI call its import."""
     code = ("import sys\n"
             "from ep_prover import cli\n"
             "rc = cli.main([sys.argv[1], '-p'])\n"
-            "print(rc, sorted(m for m in ('argparse', 'gettext', 'locale')\n"
-            "                 if m in sys.modules))\n")
+            "print(rc, [m for m in sys.argv[2:] if m in sys.modules])\n")
     r = subprocess.run(
-        [sys.executable, "-c", code, f"{PROBLEMS}/corpus/prop_k.p"],
+        [sys.executable, "-c", code, f"{PROBLEMS}/corpus/prop_k.p", *modules],
         capture_output=True, text=True, timeout=180)
     assert r.stdout.splitlines()[0] == "% SZS status Theorem for prop_k.p"
-    assert r.stdout.splitlines()[-1] == "0 []"
+    return r.stdout.splitlines()[-1]
+
+
+def test_a_call_imports_no_argparse_gettext_or_locale():
+    assert _imported_by_a_call("argparse", "gettext", "locale") == "0 []"
+
+
+def test_a_call_imports_no_dataclasses_or_inspect():
+    # `dataclasses` imports `inspect`, which imports `ast`, `dis` and
+    # `tokenize`
+    assert _imported_by_a_call("dataclasses", "inspect") == "0 []"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    real = cli.print_proof
+    frozen = []
+
+    def watched(lines, name):
+        frozen.append(gc.get_freeze_count())
+        return real(lines, name)
+
+    def boom(problem, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "print_proof", watched)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main([f"{PROBLEMS}/corpus/prop_k.p", "-p"]) == 0
+        assert frozen[0] > 0    # the run's heap, out of the collector's way
+        assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+        monkeypatch.setattr(cli, "saturate", boom)
+        assert main([f"{PROBLEMS}/corpus/prop_k.p"]) == 2
+        assert gc.isenabled() is enabled and gc.get_freeze_count() == 0
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # The reference for the option scanner: the argparse front end it

@@ -14,7 +14,7 @@ from ep_prover.terms import (
     Abs, App, Bound, Const, Free, FunType, I, O, Signature, Subst, TermError,
     app, base_type, bound, canon, conj, const, disj,
     fn, forall, free, fun_type, implies, lam, neg, replace_at, shift, spine,
-    subterm_at, subterm_positions, substitute, substitute_raw, type_str,
+    subterm_positions, substitute, substitute_raw, type_str,
     union_fvs,
 )
 from ep_prover.tptp import parse_problem
@@ -92,13 +92,18 @@ def test_shift_on_closed_term_is_identity():
 
 
 def test_positions_round_trip():
+    def at(t, pos):     # App: 0 the head, k the k-th argument; Abs: 0 the body
+        for step in pos:
+            t = t.body if isinstance(t, Abs) else (t.head, *t.args)[step]
+        return t
+
     f = const("f", fn(I, I, res=I))
     a, b = const("a", I), const("b", I)
     t = app(f, a, b)
     for pos, sub in subterm_positions(t):
-        assert subterm_at(t, pos) is sub
+        assert at(t, pos) is sub
         assert replace_at(t, pos, sub) is t
-    assert subterm_at(t, (1,)) is a
+    assert at(t, (1,)) is a
     assert replace_at(t, (2,), a) is app(f, a, a)
 
 

@@ -215,6 +215,16 @@ def test_varying_domains_and_flexible_constants_rejected():
             parse_problem(_spec_text(constants, quantification), "t.p")
 
 
+def test_unsupported_logic_specification_is_located():
+    for spec in ("$constants := $flexible", "$quantification := $varying",
+                 "$consequence := $strict", "$modalities := $modal_system_X",
+                 "$modalities := [ $modal_axiom_K, $modal_axiom_Q ]",
+                 "$worlds := $finite"):
+        text = f"\n\nthf(s, logic, $modal := [ {spec} ])."
+        with pytest.raises(UnsupportedInputError, match="^line 3, column "):
+            parse_problem(text, "t.p")
+
+
 def test_unsupported_logic_rejected():
     text = """
     thf(s, logic, ( $temporal := [ $modalities := $modal_system_K ] )).
