@@ -3,9 +3,11 @@
 Paramodulation, equality factoring, primitive substitution, Boolean and
 functional extensionality, injectivity postulation, exhaustive finite
 instantiation, and clause-level simplification.  Each generating rule
-is a candidate enumerator: the saturation loop keeps its conclusions,
-and the proof checker replays a step by finding the recorded clause
-among them.
+has one enumerator of the conclusions it draws from its premises:
+`eqfac_candidates`, `paramod_ordered`, `extensionality` (both
+extensionality rules), `prim_subst`, `inj_rule` and `instantiate`.  The
+saturation loop keeps their conclusions, and the proof checker replays a
+step by finding the recorded clause among them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .terms import (
     spine, subterm_positions, substitute,
 )
 from .clauses import (
-    Clause, Literal, cuts, match_terms, prop_literal,
+    Clause, Literal, cuts, match_terms, prop_literal, rename_clause,
 )
 from .cnf import OutOfTime, skolem_term
 from .unification import general_bindings
@@ -90,6 +92,14 @@ def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
                                      + rest + [Literal(sub, l, False)])
 
 
+def paramod_ordered(into: Clause, frm: Clause,
+                    sig: Signature) -> Iterator[Clause]:
+    """All paramodulation inferences into `into` from a fresh variant of
+    `frm`, which is renamed at once."""
+    variant, _ = rename_clause(frm, sig)
+    return para_candidates(into, variant)
+
+
 # ---------------------------------------------------------------------------
 # Equality factoring
 # ---------------------------------------------------------------------------
@@ -139,39 +149,33 @@ def inst_types(sig: Signature) -> tuple:
                          if name not in sig.system) or (I,)
 
 
-def prim_subst(c: Clause, i: int, sig: Signature,
-               inst_types: tuple) -> list:
-    """Approximate the logical structure of a flexible-head literal.
+def prim_subst(c: Clause, sig: Signature, inst_types: tuple) -> list:
+    """Approximate the logical structure of each flexible-head literal.
 
-    For each candidate head (negation, disjunction, and universal
-    quantification / equality at the given types) produces the clause
-    with the approximating constraint.
+    For each such literal, in literal order, and each candidate head
+    (negation, disjunction, and universal quantification / equality at
+    the given types) produces the clause with the approximating
+    constraint.
     """
-    lit = c.literals[i]
-    if not lit.is_shorthand:
-        return []
-    h, _ = spine(lit.lhs)
-    if not isinstance(h, Free):
-        return []
-    heads = list(PS_BASE_HEADS)
-    for ty in inst_types:
-        heads.append(pi_const(ty))
-        heads.append(eq_const(ty))
     out = []
-    for head in heads:
-        gbs = general_bindings(h.ty, head, sig)
-        if not gbs:
+    for lit in c.literals:
+        if not lit.is_shorthand:
             continue
-        g = gbs[0]  # the imitation binding
-        out.append(Clause(list(c.literals)
-                          + [Literal(h, g, False)]))
+        h, _ = spine(lit.lhs)
+        if not isinstance(h, Free):
+            continue
+        heads = list(PS_BASE_HEADS)
+        for ty in inst_types:
+            heads.append(pi_const(ty))
+            heads.append(eq_const(ty))
+        for head in heads:
+            gbs = general_bindings(h.ty, head, sig)
+            if not gbs:
+                continue
+            g = gbs[0]  # the imitation binding
+            out.append(Clause(list(c.literals)
+                              + [Literal(h, g, False)]))
     return out
-
-
-def apply_subst_clause(c: Clause, mapping: dict) -> Clause:
-    return Clause([Literal(substitute(l.lhs, mapping),
-                           substitute(l.rhs, mapping), l.pos)
-                   for l in c.literals])
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +219,19 @@ def func_ext(c: Clause, i: int, sig: Signature) -> Clause:
     return Clause(rest + [new])
 
 
+def extensionality(c: Clause, sig: Signature) -> Iterator[tuple]:
+    """(rule, conclusion) of Boolean and functional extensionality on
+    each proper equation literal of c, in literal order."""
+    for i, l in enumerate(c.literals):
+        if l.is_shorthand:
+            continue
+        if l.lhs.ty is O:
+            for x in bool_ext(c, i):
+                yield "bool_ext", x
+        elif isinstance(l.lhs.ty, FunType):
+            yield "func_ext", func_ext(c, i, sig)
+
+
 # ---------------------------------------------------------------------------
 # Injectivity
 # ---------------------------------------------------------------------------
@@ -246,11 +263,12 @@ def match_injectivity(c: Clause) -> Optional[Const]:
     return hx
 
 
-def inj_rule(c: Clause, sig: Signature, done: set) -> Optional[Clause]:
-    """Postulate a left inverse for a symbol inferred to be injective."""
+def inj_rule(c: Clause, sig: Signature, done: set) -> list:
+    """Postulate a left inverse for a symbol inferred to be injective,
+    unless `done` names the symbol already."""
     f = match_injectivity(c)
     if f is None or f.name in done:
-        return None
+        return []
     done.add(f.name)
     aty = f.ty.arg
     rty = f.ty.res
@@ -263,12 +281,17 @@ def inj_rule(c: Clause, sig: Signature, done: set) -> Optional[Clause]:
     inv = const(name, fn(rty, res=aty))
     sig.declare(name, inv.ty, system=True)
     z = sig.fresh_free(aty)
-    return Clause([Literal(app(inv, app(f, z)), z, True)])
+    return [Clause([Literal(app(inv, app(f, z)), z, True)])]
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive instantiation of finite types
 # ---------------------------------------------------------------------------
+
+# Variables of these finite types are instantiated exhaustively before
+# the search starts.
+EXHAUSTIVE_INST_TYPES = frozenset((O, fn(O, res=O)))
+
 
 def finite_domain(ty: SimpleType) -> list:
     if ty is O:
@@ -279,9 +302,19 @@ def finite_domain(ty: SimpleType) -> list:
     raise TermError(f"no finite domain for type {ty!r}")
 
 
-def exhaustive_instantiate(c: Clause, x: Free) -> set:
-    """One instance clause per element of the finite domain of x's type."""
-    return {apply_subst_clause(c, {x: e}) for e in finite_domain(x.ty)}
+def instantiate(c: Clause) -> list:
+    """One instance of c per element of the finite domain of its first
+    finite-typed free variable by name, in `_key` order; none when c has
+    no such variable."""
+    x = next((v for v in sorted(c.free_vars(), key=lambda v: v.name)
+              if v.ty in EXHAUSTIVE_INST_TYPES), None)
+    if x is None:
+        return []
+    insts = {Clause([Literal(substitute(l.lhs, {x: e}),
+                             substitute(l.rhs, {x: e}), l.pos)
+                     for l in c.literals])
+             for e in finite_domain(x.ty)}
+    return sorted(insts, key=lambda i: i._key)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Independent validation of emitted refutations.
 
-Each derivation record is re-derived from its recorded parents: rule by
-rule the checker either reruns the inference and compares the results up
-to renaming, or replays recorded unifier bindings by substitution.
+Each derivation record is re-derived from its recorded parents: the
+checker either reruns the inference and compares the results up to
+renaming, or replays recorded unifier bindings by substitution.  A
+generating step is rerun through the search's own enumerator of its
+rule, on the parents in their recorded order.
 Ground propositional steps are additionally validated by exhaustive
 truth-valuation checking.
 """
@@ -12,17 +14,17 @@ from __future__ import annotations
 from typing import Optional
 
 from .terms import (
-    FALSE, FunType, LOGICAL_NAMES, O, Subst, Term, TRUE, canon, constants,
-    neg, subterm_positions,
+    FALSE, LOGICAL_NAMES, O, Subst, Term, TRUE, canon, constants, neg,
+    subterm_positions,
 )
-from .clauses import Clause, Literal, alpha_key, prop_literal, rename_clause
+from .clauses import Clause, Literal, alpha_key, prop_literal
 from .cnf import (
     NAMING_THRESHOLD, definition_map, expand_definitions, formula_kind,
     miniscope, normalize,
 )
 from .calculus import (
-    bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext, inj_rule,
-    inst_types, para_candidates, prim_subst, simplify,
+    eqfac_candidates, extensionality, inj_rule, inst_types, instantiate,
+    paramod_ordered, prim_subst, simplify,
 )
 from .saturation import extract_proof
 from .unification import _Clash, simplify_pairs
@@ -60,7 +62,10 @@ class ProofChecker:
             if d.rule != "input" and d.rule not in RULE_VOCABULARY:
                 complaints.append(f"{d.id}: unknown rule {d.rule}")
                 continue
-            if any(p not in seen for p in d.parents):
+            missing = [p for p in d.parents if p not in self.records]
+            if missing:
+                complaints.append(f"{d.id}: parent {missing[0]} not recorded")
+            elif any(p not in seen for p in d.parents):
                 complaints.append(f"{d.id}: parent out of order")
             seen.add(d.id)
             if d.status != rule_status(d.rule):
@@ -69,11 +74,11 @@ class ProofChecker:
             replay = self.REPLAY.get(d.rule)
             if replay is None:
                 complaints.append(f"{d.id}: no replay for rule {d.rule}")
-                continue
-            try:
-                replay(self, d, [self.records[p] for p in d.parents])
-            except ReplayError as e:
-                complaints.append(f"{d.id} ({d.rule}): {e}")
+            elif not missing:
+                try:
+                    replay(self, d, [self.records[p] for p in d.parents])
+                except ReplayError as e:
+                    complaints.append(f"{d.id} ({d.rule}): {e}")
         return complaints
 
     def _minted_for(self, parent) -> set:
@@ -114,70 +119,21 @@ class ProofChecker:
         if alpha_key(d.clause, minted) not in keys:
             raise ReplayError("clausification does not produce this clause")
 
-    def _r_instantiate(self, d, parents):
-        c = parents[0].clause
-        want = alpha_key(d.clause)
-        for v in sorted(c.free_vars(), key=lambda x: x.name):
-            try:
-                insts = exhaustive_instantiate(c, v)
-            except Exception:
-                continue
-            if any(alpha_key(x) == want for x in insts):
-                return
-        raise ReplayError("no instantiation produces this clause")
-
-    def _r_eqfactor_ordered(self, d, parents):
-        want = alpha_key(d.clause)
-        if any(alpha_key(x) == want
-               for x in eqfac_candidates(parents[0].clause)):
-            return
-        raise ReplayError("no factoring inference produces this clause")
-
-    def _r_paramod_ordered(self, d, parents):
-        want = alpha_key(d.clause)
-        a = parents[0].clause
-        b = parents[-1].clause
-        for c, e in ((a, b), (b, a)):
-            variant, _ = rename_clause(e, self.sig)
-            if any(alpha_key(x) == want for x in para_candidates(c, variant)):
-                return
-        raise ReplayError("no paramodulation inference produces this clause")
-
-    def _r_bool_ext(self, d, parents):
-        want = alpha_key(d.clause)
-        c = parents[0].clause
-        for i, l in enumerate(c.literals):
-            if l.is_shorthand or l.lhs.ty is not O:
-                continue
-            if any(alpha_key(x) == want for x in bool_ext(c, i)):
-                return
-        raise ReplayError("no Boolean extensionality step matches")
-
-    def _r_func_ext(self, d, parents):
-        c = parents[0].clause
-        for i, l in enumerate(c.literals):
-            if l.is_shorthand or not isinstance(l.lhs.ty, FunType):
-                continue
-            out = func_ext(c, i, self.sig)
-            minted = self._minted_for(parents[0])
-            if alpha_key(out, minted) == alpha_key(d.clause, minted):
-                return
-        raise ReplayError("no functional extensionality step matches")
-
-    def _r_inj(self, d, parents):
-        c = inj_rule(parents[0].clause, self.sig, set())
-        minted = self._minted_for(parents[0])
-        if c is None or alpha_key(c, minted) != alpha_key(d.clause, minted):
-            raise ReplayError("injectivity postulate does not replay")
-
-    def _r_prim_subst(self, d, parents):
-        want = alpha_key(d.clause)
-        c = parents[0].clause
-        for i in range(len(c.literals)):
-            out = prim_subst(c, i, self.sig, self.inst_types)
-            if any(alpha_key(x) == want for x in out):
-                return
-        raise ReplayError("no primitive substitution matches")
+    def _replay_generating(self, d, parents):
+        """Look for the clause among the conclusions the search's
+        enumerator of the rule draws from the parents, in their recorded
+        order.  The rules that mint constants are the esa ones."""
+        premises = [p.clause for p in parents]
+        if any(c is None for c in premises) \
+                or len(premises) != (2 if d.rule == "paramod_ordered" else 1):
+            raise ReplayError("the parents are not the rule's premises")
+        conclusions = list(self.CONCLUSIONS[d.rule](self, *premises))
+        # after the enumerator, so that the constants it minted count
+        minted = self._minted_for(parents[0]) \
+            if rule_status(d.rule) == "esa" else frozenset()
+        want = alpha_key(d.clause, minted)
+        if not any(alpha_key(x, minted) == want for x in conclusions):
+            raise ReplayError(f"no {d.rule} inference produces this clause")
 
     def _replay_simplify(self, d, parents):
         c = parents[0].clause
@@ -213,17 +169,29 @@ class ProofChecker:
         if alpha_key(Clause(lits)) != alpha_key(d.clause):
             raise ReplayError("substituted clause differs from the record")
 
+    # The search's enumerator of each generating rule, given the
+    # checker and the clauses of a step's parents.
+    CONCLUSIONS = {
+        "eqfactor_ordered": lambda self, c: eqfac_candidates(c),
+        "paramod_ordered": lambda self, c, e: paramod_ordered(c, e, self.sig),
+        "bool_ext": lambda self, c: [
+            x for r, x in extensionality(c, self.sig) if r == "bool_ext"],
+        "func_ext": lambda self, c: [
+            x for r, x in extensionality(c, self.sig) if r == "func_ext"],
+        "prim_subst": lambda self, c: prim_subst(c, self.sig,
+                                                 self.inst_types),
+        "inj": lambda self, c: inj_rule(c, self.sig, set()),
+        "instantiate": lambda self, c: instantiate(c),
+    }
+
     # The replay of each rule of RULE_VOCABULARY and of input formulas.
     REPLAY = {
         "input": _r_input, "neg_conjecture": _r_neg_conjecture,
         "defexp_and_simp_and_etaexpand": _r_defexp_and_simp_and_etaexpand,
-        "miniscope": _r_miniscope, "cnf": _r_cnf, "func_ext": _r_func_ext,
-        "bool_ext": _r_bool_ext, "paramod_ordered": _r_paramod_ordered,
-        "eqfactor_ordered": _r_eqfactor_ordered,
+        "miniscope": _r_miniscope, "cnf": _r_cnf,
         "pre_uni": _replay_unifier, "pattern_uni": _replay_unifier,
         "rewrite": _replay_simplify, "simp": _replay_simplify,
-        "prim_subst": _r_prim_subst, "inj": _r_inj,
-        "instantiate": _r_instantiate,
+        **dict.fromkeys(CONCLUSIONS, _replay_generating),
     }
 
 

@@ -13,18 +13,18 @@ import gc
 import time
 from typing import Optional
 
-from .terms import FunType, O, Term, canon, fn, neg
+from .terms import O, Term, canon, neg
 from .clauses import (
     Clause, Literal, alpha_key, clause_weight, is_empty_clause,
-    is_flex_flex, prop_literal, rename_clause, subsumes,
+    is_flex_flex, prop_literal, subsumes,
 )
 from .cnf import (
     NAMING_THRESHOLD, OutOfTime, definition_map, expand_definitions,
     formula_kind, miniscope, normalize,
 )
 from .calculus import (
-    bool_ext, eqfac_candidates, exhaustive_instantiate, func_ext, inj_rule,
-    inst_types, para_candidates, prim_subst, simplify,
+    bool_ext, eqfac_candidates, extensionality, inj_rule, inst_types,
+    instantiate, paramod_ordered, prim_subst, simplify,
 )
 from .unification import (
     DEFAULT_DEPTH, DEFAULT_LIMIT, FAIL, NOT_PATTERN, pattern_unify,
@@ -41,9 +41,6 @@ AGE_RATIO = 5
 MAX_CLAUSE_WEIGHT = 200
 # The run gives up once this many derivation records exist.
 MAX_CLAUSES = 200000
-# Variables of these finite types are instantiated exhaustively before
-# the search starts.
-EXHAUSTIVE_INST_TYPES = frozenset((O, fn(O, res=O)))
 
 
 class ProverConfig:
@@ -205,14 +202,10 @@ class Saturation:
         final = []
         queue = list(clauses)
         for d in queue:     # also visits the instances appended below
-            v = next((x for x in sorted(d.clause.free_vars(),
-                                        key=lambda v: v.name)
-                      if x.ty in EXHAUSTIVE_INST_TYPES), None)
-            if v is None:
+            insts = instantiate(d.clause)
+            if not insts:
                 final.append(d)
-                continue
-            for inst in sorted(exhaustive_instantiate(d.clause, v),
-                               key=lambda c: c._key):
+            for inst in insts:
                 queue.append(self.record("instantiate", (d.id,),
                                          clause=inst))
         for d in final:
@@ -395,41 +388,25 @@ class Saturation:
 
     def _generate(self, gid: int):
         g = self.records[gid]
-        produced = []
-        # factoring
-        for c in eqfac_candidates(g.clause):
-            produced.append(("eqfactor_ordered", (gid,), c, 0))
+        produced = [("eqfactor_ordered", (gid,), c, 0)
+                    for c in eqfac_candidates(g.clause)]
         # paramodulation with every processed clause (including itself)
         for pid in list(self.P):
             if self.out_of_time():
                 break
             p = self.records[pid]
-            variant, _ = rename_clause(p.clause, self.sig)
-            for c in para_candidates(g.clause, variant):
+            for c in paramod_ordered(g.clause, p.clause, self.sig):
                 produced.append(("paramod_ordered", (gid, pid), c, 0))
             if pid != gid:
-                variant_g, _ = rename_clause(g.clause, self.sig)
-                for c in para_candidates(p.clause, variant_g):
+                for c in paramod_ordered(p.clause, g.clause, self.sig):
                     produced.append(("paramod_ordered", (pid, gid), c, 0))
-        # extensionality
-        for i, l in enumerate(g.clause.literals):
-            if l.is_shorthand:
-                continue
-            if l.lhs.ty is O:
-                for c in bool_ext(g.clause, i):
-                    produced.append(("bool_ext", (gid,), c, 0))
-            elif isinstance(l.lhs.ty, FunType):
-                produced.append(("func_ext", (gid,),
-                                 func_ext(g.clause, i, self.sig), 0))
-        # primitive substitution
+        for rule, c in extensionality(g.clause, self.sig):
+            produced.append((rule, (gid,), c, 0))
         if g.ps_depth < self.config.ps_limit:
-            for i in range(len(g.clause.literals)):
-                for c in prim_subst(g.clause, i, self.sig, self.inst_types):
-                    produced.append(("prim_subst", (gid,), c, 1))
-        # injectivity
+            for c in prim_subst(g.clause, self.sig, self.inst_types):
+                produced.append(("prim_subst", (gid,), c, 1))
         if self.config.enable_inj:
-            c = inj_rule(g.clause, self.sig, self.inj_done)
-            if c is not None:
+            for c in inj_rule(g.clause, self.sig, self.inj_done):
                 produced.append(("inj", (gid,), c, 0))
         for rule, parents, clause, ps_extra in produced:
             if self.out_of_time() or self.empty_id is not None:

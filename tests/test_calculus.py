@@ -16,8 +16,8 @@ from ep_prover.clauses import (
 from ep_prover.cnf import OutOfTime
 from ep_prover.calculus import (
     SimplifyOutcome, _orient, _rewrite_once, _try_der, bool_ext,
-    eqfac_candidates, exhaustive_instantiate, func_ext, finite_domain,
-    inj_rule, match_injectivity, para_candidates, prim_subst, simplify,
+    eqfac_candidates, func_ext, finite_domain, inj_rule, instantiate,
+    match_injectivity, para_candidates, prim_subst, simplify,
 )
 from ep_prover.modal import embed
 from ep_prover.saturation import ProverConfig, saturate
@@ -160,7 +160,7 @@ def test_func_ext_positive_uses_fresh_variable():
 def test_prim_subst_offers_logical_heads():
     F = free("F", O)
     c = Clause([prop_literal(F, True)])
-    out = prim_subst(c, 0, Signature(), (I,))
+    out = prim_subst(c, Signature(), (I,))
     # the head each constraint literal offers for F
     heads = {head_of(t).name for x in out for l in x if l not in c.literals
              for t in (l.lhs, l.rhs) if isinstance(head_of(t), Const)}
@@ -171,7 +171,7 @@ def test_prim_subst_offers_logical_heads():
 
 def test_prim_subst_needs_flexible_head():
     c = Clause([plit(app(p, a))])
-    assert prim_subst(c, 0, Signature(), (I,)) == []
+    assert prim_subst(c, Signature(), (I,)) == []
 
 
 def test_match_injectivity_shape():
@@ -186,12 +186,11 @@ def test_inj_rule_postulates_left_inverse():
     c = Clause([Literal(app(f, X), app(f, Y), False),
                 Literal(X, Y, True)])
     sig = Signature()
-    out = inj_rule(c, sig, set())
-    assert out is not None
+    (out,) = inj_rule(c, sig, set())
     (l,) = out.literals
     assert l.pos
     # applying again for the same symbol is suppressed
-    assert inj_rule(c, sig, {"f"}) is None
+    assert inj_rule(c, sig, {"f"}) == []
 
 
 def test_finite_domain_sizes():
@@ -201,11 +200,11 @@ def test_finite_domain_sizes():
 
 def test_exhaustive_instantiate():
     P = free("P", O)
-    q = const("q", O)
     c = Clause([prop_literal(canon(app(const("c2", fn(O, res=O)), P)), True)])
-    insts = exhaustive_instantiate(c, P)
+    insts = instantiate(c)
     assert len(insts) == 2
     assert all(P not in x.free_vars() for x in insts)
+    assert instantiate(Clause([plit(app(p, free("X", I)))])) == []
 
 
 def test_orient_prefers_larger_side():

@@ -1,7 +1,8 @@
 """The independent proof replay checker."""
 
 from ep_prover.terms import (
-    O, Signature, app, bound, canon, const, fn, free, I, lam, pi_const,
+    O, Signature, TRUE, app, bound, canon, const, fn, free, I, lam, pi_const,
+    substitute,
 )
 from ep_prover.clauses import Clause, Literal, alpha_key, prop_literal
 from ep_prover.cnf import normalize
@@ -45,6 +46,34 @@ def test_corrupted_clause_is_detected():
     victim.clause = Clause([prop_literal(canon(app(p, a)), True)])
     checker = ProofChecker(res.records, prob)
     assert any(str(victim.id) in c for c in checker.check(proof))
+
+
+def test_swapped_paramodulation_parents_are_detected():
+    # the search records paramodulation as (into, from), and the checker
+    # replays it in that direction only
+    prob, res = run("problems/sur_cantor.p")
+    proof = extract_proof(res.records, res.empty_id)
+    victim = res.records[1198]
+    assert victim in proof and victim.rule == "paramod_ordered"
+    assert victim.parents == (500, 399)
+    victim.parents = (399, 500)
+    complaints = ProofChecker(res.records, prob).check(proof)
+    assert complaints == ["1198 (paramod_ordered): "
+                          "no paramod_ordered inference produces this clause"]
+    victim.parents = (399,)
+    complaints = ProofChecker(res.records, prob).check(proof)
+    assert complaints == ["1198 (paramod_ordered): "
+                          "the parents are not the rule's premises"]
+
+
+def test_missing_parent_is_a_complaint():
+    p = const("p", O)
+    records = {}
+    _step(records, "input", formula=p)
+    _step(records, "cnf", (99,), clause=Clause([prop_literal(p, True)]))
+    checker = ProofChecker(records, Problem(Signature(), [], None, "m.p"))
+    assert checker.check(list(records.values())) \
+        == ["2: parent 99 not recorded"]
 
 
 def test_unknown_rule_is_detected():
@@ -180,6 +209,31 @@ def test_prim_subst_replays_at_the_runs_types():
           clause=Clause([l, Literal(P, binding, False)]))
     checker = ProofChecker(records, prob)
     assert checker.check(list(records.values())) == []
+
+
+def test_instantiate_replays_only_the_first_finite_variable():
+    # preprocessing instantiates the first $o variable by name; an
+    # instance of another one is not a step the search makes
+    prob = parse_problem("""
+    thf(q_type, type, (q: $o > $o > $o)).
+    thf(ax, axiom, ( ! [P: $o, Q: $o]: ( q @ P @ Q ) )).
+    """, "inst.p")
+    ax = prob.formulas[-1].formula
+    (clause,) = normalize(Clause([prop_literal(ax, True)]),
+                          prob.signature)
+    first, later = sorted(clause.free_vars(), key=lambda v: v.name)
+
+    def instance_of(x):
+        records = {}
+        _step(records, "input", formula=ax)
+        _step(records, "cnf", (1,), clause=clause)
+        (l,) = clause.literals
+        _step(records, "instantiate", (2,), clause=Clause([prop_literal(
+            substitute(l.lhs, {x: TRUE}), l.pos)]))
+        return ProofChecker(records, prob).check(list(records.values()))
+    assert instance_of(first) == []
+    assert instance_of(later) == [
+        "3 (instantiate): no instantiate inference produces this clause"]
 
 
 def test_ground_step_valid_accepts_resolution():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ep_prover import saturation, unification
+from ep_prover import calculus, saturation, unification
 from ep_prover.clauses import Clause, Literal, prop_literal, subsumes
 from ep_prover.calculus import _para_target, para_candidates
 from ep_prover.cnf import OutOfTime, normalize
@@ -476,7 +476,7 @@ def _eqfac_every_pair(c):
 
 def _given_clauses(monkeypatch, make_problem, config, name, enumerator):
     """Status and the clauses entering P, in order, of one run with
-    `enumerator` in place of the saturation module's `name`."""
+    `enumerator` in place of the calculus function `name`."""
     entered = []
     generate = Saturation._generate
 
@@ -484,7 +484,11 @@ def _given_clauses(monkeypatch, make_problem, config, name, enumerator):
         entered.append(self.records[gid].clause)
         return generate(self, gid)
     with monkeypatch.context() as m:
-        m.setattr(saturation, name, enumerator)
+        # the search calls eqfac_candidates itself, and para_candidates
+        # through paramod_ordered
+        for module in (saturation, calculus):
+            if hasattr(module, name):
+                m.setattr(module, name, enumerator)
         m.setattr(Saturation, "_generate", spy)
         status = Saturation(make_problem(), config).run().status
     return status, entered
@@ -496,7 +500,7 @@ def _assert_same_search(monkeypatch, make_problem, config, name, old,
     the current one) pick the same clauses and end in the same status."""
     old_run = _given_clauses(monkeypatch, make_problem, config, name, old)
     new_run = _given_clauses(monkeypatch, make_problem, config, name,
-                             new or getattr(saturation, name))
+                             new or getattr(calculus, name))
     assert new_run == old_run
     return new_run[1]
 
