@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from functools import cache
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .terms import (
     App, Const, Free, FunType, I, NOT, O, OR, Signature, SimpleType, Term,
@@ -321,13 +321,6 @@ def instantiate(c: Clause) -> list:
 # Simplification
 # ---------------------------------------------------------------------------
 
-class SimplifyOutcome(NamedTuple):
-    clause: Optional[Clause]    # None when the clause is redundant
-    changed: bool = False
-    used_units: tuple = ()      # ids of unit clauses used for rewrite/cut
-    rule: str = "simp"          # "rewrite" once a unit rewrote or cut
-
-
 def _try_der(lits: list):
     """Destructive equality resolution on the first eligible literal."""
     for k, l in enumerate(lits):
@@ -394,18 +387,19 @@ def _orient(lhs: Term, rhs: Term):
 
 
 def simplify(c: Clause, units=(),
-             deadline: Optional[float] = None) -> SimplifyOutcome:
+             deadline: Optional[float] = None) -> tuple:
     """Clause contraction to a fixpoint.
 
-    units is a sequence of (id, unit Clause) used for oriented rewriting
-    and contextual unit cutting; both record the unit id they used.
-    Raises OutOfTime once `deadline` (a `time.monotonic()` value) has
-    passed at the end of a pass that changed the clause.
+    Returns (None, ()) when c is redundant, (c, ()) when nothing applies,
+    and otherwise the contracted clause with the ids of the units that
+    rewrote or cut it, in order of first use.  units is a sequence of
+    (id, unit Clause) used for oriented rewriting and contextual unit
+    cutting.  Raises OutOfTime once `deadline` (a `time.monotonic()`
+    value) has passed at the end of a pass that changed the clause.
     """
     lits = list(c.literals)
     changed = False
     used = []
-    rule = "simp"
     while True:
         progressed = False
         # trivial and absurd literals, duplicates, tautologies; literals
@@ -416,19 +410,19 @@ def simplify(c: Clause, units=(),
             lhs, rhs, pos = l.lhs, l.rhs, l.pos
             if lhs is rhs:
                 if pos:
-                    return SimplifyOutcome(None, changed=True)
+                    return None, ()
                 progressed = True
                 continue
             if lhs is FALSE and rhs is TRUE:
                 if pos:
                     progressed = True
                     continue
-                return SimplifyOutcome(None, changed=True)
+                return None, ()
             if (lhs, rhs, pos) in seen:
                 progressed = True
                 continue
             if (lhs, rhs, not pos) in seen:
-                return SimplifyOutcome(None, changed=True)
+                return None, ()
             seen.add((lhs, rhs, pos))
             out.append(l)
         lits = out
@@ -449,21 +443,18 @@ def simplify(c: Clause, units=(),
                 if ori is not None and not isinstance(
                         head_of(ori[1]), Free):
                     big, small = ori
+                    new = None
                     for k, l in enumerate(lits):
-                        nl = _rewrite_once(l.lhs, big, small)
-                        if nl is not None:
-                            lits[k] = Literal(nl, l.rhs, l.pos)
+                        for side, other in ((l.lhs, l.rhs), (l.rhs, l.lhs)):
+                            new = _rewrite_once(side, big, small)
+                            if new is not None:
+                                lits[k] = Literal(new, other, l.pos)
+                                break
+                        if new is not None:
                             progressed = True
                             used.append(uid)
-                            rule = "rewrite"
                             break
-                        nr = _rewrite_once(l.rhs, big, small)
-                        if nr is not None:
-                            lits[k] = Literal(l.lhs, nr, l.pos)
-                            progressed = True
-                            used.append(uid)
-                            rule = "rewrite"
-                            break
+                    # also when this unit rewrote nothing
                     if progressed:
                         break
             # unit cutting: drop literals contradicting the unit
@@ -476,7 +467,6 @@ def simplify(c: Clause, units=(),
                 del lits[cut]
                 progressed = True
                 used.append(uid)
-                rule = "rewrite"
                 break
         if progressed:
             changed = True
@@ -487,6 +477,5 @@ def simplify(c: Clause, units=(),
     # every rule that fires sets `changed`, so an unchanged clause still
     # has exactly the literals of c
     if not changed:
-        return SimplifyOutcome(c)
-    return SimplifyOutcome(Clause(lits), changed=True,
-                           used_units=tuple(dict.fromkeys(used)), rule=rule)
+        return c, ()
+    return Clause(lits), tuple(dict.fromkeys(used))

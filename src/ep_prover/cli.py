@@ -14,10 +14,10 @@ import sys
 from types import SimpleNamespace
 
 from .terms import (
-    LOGICAL_NAMES, Term, const, constants, substitute_raw, type_str,
+    LOGICAL_NAMES, Term, constants, free, substitute_raw, tptp_name, type_str,
 )
 from .tptp import (
-    MODAL_OPERATORS, InferenceRecord, ParseError, Problem, ProofLine,
+    MODAL_OPERATORS, ParseError, Problem, ProofLine,
     UnsupportedInputError, parse_problem, print_clause, print_formula,
     print_proof, print_szs, render_file_source, render_inference,
 )
@@ -67,8 +67,8 @@ def _add_consts(t: Term, out: dict):
 
 
 def build_proof_lines(result: Result, problem: Problem) -> list:
-    """TSTP lines for the refutation: type declarations, the relevant
-    definitions, and the derivation records in dependency order."""
+    """TSTP lines for the refutation: type declarations, then the relevant
+    definitions, then the derivation records in dependency order."""
     proof = extract_proof(result.records, result.empty_id)
 
     definitions = {definition_parts(f)[0]: f for f in problem.formulas
@@ -96,23 +96,18 @@ def build_proof_lines(result: Result, problem: Problem) -> list:
     base_types = sorted(bt for bt in problem.signature.base_types
                         if not bt.startswith("$"))
     for bt in base_types:
-        lines.append(ProofLine(f"{bt}_type", "type", f"{bt}: $tType"))
+        lines.append(ProofLine(tptp_name(f"{bt}_type"), "type",
+                               f"{tptp_name(bt)}: $tType"))
 
+    # every symbol is declared before the first definition uses it
     def_order = [n for n in definitions if n in used_defs]
     rest = sorted(n for n in consts if n not in definitions)
     for name in def_order + rest:
-        ty = consts.get(name)
-        if ty is None:
-            sig_ty = problem.signature.constants.get(name)
-            if sig_ty is None:
-                continue
-            ty = sig_ty
-        lines.append(ProofLine(f"{name}_type", "type",
-                               f"{name}: {type_str(ty)}"))
-        if name in definitions:
-            lines.append(ProofLine(
-                f"{name}_def", "definition",
-                print_formula(definitions[name].formula)))
+        lines.append(ProofLine(tptp_name(f"{name}_type"), "type",
+                               f"{tptp_name(name)}: {type_str(consts[name])}"))
+    for name in def_order:
+        lines.append(ProofLine(tptp_name(f"{name}_def"), "definition",
+                               print_formula(definitions[name].formula)))
 
     clause_names: dict = {}
     for d in proof:
@@ -131,15 +126,16 @@ def build_proof_lines(result: Result, problem: Problem) -> list:
             for v, t in d.bindings:
                 bindings.append((pnames.get(v, v.name),
                                  _print_binding(t, pnames)))
-        rec = InferenceRecord(d.rule, d.status, d.parents, tuple(bindings))
         role = d.role if d.role == "negated_conjecture" else "plain"
-        lines.append(ProofLine(str(d.id), role, text,
-                               render_inference(rec)))
+        lines.append(ProofLine(str(d.id), role, text, render_inference(
+            d.rule, d.status, d.parents, tuple(bindings))))
     return lines
 
 
 def _print_binding(t: Term, names: dict) -> str:
-    mapping = {v: const(n, v.ty) for v, n in names.items() if v in t.fvs}
+    """t with each free variable of the parent clause under its printed
+    name."""
+    mapping = {v: free(n, v.ty) for v, n in names.items() if v in t.fvs}
     if mapping:
         t = substitute_raw(t, mapping)
     return print_formula(t)

@@ -140,10 +140,15 @@ class ProofChecker:
         if c is None:
             raise ReplayError("simplification of a non-clause")
         units = [(p.id, p.clause) for p in parents[1:]]
-        out = simplify(c, units)
-        if out.clause is None:
+        # the search records a rewrite step exactly when units were used
+        if d.rule == "rewrite" and not units:
+            raise ReplayError("a rewrite step without a unit parent")
+        if d.rule == "simp" and units:
+            raise ReplayError("a simp step with a unit parent")
+        out, _ = simplify(c, units)
+        if out is None:
             raise ReplayError("parent simplifies to a tautology")
-        if alpha_key(out.clause) != alpha_key(d.clause):
+        if alpha_key(out) != alpha_key(d.clause):
             raise ReplayError("simplification does not replay")
 
     def _replay_unifier(self, d, parents):

@@ -148,8 +148,10 @@ class Saturation:
         self.records[d.id] = d
         return d
 
-    def out_of_time(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
+    def _poll(self):
+        """Raise OutOfTime once the deadline has passed."""
+        if time.monotonic() > self.deadline:
+            raise OutOfTime
 
     # -- preprocessing ------------------------------------------------------
 
@@ -231,24 +233,31 @@ class Saturation:
                                  key=lambda x: x._key):
                     stack.append(self.record("cnf", (cur.id,), clause=nc))
                 continue
-            out = simplify(c, self.units, self.deadline)
-            if out.clause is None:
-                continue
-            if out.changed:
-                cur = self.record(out.rule, (cur.id,) + out.used_units,
-                                  clause=out.clause)
-                stack.append(cur)
+            nxt = self._contract(cur)
+            if nxt is not cur:
+                if nxt is not None:
+                    stack.append(nxt)
                 continue
             # splitting a ground Boolean equation is an equivalence, so
             # the parent clause can be replaced by the two halves
-            gi = _ground_bool_eq(out.clause)
+            gi = _ground_bool_eq(c)
             if gi is not None:
-                for half in bool_ext(out.clause, gi):
+                for half in bool_ext(c, gi):
                     stack.append(self.record("bool_ext", (cur.id,),
                                              clause=half))
                 continue
             self._enqueue(cur, key)
             self._eager_unify(cur)
+
+    def _contract(self, d: Derived) -> Optional[Derived]:
+        """d's clause contracted by the units of P: None when redundant, d
+        when nothing applies, else the record of a `rewrite` step when
+        units rewrote or cut it, of a `simp` step otherwise."""
+        c, used = simplify(d.clause, self.units, self.deadline)
+        if c is None or c is d.clause:
+            return None if c is None else d
+        return self.record("rewrite" if used else "simp", (d.id,) + used,
+                           clause=c)
 
     def _enqueue(self, d: Derived, key: tuple):
         """Keep a new clause in U unless it is cut or subsumed; `key` is
@@ -319,6 +328,8 @@ class Saturation:
         gc.disable()
         try:
             return self._run()
+        except OutOfTime:
+            return self._result("Timeout")
         finally:
             if was_enabled:
                 gc.enable()
@@ -329,32 +340,24 @@ class Saturation:
             self.preprocess()
         except RecursionError:
             return self._result("GaveUp")
-        except OutOfTime:
-            return self._result("Timeout")
         while True:
+            # a refutation found at the deadline still wins
             if self.empty_id is not None:
                 return self._refutation_result()
-            if self.out_of_time():
-                return self._result("Timeout")
+            self._poll()
             if not self.U:
                 return self._saturated_result()
             if self._next_id > MAX_CLAUSES:
                 return self._result("GaveUp")
             gid = self._select()
-            g = self.records[gid]
             # `_enqueue` found no P entry older than this stamp subsuming
             # the clause; a simplified clause is checked against all of P
             since = self.stamp[gid]
             # forward simplification against current units
-            try:
-                out = simplify(g.clause, self.units, self.deadline)
-            except OutOfTime:
-                return self._result("Timeout")
-            if out.clause is None:
+            g = self._contract(self.records[gid])
+            if g is None:
                 continue
-            if out.changed:
-                g = self.record(out.rule, (gid,) + out.used_units,
-                                clause=out.clause)
+            if g.id != gid:
                 self.seen.add(alpha_key(g.clause))
                 gid = g.id
                 since = 0
@@ -370,10 +373,7 @@ class Saturation:
             self.appended += 1
             self.P.append(gid)
             self.units = self._units()
-            try:
-                self._generate(gid)
-            except OutOfTime:
-                return self._result("Timeout")
+            self._generate(gid)
         # unreachable
 
     def _select(self) -> int:
@@ -392,8 +392,7 @@ class Saturation:
                     for c in eqfac_candidates(g.clause)]
         # paramodulation with every processed clause (including itself)
         for pid in list(self.P):
-            if self.out_of_time():
-                break
+            self._poll()
             p = self.records[pid]
             for c in paramod_ordered(g.clause, p.clause, self.sig):
                 produced.append(("paramod_ordered", (gid, pid), c, 0))
@@ -409,8 +408,9 @@ class Saturation:
             for c in inj_rule(g.clause, self.sig, self.inj_done):
                 produced.append(("inj", (gid,), c, 0))
         for rule, parents, clause, ps_extra in produced:
-            if self.out_of_time() or self.empty_id is not None:
+            if self.empty_id is not None:
                 return
+            self._poll()
             self.insert_new(self.record(rule, parents, clause=clause,
                                         ps_extra=ps_extra))
 

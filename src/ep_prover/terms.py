@@ -22,6 +22,7 @@ O(1) on it; on any other node the slot memoizes its canonical form once
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from typing import Iterator, Optional
 
@@ -55,6 +56,18 @@ class FunType(SimpleType):
         return f"({self.arg!r}>{self.res!r})"
 
 
+_BARE_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*|\$\$?[a-zA-Z0-9_]+|[0-9]+")
+
+
+@cache
+def tptp_name(name: str) -> str:
+    """name as printed: bare when it is a lower word, a dollar word or an
+    integer, else single-quoted with backslash and quote escaped."""
+    if _BARE_NAME.fullmatch(name):
+        return name
+    return "'" + name.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
 _type_table: dict = {}
 _type_uid = 0
 
@@ -66,7 +79,7 @@ def base_type(name: str) -> BaseType:
     if ty is None:
         ty = BaseType.__new__(BaseType)
         ty.name = name
-        ty.tptp = name
+        ty.tptp = tptp_name(name)
         ty.uid = _type_uid = _type_uid + 1
         _type_table[key] = ty
     return ty

@@ -17,7 +17,7 @@ from .terms import (
     Term, TermError, TRUE, FALSE, NOT, OR, AND, IMPLIES, IFF, app,
     base_type, bound, canon, conj, const, disj, equality, exists, forall,
     fun_type, iff, implies, lam, match_quant, neg, ordered_free_vars, spine,
-    substitute_raw, type_str,
+    substitute_raw, tptp_name, type_str,
 )
 from .clauses import Clause, Literal
 
@@ -66,13 +66,6 @@ class Problem:
         self.formulas = [] if formulas is None else formulas
         self.logic_spec = logic_spec
         self.name = name
-
-
-class InferenceRecord(NamedTuple):
-    rule: str
-    status: str
-    parents: tuple
-    bindings: tuple = ()   # (printed var name, term text) pairs
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +252,7 @@ class Parser:
         text = tok.text
         if text == "~":
             ts.next()
-            arg = self.parse_unit_base(ts, env)
-            while ts.peek().text == "@":
-                ts.next()
-                arg = app(arg, self.parse_unit_base(ts, env))
+            arg = self.parse_unitary(ts, env)
             if arg.ty is not O:
                 ts.error("negation applied to a non-Boolean term")
             return neg(arg)
@@ -557,11 +547,13 @@ class TermPrinter:
         self.counter += 1
         return n
 
-    def print(self, t: Term, env: Optional[list] = None) -> str:
-        return self._bare(t, env or [])
+    def print(self, t: Term) -> str:
+        return self._bare(t, [])
 
     def _operand(self, t: Term, env: list) -> str:
-        if isinstance(t, (Const, Free)):
+        if isinstance(t, Const):
+            return tptp_name(t.name)
+        if isinstance(t, Free):
             return t.name
         if isinstance(t, Bound):
             return env[-1 - t.index]
@@ -638,15 +630,16 @@ class TermPrinter:
             if h.name == "=":
                 return (self._eq_operand(args[0], env) + " = "
                         + self._eq_operand(args[1], env))
-        if isinstance(h, Const) and h is NOT and len(args) == 1:
-            inner = args[0]
-            ih, ia = spine(inner)
-            if isinstance(ih, Const) and ih.name == "=" and len(ia) == 2:
-                return (self._eq_operand(ia[0], env) + " != "
-                        + self._eq_operand(ia[1], env))
-            return "~ " + self._operand(inner, env)
+        if h is NOT and len(args) == 1:
+            # `_bare` prints every other negation, so this one negates an
+            # equation
+            s, u = spine(args[0])[1]
+            return self._eq_operand(s, env) + " != " + self._eq_operand(u, env)
         if args:
-            return " @ ".join(self._operand(x, env) for x in (h,) + args)
+            # a binder or negation before "@" would take it into its body
+            *first, last = (h,) + args
+            return " @ ".join([self._eq_operand(x, env) for x in first]
+                              + [self._operand(last, env)])
         return self._operand(t, env)
 
     def _chain(self, t: Term, op: Const, sym: str, env: list) -> str:
@@ -737,19 +730,21 @@ class ProofLine(NamedTuple):
     source: Optional[str] = None
 
 
-def render_inference(rec: InferenceRecord) -> str:
-    if rec.bindings:
-        binds = ",".join(f"bind({v},$thf({t}))" for v, t in rec.bindings)
-        parent = rec.parents[0]
-        rest = "".join(f",{p}" for p in rec.parents[1:])
-        inside = f"{parent}:[{binds}]{rest}"
+def render_inference(rule: str, status: str, parents: tuple,
+                     bindings: tuple = ()) -> str:
+    """bindings are (printed variable name, term text) pairs on the first
+    parent."""
+    if bindings:
+        binds = ",".join(f"bind({v},$thf({t}))" for v, t in bindings)
+        rest = "".join(f",{p}" for p in parents[1:])
+        inside = f"{parents[0]}:[{binds}]{rest}"
     else:
-        inside = ",".join(str(p) for p in rec.parents)
-    return f"inference({rec.rule},[status({rec.status})],[{inside}])"
+        inside = ",".join(str(p) for p in parents)
+    return f"inference({rule},[status({status})],[{inside}])"
 
 
 def render_file_source(problem_file: str, original_name: str) -> str:
-    return f"file('{problem_file}',{original_name})"
+    return f"file('{problem_file}',{tptp_name(original_name)})"
 
 
 def print_proof(lines: list, problem_name: str) -> str:

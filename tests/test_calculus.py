@@ -15,7 +15,7 @@ from ep_prover.clauses import (
 )
 from ep_prover.cnf import OutOfTime
 from ep_prover.calculus import (
-    SimplifyOutcome, _orient, _rewrite_once, _try_der, bool_ext,
+    _orient, _rewrite_once, _try_der, bool_ext,
     eqfac_candidates, func_ext, finite_domain, inj_rule, instantiate,
     match_injectivity, para_candidates, prim_subst, simplify,
 )
@@ -254,7 +254,7 @@ def test_orient_keeps_a_variable_condition_equation():
 def test_simplify_checks_the_deadline_after_a_changing_pass():
     l = plit(app(p, a))
     past = time.monotonic() - 1
-    assert simplify(Clause([l]), (), past).clause is not None
+    assert simplify(Clause([l]), (), past)[0] is not None
     with pytest.raises(OutOfTime):
         simplify(Clause([l, l]), (), past)
 
@@ -262,72 +262,69 @@ def test_simplify_checks_the_deadline_after_a_changing_pass():
 def test_simplify_removes_duplicates_and_trivial():
     l = plit(app(p, a))
     triv = Literal(a, a, False)
-    out = simplify(Clause([l, l, triv]))
-    assert out.changed
-    assert out.clause.literals == (l,)
+    out, used = simplify(Clause([l, l, triv]))
+    assert out.literals == (l,) and used == ()
 
 
 def test_simplify_detects_tautology():
     l = plit(app(p, a))
-    out = simplify(Clause([l, plit(app(p, a), False)]))
-    assert out.clause is None
+    assert simplify(Clause([l, plit(app(p, a), False)])) == (None, ())
 
 
 def test_simplify_returns_the_input_clause_when_nothing_applies():
     X = free("X", I)
     c = Clause([plit(app(p, a)), plit(app(p, X), False), Literal(a, b, False)])
     unit = Clause([plit(app(p, b))])
-    out = simplify(c, [(5, unit)])
-    assert out.clause is c
-    assert not out.changed and out.used_units == ()
+    out, used = simplify(c, [(5, unit)])
+    assert out is c and used == ()
 
 
 def test_simplify_complementary_equations_are_a_tautology():
     pos = Literal(a, b, True)
-    out = simplify(Clause([pos, Literal(b, a, False)]))
-    assert out.clause is None and out.changed
+    assert simplify(Clause([pos, Literal(b, a, False)])) == (None, ())
 
 
 def test_simplify_absurd_false_literal():
-    out = simplify(Clause([prop_literal(FALSE, True), plit(app(p, a))]))
-    assert out.clause.literals == (plit(app(p, a)),)
+    out, _ = simplify(Clause([prop_literal(FALSE, True), plit(app(p, a))]))
+    assert out.literals == (plit(app(p, a)),)
 
 
 def test_simplify_destructive_equality_resolution():
     X = free("X", I)
     c = Clause([Literal(X, a, False), plit(app(p, X))])
-    out = simplify(c)
-    assert out.changed
-    assert out.clause.literals == (plit(app(p, a)),)
+    out, used = simplify(c)
+    assert out.literals == (plit(app(p, a)),) and used == ()
 
 
 def test_simplify_unit_rewriting():
     c = Clause([plit(app(p, app(f, a)))])
     unit = Clause([Literal(app(f, a), a, True)])
-    out = simplify(c, [(7, unit)])
-    assert out.changed and 7 in out.used_units
-    assert out.clause.literals == (plit(app(p, a)),)
+    out, used = simplify(c, [(7, unit)])
+    assert out.literals == (plit(app(p, a)),) and used == (7,)
+    # both sides of an equation, one side per pass
+    c = Clause([Literal(app(d, app(f, a)), app(g2, app(f, a), b), False)])
+    out, used = simplify(c, [(7, unit)])
+    assert out.literals == (Literal(app(d, a), app(g2, a, b), False),)
+    assert used == (7,)
 
 
 def test_simplify_unit_cutting():
     c = Clause([plit(app(p, a), False), plit(app(p, b))])
     unit = Clause([plit(app(p, a))])
-    out = simplify(c, [(3, unit)])
-    assert out.changed
-    assert out.clause.literals == (plit(app(p, b)),)
+    out, used = simplify(c, [(3, unit)])
+    assert out.literals == (plit(app(p, b)),) and used == (3,)
     # an instance of the unit, in either orientation
     X = free("X", I)
     eq_unit = Clause([Literal(app(f, X), a, True)])
     for lit in (Literal(app(f, b), a, False), Literal(a, app(f, b), False)):
-        out = simplify(Clause([lit, plit(app(p, b))]), [(5, eq_unit)])
-        assert out.used_units == (5,) and out.rule == "rewrite"
-        assert out.clause.literals == (plit(app(p, b)),)
+        out, used = simplify(Clause([lit, plit(app(p, b))]), [(5, eq_unit)])
+        assert out.literals == (plit(app(p, b)),) and used == (5,)
     # no cut without fitting heads or opposite polarity
     q = const("q", IO)
     for lits in ([plit(app(q, a), False), plit(app(p, b))],
                  [plit(app(p, a)), plit(app(q, b))]):
         c = Clause(lits)
-        assert simplify(c, [(3, unit)]) == SimplifyOutcome(c)
+        assert simplify(c, [(3, unit)]) == (c, ())
 
 
 def _simplify_with_probes(c, units=()):
@@ -336,7 +333,6 @@ def _simplify_with_probes(c, units=()):
     lits = list(c.literals)
     changed = False
     used = []
-    rule = "simp"
     while True:
         progressed = False
         out = []
@@ -345,19 +341,19 @@ def _simplify_with_probes(c, units=()):
             lhs, rhs, pos = l.lhs, l.rhs, l.pos
             if lhs is rhs:
                 if pos:
-                    return SimplifyOutcome(None, changed=True)
+                    return None, ()
                 progressed = True
                 continue
             if lhs is FALSE and rhs is TRUE:
                 if pos:
                     progressed = True
                     continue
-                return SimplifyOutcome(None, changed=True)
+                return None, ()
             if (lhs, rhs, pos) in seen:
                 progressed = True
                 continue
             if (lhs, rhs, not pos) in seen:
-                return SimplifyOutcome(None, changed=True)
+                return None, ()
             seen.add((lhs, rhs, pos))
             out.append(l)
         lits = out
@@ -381,14 +377,12 @@ def _simplify_with_probes(c, units=()):
                             lits[k] = Literal(nl, l.rhs, l.pos)
                             progressed = True
                             used.append(uid)
-                            rule = "rewrite"
                             break
                         nr = _rewrite_once(l.rhs, big, small)
                         if nr is not None:
                             lits[k] = Literal(l.lhs, nr, l.pos)
                             progressed = True
                             used.append(uid)
-                            rule = "rewrite"
                             break
                     if progressed:
                         break
@@ -404,16 +398,14 @@ def _simplify_with_probes(c, units=()):
                 del lits[cut]
                 progressed = True
                 used.append(uid)
-                rule = "rewrite"
                 break
         if progressed:
             changed = True
             continue
         break
     if not changed:
-        return SimplifyOutcome(c)
-    return SimplifyOutcome(Clause(lits), changed=True,
-                           used_units=tuple(dict.fromkeys(used)), rule=rule)
+        return c, ()
+    return Clause(lits), tuple(dict.fromkeys(used))
 
 
 def test_unit_cutting_without_probes_simplifies_as_before(monkeypatch):
@@ -425,7 +417,8 @@ def test_unit_cutting_without_probes_simplifies_as_before(monkeypatch):
         got = simplify(c, units, deadline)
         want = _simplify_with_probes(c, units)
         calls[0] += 1
-        if got != want:
+        # the same clause, and c itself exactly when nothing applied
+        if got != want or (got[0] is c) is not (want[0] is c):
             differ.append((c, got, want))
         return got
 
@@ -457,8 +450,7 @@ def test_simplify_never_rewrites_toward_flexible_head():
     F = free("F", fn(I, res=I))
     unit = Clause([Literal(app(f, app(f, a)), app(F, a), True)])
     c = Clause([plit(app(p, app(f, app(f, a))))])
-    out = simplify(c, [(11, unit)])
-    assert not out.changed
+    assert simplify(c, [(11, unit)]) == (c, ())
 
 
 def test_head_of_on_eta_long_constant():

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import gc
+import glob
 import io
 import random
 import subprocess
@@ -40,6 +41,46 @@ def test_proof_output_brackets_and_rules():
     assert "% SZS output end CNFRefutation for sur_cantor.p" in r.stdout
     assert "file('sur_cantor.p',sur_cantor)" in r.stdout
     assert "negated_conjecture" in r.stdout
+
+
+def _printed_proof(capsys, *argv) -> str:
+    assert main([*argv, "-p"]) == 0, argv
+    out = capsys.readouterr().out
+    assert "% SZS output start CNFRefutation" in out, argv
+    return out
+
+
+def test_every_printed_refutation_parses_back(capsys):
+    """The -p text of each refutation of problems/ is a THF problem: every
+    symbol is declared before a definition or step uses it, and each
+    formula reads back as printed."""
+    paths = sorted(glob.glob(f"{PROBLEMS}/*.p")
+                   + glob.glob(f"{PROBLEMS}/corpus/*.p"))
+    runs = [[path] for path in paths]
+    runs.append([f"{PROBLEMS}/becker.p", "--modal-s5", "universal"])
+    for argv in runs:
+        out = _printed_proof(capsys, *argv)
+        parse_problem(out, argv[0].rsplit("/", 1)[-1])
+    assert len(runs) == 27
+
+
+QUOTED = """
+thf(t, type, 'a b': $i > $o).
+thf(u, type, 'A': $i).
+thf(ax, axiom, 'a b' @ 'A').
+thf('the goal', conjecture, ? [X: $i]: ('a b' @ X)).
+"""
+
+
+def test_names_that_are_not_lower_words_print_quoted(tmp_path, capsys):
+    f = tmp_path / "quoted.p"
+    f.write_text(QUOTED)
+    out = _printed_proof(capsys, str(f))
+    assert "thf('a b_type',type,\n    ( 'a b': $i > $o ))." in out
+    assert "file('quoted.p','the goal')" in out
+    # the constant 'A' bound to the variable A of the parent clause
+    assert "bind(A,$thf('A'))" in out
+    parse_problem(out, "quoted.p")
 
 
 def test_counter_satisfiable_exit_zero(tmp_path):
@@ -202,7 +243,7 @@ def test_variable_duplicating_units_keep_the_time_limit(tmp_path):
     units = [(i, sat.records[i].clause) for i in sat.U]
     assert len(units) == 3 and all(len(c) == 1 for _, c in units)
     for _, c in units:
-        assert simplify(c, units, time.monotonic() + 10).clause is not None
+        assert simplify(c, units, time.monotonic() + 10)[0] is not None
 
 
 def test_machine_lines_only_on_stdout():

@@ -84,6 +84,23 @@ def test_unknown_rule_is_detected():
     assert any("unknown rule" in c for c in checker.check(proof))
 
 
+def test_rewrite_and_simp_steps_are_told_apart_by_their_unit_parents():
+    # the search records a contraction as rewrite exactly when a unit
+    # rewrote or cut the clause, and lists those units as parents
+    prob, res = run("problems/corpus/prop_peirce.p")
+    proof = extract_proof(res.records, res.empty_id)
+    simp, rewrite = (d for d in proof if d.rule in ("simp", "rewrite"))
+    assert (simp.rule, len(simp.parents)) == ("simp", 1)
+    assert (rewrite.rule, len(rewrite.parents)) == ("rewrite", 2)
+    assert ProofChecker(res.records, prob).check(proof) == []
+    rewrite.rule = "simp"
+    assert ProofChecker(res.records, prob).check(proof) \
+        == [f"{rewrite.id} (simp): a simp step with a unit parent"]
+    rewrite.rule, simp.rule = "rewrite", "rewrite"
+    assert ProofChecker(res.records, prob).check(proof) \
+        == [f"{simp.id} (rewrite): a rewrite step without a unit parent"]
+
+
 def test_every_rule_has_a_replay():
     assert set(ProofChecker.REPLAY) == set(RULE_VOCABULARY) | {"input"}
 

@@ -6,12 +6,12 @@ import random
 import pytest
 
 from ep_prover.terms import (
-    I, O, app, canon, conj, const, disj, fn, free,
+    I, O, app, canon, conj, const, disj, fn, free, tptp_name,
 )
 from ep_prover.clauses import Clause, Literal, prop_literal
 from ep_prover.tptp import (
-    InferenceRecord, ParseError, ProofLine, RULE_VOCABULARY, SZS_STATUSES,
-    TokenStream, UnsupportedInputError, _TOKEN_RE, parse_problem,
+    ParseError, ProofLine, RULE_VOCABULARY, SZS_STATUSES,
+    TokenStream, UnsupportedInputError, _TOKEN_RE, _unquote, parse_problem,
     print_clause, print_formula, print_proof, print_szs, render_file_source,
     render_inference,
 )
@@ -79,6 +79,17 @@ def test_parse_error_reports_position():
         parse_problem("thf(x, axiom, ( p | )).", "t.p")
     with pytest.raises(ParseError):
         parse_problem("thf(x, axiom, q).", "t.p")  # undeclared symbol
+
+
+def test_type_error_under_negation_is_located():
+    decls = "thf(p_type, type, p: $i > $o).\n\n"
+    for body in ("~ p @ p", "(p @ p)"):
+        with pytest.raises(ParseError,
+                           match="^line 3, column 2[0-9]: argument type"):
+            parse_problem(decls + f"thf(x, axiom, {body}).", "t.p")
+    a = "thf(a_type, type, a: $i).\n"
+    f = parse_problem(decls + a + "thf(x, axiom, ~ p @ a).", "t.p")
+    assert print_formula(f.formulas[-1].formula) == "~ ( p @ a )"
 
 
 def test_the_first_error_in_reading_order_is_reported():
@@ -251,13 +262,58 @@ def test_print_szs_line():
 
 
 def test_render_inference_with_bindings():
-    rec = InferenceRecord("pre_uni", "thm", (3, 5), (("A", "b"),))
-    assert render_inference(rec) \
+    assert render_inference("pre_uni", "thm", (3, 5), (("A", "b"),)) \
         == "inference(pre_uni,[status(thm)],[3:[bind(A,$thf(b))],5])"
 
 
 def test_render_file_source():
     assert render_file_source("t.p", "ax") == "file('t.p',ax)"
+    assert render_file_source("t.p", "Ax 1") == "file('t.p','Ax 1')"
+
+
+def test_names_are_quoted_unless_tptp_reads_them_bare():
+    for bare in ("a", "aB_1", "$i", "$$x", "12"):
+        assert tptp_name(bare) == bare
+    assert tptp_name("A") == "'A'"
+    assert tptp_name("a b") == "'a b'"
+    assert tptp_name("1a") == "'1a'"
+    assert tptp_name("it's") == "'it\\'s'"
+    for name in ("A", "a b", "it's", "back\\slash", "\\'", "'\\", "\\\\'x"):
+        text = tptp_name(name)
+        assert _TOKEN_RE.fullmatch(text).lastgroup == "squote"
+        assert _unquote(text) == name
+
+
+def test_quoted_constants_and_types_print_and_parse_back():
+    text = """
+    thf('my type', type, 'my type': $tType).
+    thf('a b_type', type, 'a b': 'my type' > $o).
+    thf(c_type, type, 'C': 'my type').
+    thf(x, axiom, ! [X: 'my type']: (('a b' @ X) | ~ ('a b' @ 'C'))).
+    """
+    f = parse_problem(text, "t.p").formulas[-1].formula
+    printed = print_formula(f)
+    assert printed == ("! [A: 'my type'] : ( ( 'a b' @ A ) "
+                       "| ~ ( 'a b' @ 'C' ) )")
+    again = parse_problem(text + f"thf(y, axiom, {printed}).", "t.p")
+    assert again.formulas[-1].formula is f
+
+
+def test_binder_operands_before_an_application_are_bracketed():
+    # a binder's body and a negation's argument would take in the "@"
+    # that follows them
+    p = const("p", fn(I, res=O))
+    g = const("g", fn(fn(I, res=O), O, I, res=O))
+    q, a = const("q", O), const("a", I)
+    t = canon(app(g, p, app(const("~", fn(O, res=O)), q), a))
+    printed = print_formula(t)
+    assert printed == "g @ ( ^ [A: $i] : ( p @ A ) ) @ ( ~ q ) @ a"
+    decls = """
+    thf(p_type, type, p: $i > $o). thf(q_type, type, q: $o).
+    thf(a_type, type, a: $i). thf(g_type, type, g: ($i > $o) > $o > $i > $o).
+    """
+    prob = parse_problem(decls + f"thf(x, axiom, {printed}).", "t.p")
+    assert prob.formulas[-1].formula is t
 
 
 def test_print_proof_brackets():
