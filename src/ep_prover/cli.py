@@ -14,11 +14,11 @@ import sys
 from types import SimpleNamespace
 
 from .terms import (
-    LOGICAL_NAMES, Term, constants, free, substitute_raw, tptp_name, type_str,
+    LOGICAL_NAMES, Term, constants, tptp_name, type_str,
 )
 from .tptp import (
-    MODAL_OPERATORS, ParseError, Problem, ProofLine,
-    UnsupportedInputError, parse_problem, print_clause, print_formula,
+    MODAL_OPERATORS, ParseError, Problem, ProofLine, TermPrinter,
+    UnsupportedInputError, parse_problem, print_formula,
     print_proof, print_szs, render_file_source, render_inference,
 )
 from .cnf import DefinitionError, definition_parts
@@ -111,34 +111,26 @@ def build_proof_lines(result: Result, problem: Problem) -> list:
 
     clause_names: dict = {}
     for d in proof:
-        if d.clause is not None:
-            text, names = print_clause(d.clause)
-        else:
-            text, names = print_formula(d.formula), {}
-        clause_names[d.id] = names
+        printer = TermPrinter()
+        text = (printer.clause(d.clause) if d.clause is not None
+                else printer.print(d.formula))
+        clause_names[d.id] = printer.names
         if d.rule == "input":
             src = render_file_source(*d.source) if d.source else None
             lines.append(ProofLine(str(d.id), d.role, text, src))
             continue
         bindings = []
         if d.bindings:
+            # the parent's variables print as in its step, and the
+            # image's binders are named after them, so none captures one
             pnames = clause_names.get(d.parents[0], {})
             for v, t in d.bindings:
                 bindings.append((pnames.get(v, v.name),
-                                 _print_binding(t, pnames)))
+                                 TermPrinter(pnames).print(t)))
         role = d.role if d.role == "negated_conjecture" else "plain"
         lines.append(ProofLine(str(d.id), role, text, render_inference(
             d.rule, d.status, d.parents, tuple(bindings))))
     return lines
-
-
-def _print_binding(t: Term, names: dict) -> str:
-    """t with each free variable of the parent clause under its printed
-    name."""
-    mapping = {v: free(n, v.ty) for v, n in names.items() if v in t.fvs}
-    if mapping:
-        t = substitute_raw(t, mapping)
-    return print_formula(t)
 
 
 def _emit(*texts: str):

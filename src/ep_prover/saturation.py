@@ -155,8 +155,8 @@ class Saturation:
 
     # -- preprocessing ------------------------------------------------------
 
-    def preprocess(self) -> Optional[str]:
-        """Turn the problem into initial clauses; returns an early status."""
+    def preprocess(self):
+        """Turn the problem into initial clauses and insert them."""
         prob = self.problem
         expanded_defs = definition_map(prob.formulas)
 
@@ -212,7 +212,6 @@ class Saturation:
                                          clause=inst))
         for d in final:
             self.insert_new(d)
-        return None
 
     # -- clause intake ------------------------------------------------------
 

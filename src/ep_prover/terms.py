@@ -59,13 +59,18 @@ class FunType(SimpleType):
 _BARE_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*|\$\$?[a-zA-Z0-9_]+|[0-9]+")
 
 
+def single_quoted(text: str) -> str:
+    """text between single quotes, with backslash and quote escaped."""
+    return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
 @cache
 def tptp_name(name: str) -> str:
     """name as printed: bare when it is a lower word, a dollar word or an
-    integer, else single-quoted with backslash and quote escaped."""
+    integer, else single-quoted."""
     if _BARE_NAME.fullmatch(name):
         return name
-    return "'" + name.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    return single_quoted(name)
 
 
 _type_table: dict = {}
@@ -677,24 +682,6 @@ def _remap_bounds(t: Term, remap: dict, depth: int):
 # ---------------------------------------------------------------------------
 # Substitution of free variables
 # ---------------------------------------------------------------------------
-
-def substitute_raw(t: Term, mapping: dict, depth: int = 0) -> Term:
-    """Apply a {Free -> Term} mapping without normalizing.  Only for
-    printing, where the images are names or bound indices (which need
-    not be closed) and the result must keep the shape of t; everything
-    else uses `substitute`."""
-    if not t.fvs or not any(v in mapping for v in t.fvs):
-        return t
-    if isinstance(t, Free):
-        r = mapping.get(t)
-        return shift(r, depth) if r is not None else t
-    if isinstance(t, Abs):
-        return lam(t.var_ty, substitute_raw(t.body, mapping, depth + 1))
-    if isinstance(t, App):
-        return app(substitute_raw(t.head, mapping, depth),
-                   *[substitute_raw(a, mapping, depth) for a in t.args])
-    return t
-
 
 def substitute(t: Term, mapping: dict) -> Term:
     """Capture-free substitution of closed terms for free variables; the

@@ -16,8 +16,8 @@ from .terms import (
     Abs, Bound, Const, Free, O, PI_NAME, SIGMA_NAME, Signature, SimpleType,
     Term, TermError, TRUE, FALSE, NOT, OR, AND, IMPLIES, IFF, app,
     base_type, bound, canon, conj, const, disj, equality, exists, forall,
-    fun_type, iff, implies, lam, match_quant, neg, ordered_free_vars, spine,
-    substitute_raw, tptp_name, type_str,
+    fun_type, iff, implies, lam, match_quant, neg, ordered_free_vars,
+    single_quoted, spine, tptp_name, type_str,
 )
 from .clauses import Clause, Literal
 
@@ -537,10 +537,15 @@ def _binder_name(i: int) -> str:
 
 
 class TermPrinter:
-    """Renders terms in TPTP concrete syntax with A,B,C binder names."""
+    """Renders terms in TPTP concrete syntax with A,B,C binder names.
 
-    def __init__(self):
-        self.counter = 0
+    names maps free variables to their printed names, which are the
+    first binder names; a free variable without one prints under its own
+    name."""
+
+    def __init__(self, names: Optional[dict] = None):
+        self.names = dict(names or {})
+        self.counter = len(self.names)
 
     def fresh(self) -> str:
         n = _binder_name(self.counter)
@@ -550,11 +555,29 @@ class TermPrinter:
     def print(self, t: Term) -> str:
         return self._bare(t, [])
 
+    def clause(self, c: Clause) -> str:
+        """The universal closure of c over its free variables, in
+        first-occurrence order, with one operand of the top-level `|`
+        per literal; a disjunctive literal is bracketed."""
+        binders = []
+        for v in ordered_free_vars([x for l in c.literals
+                                    for x in (l.lhs, l.rhs)]):
+            self.names[v] = self.fresh()
+            binders.append(f"{self.names[v]}: {type_str(v.ty)}")
+        lits = [literal_formula(l) for l in c.literals]
+        if len(lits) == 1 and spine(lits[0])[0] is not OR:
+            body = (self._body if binders else self._bare)(lits[0], [])
+        else:
+            body = " | ".join(self._operand(t, []) for t in lits) or "$false"
+            if binders:
+                body = f"( {body} )"
+        return f"! [{','.join(binders)}] : {body}" if binders else body
+
     def _operand(self, t: Term, env: list) -> str:
         if isinstance(t, Const):
             return tptp_name(t.name)
         if isinstance(t, Free):
-            return t.name
+            return self.names.get(t, t.name)
         if isinstance(t, Bound):
             return env[-1 - t.index]
         h, args = spine(t)
@@ -668,32 +691,6 @@ def literal_formula(l: Literal) -> Term:
     return e if l.pos else neg(e)
 
 
-def clause_to_formula(c: Clause) -> tuple:
-    """Universal closure of a clause; returns (term, ordered free vars)."""
-    fvs = ordered_free_vars([x for l in c.literals for x in (l.lhs, l.rhs)])
-    if not c.literals:
-        body = FALSE
-    else:
-        body = literal_formula(c.literals[0])
-        for l in c.literals[1:]:
-            body = disj(body, literal_formula(l))
-    n = len(fvs)
-    mapping = {v: bound(n - 1 - k, v.ty) for k, v in enumerate(fvs)}
-    body = substitute_raw(body, mapping)
-    for v in reversed(fvs):
-        body = forall(v.ty, body)
-    return body, fvs
-
-
-def print_clause(c: Clause) -> tuple:
-    """Clause text plus the printed name of each of its free variables."""
-    t, fvs = clause_to_formula(c)
-    printer = TermPrinter()
-    text = printer.print(t)
-    names = {v: _binder_name(i) for i, v in enumerate(fvs)}
-    return text, names
-
-
 # ---------------------------------------------------------------------------
 # SZS and proofs
 # ---------------------------------------------------------------------------
@@ -744,7 +741,7 @@ def render_inference(rule: str, status: str, parents: tuple,
 
 
 def render_file_source(problem_file: str, original_name: str) -> str:
-    return f"file('{problem_file}',{tptp_name(original_name)})"
+    return f"file({single_quoted(problem_file)},{tptp_name(original_name)})"
 
 
 def print_proof(lines: list, problem_name: str) -> str:

@@ -2,10 +2,12 @@
 
 import argparse
 import contextlib
+import functools
 import gc
 import glob
 import io
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -15,8 +17,14 @@ import pytest
 from ep_prover import cli
 from ep_prover.calculus import simplify
 from ep_prover.cli import main, parse_args
-from ep_prover.saturation import ProverConfig, Saturation
-from ep_prover.tptp import parse_problem, print_szs
+from ep_prover.saturation import ProverConfig, Saturation, extract_proof
+from ep_prover.terms import (
+    FALSE, bound, canon, disj, equality, forall, ordered_free_vars, type_str,
+)
+from ep_prover.tptp import (
+    TokenStream, literal_formula, parse_problem, print_szs,
+)
+from test_terms import substitute_raw
 
 
 PROBLEMS = "problems"
@@ -50,18 +58,106 @@ def _printed_proof(capsys, *argv) -> str:
     return out
 
 
-def test_every_printed_refutation_parses_back(capsys):
+def _clause_vars(c) -> list:
+    """The free variables of clause c in first-occurrence order: the
+    variables its printed prefix binds."""
+    if c is None:
+        return []
+    return ordered_free_vars([x for l in c.literals for x in (l.lhs, l.rhs)])
+
+
+def _closure(fvs: list, body):
+    """The canonical universal closure of body over fvs, outermost first."""
+    n = len(fvs)
+    body = substitute_raw(body, {v: bound(n - 1 - k, v.ty)
+                                 for k, v in enumerate(fvs)})
+    for v in reversed(fvs):
+        body = forall(v.ty, body)
+    return canon(body)
+
+
+def _record_formula(d):
+    """What the printed step of record d must read back as: the closure of
+    the left-nested disjunction of a clause's literals, or the formula."""
+    if d.clause is None:
+        return canon(d.formula)
+    lits = [literal_formula(l) for l in d.clause.literals]
+    body = functools.reduce(disj, lits) if lits else FALSE
+    return _closure(_clause_vars(d.clause), body)
+
+
+def _printed_bindings(out: str) -> dict:
+    """Step name -> the (variable, image text) of each bind(V,$thf(T))
+    on that step, in printed order."""
+    found: dict = {}
+    ts = TokenStream(out)
+    step = None
+    while ts.peek().kind != "eof":
+        t = ts.next()
+        if t.text == "thf" and ts.peek().text == "(":
+            ts.next()
+            step = ts.next().text
+        elif t.text == "bind" and ts.peek().text == "(":
+            ts.next()
+            var = ts.next().text
+            ts.expect(",")
+            ts.expect("$thf")
+            ts.expect("(")
+            start, depth = ts.peek().at, 0
+            while ts.peek().text != ")" or depth:
+                depth += {"(": 1, ")": -1}.get(ts.next().text, 0)
+            found.setdefault(step, []).append((var, out[start:ts.peek().at]))
+    return found
+
+
+def test_every_printed_refutation_parses_back(capsys, monkeypatch):
     """The -p text of each refutation of problems/ is a THF problem: every
-    symbol is declared before a definition or step uses it, and each
-    formula reads back as printed."""
+    symbol is declared before a definition or step uses it, each step
+    reads back as its record and each binding as its image."""
+    results = []
+    run_saturate = cli.saturate
+
+    def saturate(*args):
+        results.append(run_saturate(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "saturate", saturate)
     paths = sorted(glob.glob(f"{PROBLEMS}/*.p")
                    + glob.glob(f"{PROBLEMS}/corpus/*.p"))
     runs = [[path] for path in paths]
     runs.append([f"{PROBLEMS}/becker.p", "--modal-s5", "universal"])
+    steps = binds = 0
     for argv in runs:
         out = _printed_proof(capsys, *argv)
-        parse_problem(out, argv[0].rsplit("/", 1)[-1])
+        result = results[-1]
+        printed = _printed_bindings(out)
+        expected = {}
+        for d in extract_proof(result.records, result.empty_id):
+            expected[str(d.id)] = _record_formula(d)
+            steps += 1
+            if not d.bindings:
+                continue
+            # each binding as an equation closed over the parent's printed
+            # variables, read after the proof's type declarations
+            fvs = _clause_vars(result.records[d.parents[0]].clause)
+            assert len(fvs) <= 26
+            prefix = ",".join(f"{chr(ord('A') + i)}: {type_str(v.ty)}"
+                              for i, v in enumerate(fvs))
+            if prefix:
+                prefix = f"! [{prefix}] : "
+            assert len(printed[str(d.id)]) == len(d.bindings), argv
+            for (v, image), (name, text) in zip(d.bindings,
+                                                 printed[str(d.id)]):
+                key = f"bind_{d.id}_{name}"
+                out += f"thf({key},axiom,{prefix}( {name} = ( {text} ) )).\n"
+                expected[key] = _closure(fvs, equality(v, image))
+                binds += 1
+        back = {f.name: f.formula for f in
+                parse_problem(out, argv[0].rsplit("/", 1)[-1]).formulas}
+        for name, formula in expected.items():
+            assert back[name] is formula, (argv, name)
     assert len(runs) == 27
+    assert (steps, binds) == (322, 41)
 
 
 QUOTED = """
@@ -70,6 +166,14 @@ thf(u, type, 'A': $i).
 thf(ax, axiom, 'a b' @ 'A').
 thf('the goal', conjecture, ? [X: $i]: ('a b' @ X)).
 """
+
+
+def test_problem_file_name_prints_quoted_and_escaped(tmp_path, capsys):
+    f = tmp_path / "it's.p"
+    shutil.copy(f"{PROBLEMS}/corpus/prop_k.p", f)
+    out = _printed_proof(capsys, str(f))
+    assert "file('it\\'s.p',prop_k)" in out
+    parse_problem(out, "it's.p")
 
 
 def test_names_that_are_not_lower_words_print_quoted(tmp_path, capsys):

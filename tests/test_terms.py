@@ -14,7 +14,7 @@ from ep_prover.terms import (
     Abs, App, Bound, Const, Free, FunType, I, O, Signature, Subst, TermError,
     app, base_type, bound, canon, conj, const, disj,
     fn, forall, free, fun_type, implies, lam, neg, replace_at, shift, spine,
-    subterm_positions, substitute, substitute_raw, type_str,
+    subterm_positions, substitute, type_str,
     union_fvs,
 )
 from ep_prover.tptp import parse_problem
@@ -301,6 +301,23 @@ def _oracle_image(rng, v):
 def _is_projection(t):
     binders, body = terms.strip_binders(t)
     return isinstance(body, Bound) and body.index < len(binders)
+
+
+def substitute_raw(t, mapping: dict, depth: int = 0):
+    """Apply a {Free -> Term} mapping without normalizing: the reference
+    for `substitute`, and for closures whose images are bound indices
+    (which need not be closed) and must keep the shape of t."""
+    if not t.fvs or not any(v in mapping for v in t.fvs):
+        return t
+    if isinstance(t, Free):
+        r = mapping.get(t)
+        return shift(r, depth) if r is not None else t
+    if isinstance(t, Abs):
+        return lam(t.var_ty, substitute_raw(t.body, mapping, depth + 1))
+    if isinstance(t, App):
+        return app(substitute_raw(t.head, mapping, depth),
+                   *[substitute_raw(a, mapping, depth) for a in t.args])
+    return t
 
 
 def test_substitute_matches_normalizing_the_raw_instance():

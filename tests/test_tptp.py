@@ -6,13 +6,14 @@ import random
 import pytest
 
 from ep_prover.terms import (
-    I, O, app, canon, conj, const, disj, fn, free, tptp_name,
+    I, O, app, bound, canon, conj, const, disj, fn, forall, free, neg,
+    tptp_name,
 )
 from ep_prover.clauses import Clause, Literal, prop_literal
 from ep_prover.tptp import (
     ParseError, ProofLine, RULE_VOCABULARY, SZS_STATUSES,
     TokenStream, UnsupportedInputError, _TOKEN_RE, _unquote, parse_problem,
-    print_clause, print_formula, print_proof, print_szs, render_file_source,
+    TermPrinter, print_formula, print_proof, print_szs, render_file_source,
     render_inference,
 )
 
@@ -251,9 +252,24 @@ def test_print_clause_universal_closure_and_neq():
     X = free("X", I)
     c = Clause([Literal(a, b, False),
                 prop_literal(canon(app(f, X)), True)])
-    text, names = print_clause(c)
-    assert text == "! [A: $i] : ( ( f @ A ) | ( a != b ) )"
-    assert names[X] == "A"
+    printer = TermPrinter()
+    assert printer.clause(c) == "! [A: $i] : ( ( f @ A ) | ( a != b ) )"
+    assert printer.names == {X: "A"}
+    # a disjunctive literal is one bracketed operand of the clause's "|"
+    q, r = const("q", O), const("r", O)
+    c = Clause([prop_literal(disj(q, r), True), prop_literal(q, False)])
+    text = TermPrinter().clause(c)
+    assert text == "( q | r ) | ~ q"
+    decls = "thf(q_type, type, q: $o). thf(r_type, type, r: $o).\n"
+    back = parse_problem(decls + f"thf(x, axiom, {text}).", "t.p")
+    assert back.formulas[-1].formula is disj(disj(q, r), neg(q))
+    # the prefix binds the clause's variables only, not the literal's
+    p = const("p", fn(I, I, res=O))
+    c = Clause([prop_literal(canon(forall(I, app(p, X, bound(0, I)))),
+                             True)])
+    printer = TermPrinter()
+    assert printer.clause(c) == "! [A: $i] : ! [B: $i] : ( p @ A @ B )"
+    assert printer.names == {X: "A"}
 
 
 def test_print_szs_line():
@@ -269,6 +285,7 @@ def test_render_inference_with_bindings():
 def test_render_file_source():
     assert render_file_source("t.p", "ax") == "file('t.p',ax)"
     assert render_file_source("t.p", "Ax 1") == "file('t.p','Ax 1')"
+    assert render_file_source("it's.p", "ax") == "file('it\\'s.p',ax)"
 
 
 def test_names_are_quoted_unless_tptp_reads_them_bare():
