@@ -17,7 +17,7 @@ from .terms import (
     SimpleType, Term, app, arg_types, canon, conj, constants, disj, equality,
     exists, fn, forall, iff, implies, is_eta_var, lam, match_quant, neg,
     ordered_free_vars, replace_consts, result_type, shift, spine, FALSE, NOT,
-    OR, AND, IMPLIES, IFF,
+    OR, AND, IMPLIES, IFF, TRUE,
 )
 from .clauses import Clause, Literal, prop_literal
 
@@ -103,20 +103,41 @@ def skolem_term(sig: Signature, existential_type: SimpleType,
 # Clausification
 # ---------------------------------------------------------------------------
 
+# The memos below are plain dicts keyed by interned term, one per
+# polarity (index 0 for [t]^ff, 1 for [t]^tt).  They hold subformulas
+# only: the entry of a clause's own literal is computed from its
+# children's and not kept, so a memo grows with the distinct subformulas
+# of a process's inputs and lives as long as the intern table.
+_ESTIMATES: tuple = ({}, {})
+_EXPANSIONS: tuple = ({}, {})
+
+
 def _estimate(t: Term, pos: bool) -> int:
-    """Number of clauses clausifying [t]^pos would produce, roughly."""
+    """Number of clauses clausifying [t]^pos would produce, roughly.
+
+    At least the estimate of each operand of t's connective at the
+    polarity it occurs with, since every estimate is at least 1."""
     k = formula_kind(t)
     if k is None or k[0] == "eq":
         return 1
     if k[0] in ("all", "ex"):
-        return _estimate(k[1].body, pos)
+        return _sub_estimate(k[1].body, pos)
     total = 0
     for lits in _CLAUSES[k[0], pos]:
         n = 1
         for j, p in lits:
-            n *= _estimate(k[j], p)
+            n *= _sub_estimate(k[j], p)
         total += n
     return total
+
+
+def _sub_estimate(t: Term, pos: bool) -> int:
+    """`_estimate` of a subformula, memoized in `_ESTIMATES`."""
+    memo = _ESTIMATES[pos]
+    n = memo.get(t)
+    if n is None:
+        n = memo[t] = _estimate(t, pos)
+    return n
 
 
 def _name_subformula(lits: list, i: int, sig: Signature):
@@ -136,7 +157,7 @@ def _name_subformula(lits: list, i: int, sig: Signature):
         # the polarities the child occurs with in the clausified literal
         ps = tuple(p for p in (True, False)
                    if any((idx, p) in c for c in clauses))
-        est = max(_estimate(child, p) for p in ps)
+        est = max(_sub_estimate(child, p) for p in ps)
         cands.append((est, idx, child, ps))
     cands.sort(key=lambda c: (-c[0], c[1]))
     est, idx, child, ps = cands[0]
@@ -159,19 +180,120 @@ class OutOfTime(Exception):
     """The run's deadline passed during clausification."""
 
 
+def _poll(deadline: Optional[float]):
+    if deadline is not None and time.monotonic() > deadline:
+        raise OutOfTime
+
+
+def _product(factors: list, deadline: Optional[float]):
+    """Every concatenation of one literal tuple from each factor, in
+    some order: the clauses of a disjunction of the factors' formulas."""
+    if not factors:
+        return ((),)
+    out = factors[0]
+    for f in factors[1:]:
+        # the longer side drives the loop, so that the deadline is polled
+        # at least once per square root of the product's size
+        a, b = (out, f) if len(out) >= len(f) else (f, out)
+        nxt = []
+        for x in a:
+            _poll(deadline)
+            nxt += [x + y for y in b]
+        out = nxt
+    return out
+
+
+def _expand(t: Term, pos: bool, deadline: Optional[float]):
+    """The clauses of [t]^pos as tuples of literals, built from the
+    memoized expansions of t's subformulas: what the worklist of
+    `normalize` makes of the one-literal clause [t]^pos when it mints
+    nothing.  None where it could mint: under t's connectives there is a
+    quantifier, or an equation with $true whose other side is a formula,
+    which naming judges afresh."""
+    if t is FALSE:
+        return ((),) if pos else ()
+    if t is TRUE:
+        return () if pos else ((),)
+    k = formula_kind(t)
+    if k is None:
+        return ((prop_literal(t, pos),),)
+    tag = k[0]
+    if tag == "eq":
+        l = Literal(k[1], k[2], pos)
+        if l.is_shorthand and formula_kind(l.lhs) is not None:
+            return None
+        return _literal_clauses(l, deadline)
+    if tag not in _BUILDERS:
+        return None
+    out = []
+    for lits in _CLAUSES[tag, pos]:
+        factors = []
+        for j, p in lits:
+            e = _expansion(k[j], p, deadline)
+            if e is None:
+                return None
+            factors.append(e)
+        out += _product(factors, deadline)
+    return tuple(out)
+
+
+def _expansion(t: Term, pos: bool, deadline: Optional[float]):
+    """`_expand` of a subformula, memoized in `_EXPANSIONS`."""
+    memo = _EXPANSIONS[pos]
+    e = memo.get(t)
+    if e is None:
+        e = _expand(t, pos, deadline)
+        if e is not None:
+            memo[t] = e
+    return e
+
+
+def _literal_clauses(l: Literal, deadline: Optional[float]):
+    """`_expand` of a literal: () drops the clause, ((),) the literal."""
+    if l.lhs is l.rhs:
+        return () if l.pos else ((),)
+    if l.is_shorthand and (l.lhs is FALSE or formula_kind(l.lhs)):
+        return _expand(l.lhs, l.pos, deadline)
+    return ((l,),)
+
+
 def normalize(c: Clause, sig: Signature,
               naming_threshold: int = NAMING_THRESHOLD,
               deadline: Optional[float] = None) -> set:
     """Exhaustive clausification of a clause into proper CNF clauses.
 
+    A clause that needs no naming and holds no quantifier under its
+    literals' connectives mints nothing, so its clauses are the product
+    of its literals' expansions (`_expand`).  No operand's estimate
+    exceeds its formula's (`_estimate`), so checking the clause's own
+    literals for naming suffices.  Any other clause goes through the
+    worklist, literal by literal, which fixes the order in which Skolem
+    terms, fresh variables and names are minted and the variables a
+    Skolem term captures.
+
     Raises OutOfTime once `deadline` (a `time.monotonic()` value) has
     passed; the result would be incomplete.
     """
+    _poll(deadline)
+    fixed = ()      # the literals of a one-clause expansion
+    factors = []
+    for l in c.literals:
+        if naming_threshold and l.is_shorthand \
+                and _estimate(l.lhs, l.pos) > naming_threshold:
+            break
+        e = _literal_clauses(l, deadline)
+        if e is None:
+            break
+        if len(e) == 1:
+            fixed += e[0]
+        else:
+            factors.append(e)
+    else:
+        return {Clause(fixed + x) for x in _product(factors, deadline)}
     results = set()
     work = [list(c.literals)]
     while work:
-        if deadline is not None and time.monotonic() > deadline:
-            raise OutOfTime
+        _poll(deadline)
         lits = work.pop()
         changed = False
         for i, l in enumerate(lits):
@@ -235,43 +357,68 @@ def normalize(c: Clause, sig: Signature,
 # Miniscoping
 # ---------------------------------------------------------------------------
 
+def _holds_quantifier(t: Term) -> bool:
+    """Whether a Π or Σ constant occurs in t, found by a walk: without
+    one, `miniscope` and `replace_defined_equalities_term` have nothing
+    to rewrite."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, App):
+            stack.append(s.head)
+            stack += s.args
+        elif isinstance(s, Abs):
+            stack.append(s.body)
+        elif isinstance(s, Const) and s.name in (PI_NAME, SIGMA_NAME):
+            return True
+    return False
+
+
 def miniscope(f: Term) -> Term:
     """Push quantifiers inward over connectives; drop vacuous binders."""
+    return _miniscope(f) if _holds_quantifier(f) else f
+
+
+def _miniscope(f: Term) -> Term:
     k = formula_kind(f)
     if k is None:
         return f
     tag = k[0]
     if tag in _BUILDERS:
-        return _BUILDERS[tag](*[miniscope(x) for x in k[1:]])
+        return _BUILDERS[tag](*[_miniscope(x) for x in k[1:]])
     if tag == "eq":
         return f
     body_abs = k[1]
     ty = body_abs.var_ty
-    b = miniscope(body_abs.body)
+    b = _miniscope(body_abs.body)
     if not uses_bound(b, 0):
-        return miniscope(shift(b, -1))
+        return _miniscope(shift(b, -1))
     mk = forall if tag == "all" else exists
     bk = formula_kind(b)
     if bk is not None:
         btag = bk[0]
         split_over = "and" if tag == "all" else "or"
         if btag == split_over:
-            return _BUILDERS[btag](miniscope(mk(ty, bk[1])),
-                                   miniscope(mk(ty, bk[2])))
+            return _BUILDERS[btag](_miniscope(mk(ty, bk[1])),
+                                   _miniscope(mk(ty, bk[2])))
         if btag == ("or" if tag == "all" else "and"):
             builder = _BUILDERS[btag]
             x, y = bk[1], bk[2]
             if not uses_bound(x, 0):
-                return builder(miniscope(shift(x, -1)), miniscope(mk(ty, y)))
+                return builder(_miniscope(shift(x, -1)),
+                               _miniscope(mk(ty, y)))
             if not uses_bound(y, 0):
-                return builder(miniscope(mk(ty, x)), miniscope(shift(y, -1)))
+                return builder(_miniscope(mk(ty, x)),
+                               _miniscope(shift(y, -1)))
         if btag == "imp":
             x, y = bk[1], bk[2]
             if not uses_bound(x, 0):
-                return implies(miniscope(shift(x, -1)), miniscope(mk(ty, y)))
+                return implies(_miniscope(shift(x, -1)),
+                               _miniscope(mk(ty, y)))
             if not uses_bound(y, 0):
                 dual = exists if tag == "all" else forall
-                return implies(miniscope(dual(ty, x)), miniscope(shift(y, -1)))
+                return implies(_miniscope(dual(ty, x)),
+                               _miniscope(shift(y, -1)))
     return mk(ty, b)
 
 
@@ -408,11 +555,15 @@ def _andrews_body(body: Term) -> Optional[tuple]:
 
 def replace_defined_equalities_term(t: Term) -> Term:
     """Rewrite Leibniz / Andrews equality subformulas to primitive =."""
+    return _replace_defined_equalities(t) if _holds_quantifier(t) else t
+
+
+def _replace_defined_equalities(t: Term) -> Term:
     if isinstance(t, Abs):
-        return lam(t.var_ty, replace_defined_equalities_term(t.body))
+        return lam(t.var_ty, _replace_defined_equalities(t.body))
     if isinstance(t, App):
-        t = app(replace_defined_equalities_term(t.head),
-                *[replace_defined_equalities_term(a) for a in t.args])
+        t = app(_replace_defined_equalities(t.head),
+                *[_replace_defined_equalities(a) for a in t.args])
     q = match_quant(t, PI_NAME)
     if q is not None and isinstance(q.var_ty, FunType) \
             and result_type(q.var_ty) is O:

@@ -666,16 +666,19 @@ class TermPrinter:
         return self._operand(t, env)
 
     def _chain(self, t: Term, op: Const, sym: str, env: list) -> str:
-        parts = []
-        stack = [t]
-        while stack:
-            s = stack.pop()
-            sh, sa = spine(s)
-            if sh is op and len(sa) == 2:
-                stack.append(sa[1])
-                stack.append(sa[0])
-            else:
-                parts.append(self._operand(s, env))
+        """t's operands joined by sym.  TPTP reads a | b | c as
+        (a | b) | c, so only left operands chain; a right operand that
+        uses op itself is printed in brackets by `_operand`."""
+        rights = []
+        while True:
+            sh, sa = spine(t)
+            if sh is not op or len(sa) != 2:
+                break
+            rights.append(sa[1])
+            t = sa[0]
+        # left to right, the order binder names are handed out in
+        parts = [self._operand(t, env)]
+        parts += [self._operand(s, env) for s in reversed(rights)]
         return f" {sym} ".join(parts)
 
 

@@ -5,6 +5,7 @@ wall-clock budgets, randomized soundness sweeps over the unifier and the
 propositional fragment, proof replay, and output determinism.
 """
 
+import pathlib
 import random
 import re
 import subprocess
@@ -32,6 +33,7 @@ from ep_prover.unification import (
 
 
 PROBLEMS = "problems"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_problem(path, timeout, s5_mode="relational", **kw):
@@ -532,10 +534,16 @@ def test_proof_output_byte_identical_across_runs():
             assert outs[0] == f.read(), path
 
 
-def test_proof_output_unchanged_by_earlier_runs_in_the_process(capsys):
+def test_proof_output_unchanged_by_earlier_runs_in_the_process(
+        capsys, monkeypatch):
     """The intern table and the memos built on it outlive a run, so a
     later run in the same process starts warm; its proof must still be
-    the golden one."""
+    the golden one, also after a benchmark sweep slice filled the
+    clausification memos."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from inputs import formula_slice, satisfiable
+    for node in formula_slice(7, 1000):
+        assert _prover_decides(canon(_to_term(node))) == satisfiable(node)
     for name in ("inj_cantor", "sur_cantor", "contradictory"):
         assert cli.main([f"{PROBLEMS}/{name}.p", "-p"]) == 0, name
         with open(f"tests/golden/{name}.out") as f:

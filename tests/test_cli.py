@@ -320,6 +320,24 @@ def test_timeout_exit_one():
     assert "% SZS status Timeout" in r.stdout
 
 
+def test_deep_iff_chain_keeps_the_time_limit(tmp_path):
+    # b0 <=> (b1 <=> ... b23): the clause estimate of each link doubles,
+    # and naming still leaves exponentially many clauses, so the front
+    # end must notice the deadline while it clausifies
+    atoms = [f"b{i}" for i in range(24)]
+    body = atoms[-1]
+    for b in reversed(atoms[:-1]):
+        body = f"( {b} <=> {body} )"
+    f = tmp_path / "iff24.p"
+    f.write_text("".join(f"thf({b}_t,type,{b}: $o).\n" for b in atoms)
+                 + f"thf(ax,axiom,{body}).\n")
+    t0 = time.monotonic()
+    r = run_cli(str(f), "-t", "2", timeout=60)
+    assert time.monotonic() - t0 < 6
+    assert r.returncode == 1
+    assert r.stdout.splitlines()[0] == "% SZS status Timeout for iff24.p"
+
+
 # u1 duplicates X, so rewriting with u1 and u2 would cycle on
 # f c c (d (d a)) -> g (d (d a)) (d (d a)) -> f c c (d (d a))
 LOOP = """

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from ep_prover.terms import (
-    I, O, app, bound, canon, conj, const, disj, fn, forall, free, neg,
-    tptp_name,
+    I, O, app, bound, canon, conj, const, disj, fn, forall, free, iff,
+    implies, neg, tptp_name,
 )
 from ep_prover.clauses import Clause, Literal, prop_literal
 from ep_prover.tptp import (
@@ -54,12 +54,35 @@ def test_print_chains_operands_left_to_right_at_any_length():
     ps = [const(f"p{i}", O) for i in range(6)]
     t = disj(disj(ps[0], disj(ps[1], ps[2])),
              disj(conj(ps[3], ps[4]), ps[5]))
-    assert print_formula(t) == "p0 | p1 | p2 | ( p3 & p4 ) | p5"
+    # a right operand that chains the same connective keeps its brackets
+    assert print_formula(t) == "p0 | ( p1 | p2 ) | ( ( p3 & p4 ) | p5 )"
     long = ps[0]
     for i in range(1, 3000):
         long = disj(long, ps[i % 6])
     assert print_formula(long) == " | ".join(f"p{i % 6}"
                                              for i in range(3000))
+
+
+def test_chains_of_any_nesting_print_and_parse_back():
+    ps = [const(f"p{i}", O) for i in range(4)]
+    decls = "".join(f"thf(p{i}_type, type, (p{i}: $o)).\n" for i in range(4))
+    rng = random.Random(25)
+
+    def rand(depth):
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice(ps)
+        op = rng.choice((disj, disj, conj, conj, implies, iff, neg))
+        if op is neg:
+            return neg(rand(depth - 1))
+        return op(rand(depth - 1), rand(depth - 1))
+
+    shapes = [disj(ps[0], disj(ps[1], ps[2])),
+              conj(conj(ps[0], ps[1]), conj(ps[2], ps[3]))]
+    shapes += [canon(rand(5)) for _ in range(300)]
+    for t in shapes:
+        text = print_formula(t)
+        back = parse_problem(decls + f"thf(x, axiom, ( {text} )).", "t.p")
+        assert back.formulas[-1].formula is t, text
 
 
 def test_parse_binders_and_application():
