@@ -1,9 +1,9 @@
 """Preprocessing and clause normalization.
 
-Covers definition expansion, miniscoping, polarity-aware clausification
-with Miller-style Skolemization, threshold-based subformula naming, and
-heuristic replacement of defined (Leibniz / Andrews) equality predicates
-by primitive equality.
+Covers definition expansion, miniscoping, heuristic replacement of
+defined (Leibniz / Andrews) equality predicates by primitive equality,
+and clausification: polarity-aware, with inner Skolemization and
+threshold-based naming of subformulas, from memoized expansions.
 """
 
 from __future__ import annotations
@@ -89,34 +89,23 @@ def uses_bound(t: Term, j: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Skolemization
-# ---------------------------------------------------------------------------
-
-def skolem_term(sig: Signature, existential_type: SimpleType,
-                captured: list) -> Term:
-    """Fresh Skolem constant applied to exactly the captured variables."""
-    sk = sig.fresh_skolem(fn(*[v.ty for v in captured], res=existential_type))
-    return app(sk, *captured) if captured else sk
-
-
-# ---------------------------------------------------------------------------
 # Clausification
 # ---------------------------------------------------------------------------
 
-# The memos below are plain dicts keyed by interned term, one per
-# polarity (index 0 for [t]^ff, 1 for [t]^tt).  They hold subformulas
-# only: the entry of a clause's own literal is computed from its
-# children's and not kept, so a memo grows with the distinct subformulas
-# of a process's inputs and lives as long as the intern table.
+# Memos keyed by interned term, a dict per polarity (index 0 for [t]^ff,
+# 1 for [t]^tt), of subformulas only: they grow with the distinct
+# subformulas of a process's inputs and live as long as the intern
+# table.  `_EXPANSIONS` keeps expansions that mint nothing, of at most
+# `_MAX_STORED` clauses, so that no formula fills it without bound.
 _ESTIMATES: tuple = ({}, {})
 _EXPANSIONS: tuple = ({}, {})
+_MAX_STORED = 256
 
 
 def _estimate(t: Term, pos: bool) -> int:
-    """Number of clauses clausifying [t]^pos would produce, roughly.
-
-    At least the estimate of each operand of t's connective at the
-    polarity it occurs with, since every estimate is at least 1."""
+    """Number of clauses clausifying [t]^pos would produce, roughly: at
+    least the estimate of each operand of t's connective at the polarity
+    it occurs with, since every estimate is at least 1."""
     k = formula_kind(t)
     if k is None or k[0] == "eq":
         return 1
@@ -138,42 +127,6 @@ def _sub_estimate(t: Term, pos: bool) -> int:
     if n is None:
         n = memo[t] = _estimate(t, pos)
     return n
-
-
-def _name_subformula(lits: list, i: int, sig: Signature):
-    """Replace the heaviest child of literal i's connective by a fresh atom.
-
-    Returns (new_literal_lists_for_definitions, replacement_literal) or
-    None when the literal's shape offers nothing to name.
-    """
-    l = lits[i]
-    k = formula_kind(l.lhs)
-    if k is None or k[0] in ("not", "eq", "all", "ex"):
-        return None
-    tag, s, u = k
-    clauses = _CLAUSES[tag, l.pos]
-    cands = []
-    for idx, child in enumerate((s, u), 1):
-        # the polarities the child occurs with in the clausified literal
-        ps = tuple(p for p in (True, False)
-                   if any((idx, p) in c for c in clauses))
-        est = max(_sub_estimate(child, p) for p in ps)
-        cands.append((est, idx, child, ps))
-    cands.sort(key=lambda c: (-c[0], c[1]))
-    est, idx, child, ps = cands[0]
-    if est <= 1:
-        return None
-    fvs = ordered_free_vars([child])
-    d = sig.fresh_skolem(fn(*[v.ty for v in fvs], res=O))
-    atom = app(d, *fvs)
-    defs = []
-    if True in ps:
-        # positive occurrence: atom implies the named subformula
-        defs.append([prop_literal(atom, False), prop_literal(child, True)])
-    if False in ps:
-        defs.append([prop_literal(child, False), prop_literal(atom, True)])
-    parts = [atom if j == idx else c for j, c in enumerate((s, u), 1)]
-    return defs, prop_literal(_BUILDERS[tag](*parts), l.pos)
 
 
 class OutOfTime(Exception):
@@ -203,58 +156,127 @@ def _product(factors: list, deadline: Optional[float]):
     return out
 
 
-def _expand(t: Term, pos: bool, deadline: Optional[float]):
-    """The clauses of [t]^pos as tuples of literals, built from the
-    memoized expansions of t's subformulas: what the worklist of
-    `normalize` makes of the one-literal clause [t]^pos when it mints
-    nothing.  None where it could mint: under t's connectives there is a
-    quantifier, or an equation with $true whose other side is a formula,
-    which naming judges afresh."""
-    if t is FALSE:
-        return ((),) if pos else ()
-    if t is TRUE:
-        return () if pos else ((),)
-    k = formula_kind(t)
-    if k is None:
-        return ((prop_literal(t, pos),),)
-    tag = k[0]
-    if tag == "eq":
-        l = Literal(k[1], k[2], pos)
-        if l.is_shorthand and formula_kind(l.lhs) is not None:
-            return None
-        return _literal_clauses(l, deadline)
-    if tag not in _BUILDERS:
-        return None
-    out = []
-    for lits in _CLAUSES[tag, pos]:
-        factors = []
-        for j, p in lits:
-            e = _expansion(k[j], p, deadline)
-            if e is None:
-                return None
-            factors.append(e)
-        out += _product(factors, deadline)
-    return tuple(out)
+def skolem_term(sig: Signature, existential_type: SimpleType,
+                captured: list) -> Term:
+    """Fresh Skolem constant applied to exactly the captured variables."""
+    sk = sig.fresh_skolem(fn(*[v.ty for v in captured], res=existential_type))
+    return app(sk, *captured) if captured else sk
 
 
-def _expansion(t: Term, pos: bool, deadline: Optional[float]):
-    """`_expand` of a subformula, memoized in `_EXPANSIONS`."""
-    memo = _EXPANSIONS[pos]
-    e = memo.get(t)
-    if e is None:
-        e = _expand(t, pos, deadline)
+class _Clausifier:
+    """The state of one `normalize` call.
+
+    What it mints belongs to the run's signature: an expansion that
+    mints, or reuses what this call minted (`mints` counts both), is
+    memoized in `memo` for this call only.  Naming is looked for once a
+    literal's estimate exceeds the threshold: no operand's estimate
+    exceeds its formula's, but a formula equated with $true is a literal
+    of its own, and its expansion depends on the threshold."""
+
+    __slots__ = ("sig", "threshold", "deadline", "naming", "memo", "names",
+                 "defined", "defs", "mints")
+
+    def __init__(self, sig: Signature, threshold: int,
+                 deadline: Optional[float]):
+        self.sig, self.threshold, self.deadline = sig, threshold, deadline
+        self.naming, self.mints = False, 0
+        self.memo = ({}, {})
+        self.names = {}         # named subformula -> its atom
+        self.defined = set()    # (named subformula, polarity) defined
+        self.defs = []          # the clauses of the definitions
+
+    def literal(self, l: Literal, shared: bool = True):
+        """The clauses of l: () drops the clause, ((),) the literal.  A
+        clause's own literal is not `shared` in `_EXPANSIONS`."""
+        if l.lhs is l.rhs:
+            return () if l.pos else ((),)
+        if l.is_shorthand and (l.lhs is FALSE or formula_kind(l.lhs)):
+            if self.threshold and not self.naming:
+                self.naming = _estimate(l.lhs, l.pos) > self.threshold
+            return self.expansion(l.lhs, l.pos, shared)
+        return ((l,),)
+
+    def expansion(self, t: Term, pos: bool, shared: bool = True):
+        """`expand`, memoized."""
+        if not self.naming or _sub_estimate(t, pos) <= self.threshold:
+            e = _EXPANSIONS[pos].get(t)
+            if e is not None:
+                return e
+        e = self.memo[pos].get(t)
         if e is not None:
-            memo[t] = e
-    return e
+            self.mints += 1
+            return e
+        mints = self.mints
+        e = self.expand(t, pos)
+        if self.mints != mints:
+            self.memo[pos][t] = e
+        elif shared and len(e) <= _MAX_STORED:
+            _EXPANSIONS[pos][t] = e
+        return e
 
+    def expand(self, t: Term, pos: bool):
+        """The clauses of [t]^pos as tuples of literals.  A quantifier is
+        instantiated by a fresh variable, or by a Skolem term over the
+        free variables of t only (inner Skolemization).  A connective's
+        clauses are built last to first, as a worklist would mint."""
+        if t is FALSE:
+            return ((),) if pos else ()
+        if t is TRUE:
+            return () if pos else ((),)
+        k = formula_kind(t)
+        if k is None:
+            return ((prop_literal(t, pos),),)
+        tag = k[0]
+        if tag == "eq":
+            l = Literal(k[1], k[2], pos)
+            if l.is_shorthand and formula_kind(l.lhs) is not None:
+                self.mints += 1
+            return self.literal(l)
+        if tag in ("all", "ex"):
+            body = k[1]
+            if (tag == "all") == pos:
+                x = self.sig.fresh_free(body.var_ty)
+            else:
+                x = skolem_term(self.sig, body.var_ty, ordered_free_vars([t]))
+            self.mints += 1
+            return self.expand(canon(app(body, x)), pos)
+        if self.naming and tag != "not" \
+                and _sub_estimate(t, pos) > self.threshold:
+            named = self.name(tag, k[1], k[2], pos)
+            if named is not None:
+                return self.expand(named, pos)
+        out = []
+        for lits in reversed(_CLAUSES[tag, pos]):
+            out += _product([self.expansion(k[j], p) for j, p in lits],
+                            self.deadline)
+        return tuple(out)
 
-def _literal_clauses(l: Literal, deadline: Optional[float]):
-    """`_expand` of a literal: () drops the clause, ((),) the literal."""
-    if l.lhs is l.rhs:
-        return () if l.pos else ((),)
-    if l.is_shorthand and (l.lhs is FALSE or formula_kind(l.lhs)):
-        return _expand(l.lhs, l.pos, deadline)
-    return ((l,),)
+    def name(self, tag: str, s: Term, u: Term, pos: bool) -> Optional[Term]:
+        """[tag s u]^pos with its heaviest operand replaced by its name, a
+        fresh predicate over its free variables, or None if no operand
+        yields more than one clause.  An operand is named once per call
+        and defined once per polarity it occurs with: the name implies
+        it where it is positive, and it implies the name elsewhere."""
+        cands = []
+        for idx, child in ((1, s), (2, u)):
+            ps = {p for c in _CLAUSES[tag, pos] for j, p in c if j == idx}
+            est = max(_sub_estimate(child, p) for p in ps)
+            cands.append((est, -idx, child, ps))
+        est, idx, child, ps = max(cands)    # the first of the heaviest
+        if est <= 1:
+            return None
+        if child not in self.names:
+            self.names[child] = skolem_term(self.sig, O,
+                                            ordered_free_vars([child]))
+        atom = self.names[child]
+        self.mints += 1
+        for p in (False, True):
+            if p in ps and (child, p) not in self.defined:
+                self.defined.add((child, p))
+                head = (prop_literal(atom, not p),)
+                self.defs += [head + x for x in self.expansion(child, p)]
+        return _BUILDERS[tag](atom, u) if idx == -1 \
+            else _BUILDERS[tag](s, atom)
 
 
 def normalize(c: Clause, sig: Signature,
@@ -262,116 +284,50 @@ def normalize(c: Clause, sig: Signature,
               deadline: Optional[float] = None) -> set:
     """Exhaustive clausification of a clause into proper CNF clauses.
 
-    A clause that needs no naming and holds no quantifier under its
-    literals' connectives mints nothing, so its clauses are the product
-    of its literals' expansions (`_expand`).  No operand's estimate
-    exceeds its formula's (`_estimate`), so checking the clause's own
-    literals for naming suffices.  Any other clause goes through the
-    worklist, literal by literal, which fixes the order in which Skolem
-    terms, fresh variables and names are minted and the variables a
-    Skolem term captures.
+    The result is the product of the clauses of c's literals, each built
+    from the memoized expansions of its subformulas, and the clauses
+    that define the names minted.  A subformula whose estimate
+    (`_estimate`) exceeds `naming_threshold` has its heaviest operand
+    replaced by a name (0 switches naming off).  In one call each
+    quantified subformula is instantiated once per polarity and each
+    operand named once; calls share only what mints nothing.
 
     Raises OutOfTime once `deadline` (a `time.monotonic()` value) has
     passed; the result would be incomplete.
     """
     _poll(deadline)
-    fixed = ()      # the literals of a one-clause expansion
+    cx = _Clausifier(sig, naming_threshold, deadline)
+    out = set()
+    fixed = ()      # the literals of one-clause expansions
     factors = []
     for l in c.literals:
-        if naming_threshold and l.is_shorthand \
-                and _estimate(l.lhs, l.pos) > naming_threshold:
-            break
-        e = _literal_clauses(l, deadline)
-        if e is None:
+        e = cx.literal(l, False)
+        if not e:
             break
         if len(e) == 1:
             fixed += e[0]
         else:
             factors.append(e)
     else:
-        return {Clause(fixed + x) for x in _product(factors, deadline)}
-    results = set()
-    work = [list(c.literals)]
-    while work:
-        _poll(deadline)
-        lits = work.pop()
-        changed = False
-        for i, l in enumerate(lits):
-            if l.lhs is l.rhs:
-                if l.pos:
-                    changed = True  # tautologous literal, drop clause
-                    lits = None
-                else:
-                    del lits[i]
-                    work.append(lits)
-                    changed = True
-                break
-            if not l.is_shorthand:
-                continue
-            if l.lhs is FALSE:
-                if l.pos:
-                    del lits[i]
-                    work.append(lits)
-                else:
-                    lits = None  # [⊥]^ff always holds
-                changed = True
-                break
-            k = formula_kind(l.lhs)
-            if k is None:
-                continue
-            if naming_threshold and _estimate(l.lhs, l.pos) > naming_threshold:
-                named = _name_subformula(lits, i, sig)
-                if named is not None:
-                    defs, repl = named
-                    lits[i] = repl
-                    work.append(lits)
-                    work.extend(defs)
-                    changed = True
-                    break
-            rest = lits[:i] + lits[i + 1:]
-            tag = k[0]
-            if tag == "eq":
-                work.append(rest + [Literal(k[1], k[2], l.pos)])
-            elif tag in _BUILDERS:
-                for cl in _CLAUSES[tag, l.pos]:
-                    work.append(rest + [prop_literal(k[j], p) for j, p in cl])
-            elif tag in ("all", "ex"):
-                body_abs = k[1]
-                if (tag == "all") == l.pos:
-                    z = sig.fresh_free(body_abs.var_ty)
-                    inst = app(body_abs, z)
-                else:
-                    captured = ordered_free_vars(
-                        [x for m in lits for x in (m.lhs, m.rhs)])
-                    skt = skolem_term(sig, body_abs.var_ty, captured)
-                    inst = app(body_abs, skt)
-                work.append(rest + [prop_literal(inst, l.pos)])
-            changed = True
-            break
-        if not changed and lits is not None:
-            results.add(Clause(lits))
-    return results
+        out = {Clause(fixed + x) for x in _product(factors, deadline)}
+    out.update(map(Clause, cx.defs))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Miniscoping
 # ---------------------------------------------------------------------------
 
+@cache
 def _holds_quantifier(t: Term) -> bool:
-    """Whether a Π or Σ constant occurs in t, found by a walk: without
-    one, `miniscope` and `replace_defined_equalities_term` have nothing
-    to rewrite."""
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, App):
-            stack.append(s.head)
-            stack += s.args
-        elif isinstance(s, Abs):
-            stack.append(s.body)
-        elif isinstance(s, Const) and s.name in (PI_NAME, SIGMA_NAME):
-            return True
-    return False
+    """Whether a Π or Σ constant occurs in t: without one, `miniscope`
+    and `replace_defined_equalities_term` have nothing to rewrite.
+    Memoized per interned term, as `formula_kind` is."""
+    if isinstance(t, App):
+        return _holds_quantifier(t.head) or any(map(_holds_quantifier, t.args))
+    if isinstance(t, Abs):
+        return _holds_quantifier(t.body)
+    return isinstance(t, Const) and t.name in (PI_NAME, SIGMA_NAME)
 
 
 def miniscope(f: Term) -> Term:
@@ -388,36 +344,26 @@ def _miniscope(f: Term) -> Term:
         return _BUILDERS[tag](*[_miniscope(x) for x in k[1:]])
     if tag == "eq":
         return f
-    body_abs = k[1]
-    ty = body_abs.var_ty
-    b = _miniscope(body_abs.body)
+    ty, b = k[1].var_ty, _miniscope(k[1].body)
     if not uses_bound(b, 0):
         return _miniscope(shift(b, -1))
-    mk = forall if tag == "all" else exists
+    mk, dual = (forall, exists) if tag == "all" else (exists, forall)
     bk = formula_kind(b)
     if bk is not None:
         btag = bk[0]
-        split_over = "and" if tag == "all" else "or"
-        if btag == split_over:
+        if btag == ("and" if tag == "all" else "or"):
             return _BUILDERS[btag](_miniscope(mk(ty, bk[1])),
                                    _miniscope(mk(ty, bk[2])))
-        if btag == ("or" if tag == "all" else "and"):
+        if btag in ("or" if tag == "all" else "and", "imp"):
+            # over x ⇒ y, which is ¬x ∨ y, the quantifier of x is dual
             builder = _BUILDERS[btag]
             x, y = bk[1], bk[2]
             if not uses_bound(x, 0):
                 return builder(_miniscope(shift(x, -1)),
                                _miniscope(mk(ty, y)))
             if not uses_bound(y, 0):
-                return builder(_miniscope(mk(ty, x)),
-                               _miniscope(shift(y, -1)))
-        if btag == "imp":
-            x, y = bk[1], bk[2]
-            if not uses_bound(x, 0):
-                return implies(_miniscope(shift(x, -1)),
-                               _miniscope(mk(ty, y)))
-            if not uses_bound(y, 0):
-                dual = exists if tag == "all" else forall
-                return implies(_miniscope(dual(ty, x)),
+                mx = dual if btag == "imp" else mk
+                return builder(_miniscope(mx(ty, x)),
                                _miniscope(shift(y, -1)))
     return mk(ty, b)
 
@@ -440,9 +386,8 @@ def definition_parts(f) -> tuple:
     k = formula_kind(f.formula)
     if k is None or k[0] != "eq":
         raise DefinitionError(f"definition {f.name} is not an equation")
-    lhs = k[1]
     # the defined symbol may be eta-expanded on the left
-    h = lhs if isinstance(lhs, Const) else is_eta_var(lhs, Const)
+    h = k[1] if isinstance(k[1], Const) else is_eta_var(k[1], Const)
     if h is None:
         raise DefinitionError(
             f"definition {f.name} does not define a constant")
@@ -457,22 +402,18 @@ def definition_map(formulas) -> dict:
 
 
 def expand_definition_map(defs: dict) -> dict:
-    """Unfold a {name: body} definition map to a fixpoint.
-
-    Raises CyclicDefinitionError on mutual or self reference.
-    """
-    names = set(defs)
-    order = []
-    state = {}
+    """Unfold a {name: body} definition map to a fixpoint; raises
+    CyclicDefinitionError on mutual or self reference."""
+    order, state = [], {}
     for n in sorted(defs):
-        _visit(n, defs, names, state, order)
+        _visit(n, defs, state, order)
     expanded: dict = {}
     for n in order:
         expanded[n] = canon(replace_consts(defs[n], expanded))
     return expanded
 
 
-def _visit(n: str, defs: dict, names: set, state: dict, order: list):
+def _visit(n: str, defs: dict, state: dict, order: list):
     """Append n to order after the definitions its body uses, depth
     first; state maps a name to 1 while it is open and 2 once done."""
     if state.get(n) == 2:
@@ -480,22 +421,17 @@ def _visit(n: str, defs: dict, names: set, state: dict, order: list):
     if state.get(n) == 1:
         raise CyclicDefinitionError(f"cyclic definition involving {n}")
     state[n] = 1
-    for d in sorted({c.name for c in constants(defs[n])
-                     if c.name in names}):
-        _visit(d, defs, names, state, order)
+    for d in sorted({c.name for c in constants(defs[n]) if c.name in defs}):
+        _visit(d, defs, state, order)
     state[n] = 2
     order.append(n)
-
-
-def expand_term(t: Term, expanded: dict) -> Term:
-    return canon(replace_consts(t, expanded))
 
 
 def expand_definitions(t: Term, expanded: dict) -> Term:
     """The `defexp_and_simp_and_etaexpand` step: definition expansion,
     then Leibniz / Andrews equalities replaced by primitive equality."""
     if expanded:
-        t = expand_term(t, expanded)
+        t = canon(replace_consts(t, expanded))
     return canon(replace_defined_equalities_term(t))
 
 
@@ -503,25 +439,16 @@ def expand_definitions(t: Term, expanded: dict) -> Term:
 # Defined equality replacement
 # ---------------------------------------------------------------------------
 
-def _leibniz_body(body: Term, var_ty: SimpleType) -> Optional[tuple]:
+def _leibniz_body(body: Term) -> Optional[tuple]:
     """Match ¬(P s) ∨ P t / (P s) ⇒ (P t) / (P s) ⇔ (P t) with P = Bound 0."""
     k = formula_kind(body)
-    if k is None:
-        return None
-    if k[0] == "or":
+    if k is not None and k[0] == "or":
         kn = formula_kind(k[1])
-        if kn is None or kn[0] != "not":
-            return None
-        left, right = kn[1], k[2]
-    elif k[0] in ("imp", "iff"):
-        left, right = k[1], k[2]
-    else:
+        k = ("or", kn[1], k[2]) if kn is not None and kn[0] == "not" else None
+    if k is None or k[0] not in ("or", "imp", "iff"):
         return None
-    lr = _applied_to_bound0(left)
-    rr = _applied_to_bound0(right)
-    if lr is None or rr is None:
-        return None
-    return lr, rr
+    lr, rr = _applied_to_bound0(k[1]), _applied_to_bound0(k[2])
+    return None if lr is None or rr is None else (lr, rr)
 
 
 def _applied_to_bound0(t: Term) -> Optional[Term]:
@@ -536,13 +463,10 @@ def _applied_to_bound0(t: Term) -> Optional[Term]:
 def _andrews_body(body: Term) -> Optional[tuple]:
     """Match (∀Z. Q Z Z) ⇒ Q s t with Q = Bound 0."""
     k = formula_kind(body)
-    if k is None or k[0] != "imp":
-        return None
-    ak = formula_kind(k[1])
+    ak = formula_kind(k[1]) if k is not None and k[0] == "imp" else None
     if ak is None or ak[0] != "all":
         return None
-    refl = ak[1].body  # under Z; Q is Bound 1 here
-    h, args = spine(refl)
+    h, args = spine(ak[1].body)     # under Z; Q is Bound 1 here
     if not (isinstance(h, Bound) and h.index == 1 and len(args) == 2
             and all(isinstance(a, Bound) and a.index == 0 for a in args)):
         return None
@@ -568,12 +492,9 @@ def _replace_defined_equalities(t: Term) -> Term:
     if q is not None and isinstance(q.var_ty, FunType) \
             and result_type(q.var_ty) is O:
         ats = arg_types(q.var_ty)
-        if len(ats) == 1:
-            m = _leibniz_body(q.body, q.var_ty)
-            if m is not None:
-                return equality(m[0], m[1])
-        elif len(ats) == 2 and ats[0] is ats[1]:
-            m = _andrews_body(q.body)
-            if m is not None:
-                return equality(m[0], m[1])
+        m = _leibniz_body(q.body) if len(ats) == 1 \
+            else _andrews_body(q.body) if len(ats) == 2 and ats[0] is ats[1] \
+            else None
+        if m is not None:
+            return equality(*m)
     return t

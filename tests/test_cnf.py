@@ -4,22 +4,25 @@ import itertools
 import math
 import pathlib
 import random
+import subprocess
+import sys
 import time
 import types
 
 import pytest
 
 from ep_prover.terms import (
-    AND, Abs, App, FALSE, Free, I, IFF, IMPLIES, NOT, O, OR, Signature,
+    AND, Abs, App, Const, FALSE, Free, I, IFF, IMPLIES, NOT, O, OR, Signature,
     TRUE, app, bound, canon, conj, const, disj, equality, exists, fn,
-    forall, free, iff, implies, neg, ordered_free_vars, spine,
+    forall, free, iff, implies, neg, ordered_free_vars, replace_consts,
+    spine, substitute,
 )
 from ep_prover import cnf
 from ep_prover.clauses import Clause, Literal, prop_literal
 from ep_prover.cnf import (
     CyclicDefinitionError, OutOfTime, _BUILDERS, _CLAUSES, _ESTIMATES,
-    _EXPANSIONS, _estimate, _name_subformula, _sub_estimate, definition_map,
-    expand_definition_map, expand_definitions, expand_term, formula_kind,
+    _EXPANSIONS, _estimate, _sub_estimate, definition_map,
+    expand_definition_map, expand_definitions, formula_kind,
     miniscope, normalize, replace_defined_equalities_term, skolem_term,
 )
 from ep_prover.modal import embed
@@ -121,7 +124,7 @@ def test_ordered_free_vars_is_deterministic():
 def test_expand_definition_map_chases_chains():
     defs = {"d1": canon(p), "d2": canon(disj(const("d1", O), q))}
     expanded = expand_definition_map(defs)
-    t = expand_term(canon(const("d2", O)), expanded)
+    t = expand_definitions(canon(const("d2", O)), expanded)
     assert "d1" not in _const_names(t)
 
 
@@ -256,6 +259,61 @@ def test_product_path_polls_the_deadline(monkeypatch):
         normalize(start, Signature(), 0, deadline=50)
 
 
+def test_memo_stores_no_expansion_past_its_cap():
+    # naming off: the 2^39 clauses of a 40-atom chain would fill the
+    # memo, which outlives the call, on the way to the deadline
+    start = Clause([prop_literal(iff_chain(40), True)])
+    with pytest.raises(OutOfTime):
+        normalize(start, Signature(), 0, deadline=time.monotonic() + 0.2)
+    assert max(len(e) for m in _EXPANSIONS for e in m.values()) \
+        <= cnf._MAX_STORED
+
+
+def test_iff_chains_clausify_to_linearly_many_clauses():
+    # each link occurs in both polarities; it is named once, not once
+    # per definition that holds it
+    for n in range(2, 41):
+        t0 = time.monotonic()
+        cs = normalize(Clause([prop_literal(iff_chain(n), True)]),
+                       Signature(), 16, deadline=t0 + 0.05)
+        assert len(cs) <= 5 * n + 10, n
+    assert len(cs) == 170
+
+
+def test_deep_quantifier_alternation_clausifies(tmp_path):
+    # ! [Y0] : ? [Y1] : ( r Y0 Y1 & ? [Y2] : ( r Y1 Y2 & ... ) ): 140
+    # levels that miniscoping cannot flatten, near the parser's limit;
+    # read in a fresh interpreter, whose stack is as deep as the CLI's
+    n = 140
+    body = f"? [Y{n}: $i] : ( r @ Y{n - 1} @ Y{n} )"
+    for i in range(n - 1, 0, -1):
+        body = f"? [Y{i}: $i] : ( ( r @ Y{i - 1} @ Y{i} ) & {body} )"
+    path = tmp_path / "deep.p"
+    path.write_text("thf(r_type, type, r: $i > $i > $o).\n"
+                    f"thf(ax, axiom, ! [Y0: $i] : {body}).\n")
+    script = (
+        "import sys\n"
+        "from ep_prover.saturation import ProverConfig, Saturation\n"
+        "from ep_prover.tptp import parse_problem\n"
+        "problem = parse_problem(open(sys.argv[1]).read(), 'deep.p')\n"
+        "sat = Saturation(problem, ProverConfig())\n"
+        "sat.preprocess()\n"
+        "print(sum(d.rule == 'cnf' for d in sat.records.values()))\n")
+    r = subprocess.run([sys.executable, "-c", script, str(path)],
+                       capture_output=True, text=True, timeout=120)
+    assert r.stdout.split() == ["264"], r.stderr[-2000:]
+
+
+def test_minted_symbols_are_not_shared_between_calls():
+    y = bound(0, I)
+    f = canon(conj(exists(I, app(qi, y)), forall(I, disj(app(qi, y), p))))
+    c = Clause([prop_literal(f, True)])
+    sig = Signature()
+    first = normalize(c, sig, 16)
+    assert normalize(c, sig, 16) != first
+    assert (sig._sk, sig._fv) == (2, 2)
+
+
 def test_formula_kind_memo_matches_the_uncached_computation():
     rng = random.Random(11)
     x = bound(0, I)
@@ -294,7 +352,7 @@ def test_formula_kind_memo_matches_the_uncached_computation():
     assert checked > 2000
 
 
-# -- the worklist, kept as the oracle of the product path -------------------
+# -- the worklist, kept as the oracle of the memoized expansion -------------
 
 def reference_estimate(t, pos):
     """`_estimate` as it was before its memo: recomputed at every node."""
@@ -307,11 +365,53 @@ def reference_estimate(t, pos):
                for lits in _CLAUSES[k[0], pos])
 
 
+def reference_name(lits, i, sig, names, defined):
+    """Replace the heaviest child of literal i's connective by its name,
+    minted the first time the child is named in the call.  Returns
+    (the definitions not given yet, replacement literal) or None when
+    the literal's shape offers nothing to name."""
+    l = lits[i]
+    k = formula_kind(l.lhs)
+    if k is None or k[0] in ("not", "eq", "all", "ex"):
+        return None
+    tag, s, u = k
+    clauses = _CLAUSES[tag, l.pos]
+    cands = []
+    for idx, child in enumerate((s, u), 1):
+        # the polarities the child occurs with in the clausified literal
+        ps = tuple(p for p in (True, False)
+                   if any((idx, p) in c for c in clauses))
+        est = max(reference_estimate(child, p) for p in ps)
+        cands.append((est, idx, child, ps))
+    cands.sort(key=lambda c: (-c[0], c[1]))
+    est, idx, child, ps = cands[0]
+    if est <= 1:
+        return None
+    if child not in names:
+        fvs = ordered_free_vars([child])
+        d = sig.fresh_skolem(fn(*[v.ty for v in fvs], res=O))
+        names[child] = app(d, *fvs)
+    atom = names[child]
+    defs = []
+    if True in ps and (child, True) not in defined:
+        # positive occurrence: atom implies the named subformula
+        defs.append([prop_literal(atom, False), prop_literal(child, True)])
+    if False in ps and (child, False) not in defined:
+        defs.append([prop_literal(child, False), prop_literal(atom, True)])
+    defined.update((child, p) for p in ps)
+    parts = [atom if j == idx else c for j, c in enumerate((s, u), 1)]
+    return defs, prop_literal(_BUILDERS[tag](*parts), l.pos)
+
+
 def reference_normalize(c, sig, naming_threshold=16):
-    """`normalize` as it was before its product path: every clause goes
-    through the worklist, one literal at a time."""
+    """The worklist `normalize` had before its memoized expansion: every
+    clause goes through it, one literal at a time.  A Skolem term
+    captures the free variables of its quantified formula only, and a
+    quantified formula is instantiated and a subformula named once per
+    polarity per call, as `normalize` does."""
     results = set()
     work = [list(c.literals)]
+    names, defined, instances = {}, set(), {}
     while work:
         lits = work.pop()
         changed = False
@@ -340,7 +440,7 @@ def reference_normalize(c, sig, naming_threshold=16):
                 continue
             if naming_threshold \
                     and reference_estimate(l.lhs, l.pos) > naming_threshold:
-                named = _name_subformula(lits, i, sig)
+                named = reference_name(lits, i, sig, names, defined)
                 if named is not None:
                     defs, repl = named
                     lits[i] = repl
@@ -357,15 +457,16 @@ def reference_normalize(c, sig, naming_threshold=16):
                     work.append(rest + [prop_literal(k[j], p) for j, p in cl])
             elif tag in ("all", "ex"):
                 body_abs = k[1]
-                if (tag == "all") == l.pos:
-                    z = sig.fresh_free(body_abs.var_ty)
-                    inst = app(body_abs, z)
-                else:
-                    captured = ordered_free_vars(
-                        [x for m in lits for x in (m.lhs, m.rhs)])
-                    skt = skolem_term(sig, body_abs.var_ty, captured)
-                    inst = app(body_abs, skt)
-                work.append(rest + [prop_literal(inst, l.pos)])
+                inst = instances.get(l)
+                if inst is None:
+                    if (tag == "all") == l.pos:
+                        z = sig.fresh_free(body_abs.var_ty)
+                    else:
+                        z = skolem_term(sig, body_abs.var_ty,
+                                        ordered_free_vars([l.lhs]))
+                    inst = instances[l] = prop_literal(app(body_abs, z),
+                                                       l.pos)
+                work.append(rest + [inst])
             changed = True
             break
         if not changed and lits is not None:
@@ -377,16 +478,80 @@ def _signature_state(sig):
     return sig._sk, sig._fv, dict(sig.constants)
 
 
+def _lifted(clauses, sig, minted, fv):
+    """The clauses with the constants named in `minted` made free
+    variables `$name`, and the free variables among those and the ones
+    minted past `V<fv>`."""
+    ins = {k: free("$" + k, sig.constants[k]) for k in minted}
+    out = {Clause([Literal(replace_consts(l.lhs, ins),
+                           replace_consts(l.rhs, ins), l.pos)
+                   for l in c.literals]) for c in clauses}
+    syms = {v for c in out for v in c.free_vars()
+            if v.name[0] == "$" or v.name[0] == "V" and int(v.name[1:]) > fv}
+    return out, syms
+
+
+def _renamed(c, ren):
+    return Clause([Literal(substitute(l.lhs, ren), substitute(l.rhs, ren),
+                           l.pos) for l in c.literals])
+
+
+def _same_up_to_minted(got, sig, ref, ref_sig, minted, fv):
+    """Whether one bijection of the symbols a call minted, constants and
+    variables, renames got into ref.  A symbol can only go to one that
+    occurs in the same clauses once all minted symbols are blinded."""
+    got, syms = _lifted(got, sig, minted, fv)
+    ref, ref_syms = _lifted(ref, ref_sig, minted, fv)
+
+    def classes(clauses, syms):
+        out = {}
+        for s in syms:
+            ren = {v: free("#" if v is not s else "*", v.ty) for v in syms}
+            profile = sorted(repr(_renamed(c, ren)) for c in clauses
+                             if s in c.free_vars())
+            out.setdefault((repr(s.ty), tuple(profile)), []).append(s)
+        return out
+
+    mine, theirs = classes(got, syms), classes(ref, ref_syms)
+    if {k: len(v) for k, v in mine.items()} \
+            != {k: len(v) for k, v in theirs.items()}:
+        return False
+    keys = sorted(mine)
+    choices = [itertools.permutations(theirs[k]) for k in keys]
+    for n, pick in enumerate(itertools.product(*choices)):
+        assert n < 1000, "too many symbols alike"
+        ren = {s: t for k, ts in zip(keys, pick)
+               for s, t in zip(mine[k], ts)}
+        if {_renamed(c, ren) for c in got} == ref:
+            return True
+    return False
+
+
 def _assert_clausified_alike(lits, threshold, sig=None, ref_sig=None):
     """normalize and the reference give the same clauses and mint the
-    same symbols, from signatures in the same state."""
+    same symbols, from signatures in the same state.  Where a call mints
+    more than one symbol the two may mint them in another order; then
+    they mint as many, of the same types, and one renaming of what they
+    minted turns the one's clauses into the other's."""
     sig = sig or Signature()
     ref_sig = ref_sig or sig.copy()
     assert _signature_state(sig) == _signature_state(ref_sig)
+    sk, fv, old = _signature_state(sig)
     c = Clause(lits)
     got = normalize(c, sig, threshold)
-    assert got == reference_normalize(c, ref_sig, threshold), (c, threshold)
-    assert _signature_state(sig) == _signature_state(ref_sig), c
+    ref = reference_normalize(c, ref_sig, threshold)
+    if got == ref and _signature_state(sig) == _signature_state(ref_sig):
+        return got
+    assert sig._sk - sk + sig._fv - fv > 1, (c, threshold)
+    assert (sig._sk, sig._fv) == (ref_sig._sk, ref_sig._fv), c
+    minted = set(sig.constants) - set(old)
+    assert minted == set(ref_sig.constants) - set(old), c
+    assert sorted(repr(sig.constants[k]) for k in minted) \
+        == sorted(repr(ref_sig.constants[k]) for k in minted), c
+    assert _same_up_to_minted(got, sig, ref, ref_sig, minted, fv), \
+        (c, threshold)
+    # later calls continue from the same declarations
+    ref_sig.constants.update(sig.constants)
     return got
 
 
@@ -455,13 +620,13 @@ def test_product_path_matches_the_worklist_on_mixed_clauses():
     y = bound(0, I)
     fx = app(f, x)
     some_y = canon(exists(I, app(qi, y)))
-    # expanding the first literal before Skolemizing would drop X from
-    # the Skolem term: the worklist takes the clause as a whole
+    # inner Skolemization: X occurs in the clause but not under ∃y, so
+    # the Skolem term is a constant
     (c,) = _assert_clausified_alike(
         [prop_literal(canon(disj(neg(equality(fx, fx)), q)), True),
          prop_literal(some_y, True)], 16)
     (sk_lit,) = [l for l in c.literals if l.lhs is not q]
-    assert spine(spine(sk_lit.lhs)[1][0])[1] == (x,)
+    assert isinstance(spine(sk_lit.lhs)[1][0], Const)
     hand = [
         [prop_literal(canon(forall(I, app(qi, y))), False),
          prop_literal(canon(conj(p, q)), True)],
