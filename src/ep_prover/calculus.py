@@ -107,7 +107,8 @@ def paramod_ordered(into: Clause, frm: Clause,
 def eqfac_candidates(c: Clause) -> Iterator[Clause]:
     """All factorings of two literals s = t and u = v of c with the same
     polarity and side type: the first is kept, the second replaced by
-    the constraints s != u and t != v.
+    the constraints s != u and t != v, or s != v and t != u.  (Turning
+    t = s around as well would give these constraints again.)
 
     Two ground propositional literals [s]^a and [u]^a are not factored.
     Each such conclusion is a tautology, the parent again, or carries
@@ -125,12 +126,10 @@ def eqfac_candidates(c: Clause) -> Iterator[Clause]:
                     and not li.lhs.fvs and not lj.lhs.fvs:
                 continue
             rest = [m for k, m in enumerate(c.literals) if k != j]
-            for swap_i in (False, True):
-                s, t = (li.rhs, li.lhs) if swap_i else (li.lhs, li.rhs)
-                for swap_j in (False, True):
-                    u, v = (lj.rhs, lj.lhs) if swap_j else (lj.lhs, lj.rhs)
-                    yield Clause(rest + [Literal(s, u, False),
-                                         Literal(t, v, False)])
+            s, t = li.lhs, li.rhs
+            for u, v in ((lj.lhs, lj.rhs), (lj.rhs, lj.lhs)):
+                yield Clause(rest + [Literal(s, u, False),
+                                     Literal(t, v, False)])
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,26 @@ def test_eqfac_merges_same_polarity_literals():
     assert all(len(x) >= 1 for x in out)
 
 
+def test_eqfac_yields_each_conclusion_once():
+    X, Y = free("X", I), free("Y", I)
+    c = Clause([Literal(app(f, X), a, True), Literal(app(f, b), Y, True)])
+    out = list(eqfac_candidates(c))
+    # two literals to keep, each with two pairings of the sides
+    assert len(out) == len(set(out)) == 4
+    prob = parse_problem(open("problems/sur_cantor.p").read(),
+                         "sur_cantor.p")
+    res = saturate(prob, ProverConfig(time_limit=60))
+    steps = [d for d in res.records.values() if d.rule == "eqfactor_ordered"]
+    given = {d.parents[0] for d in steps}
+    conclusions = 0
+    for gid in given:
+        out = list(eqfac_candidates(res.records[gid].clause))
+        assert len(out) == len(set(out)), gid
+        conclusions += len(out)
+    # the search records every conclusion of the clauses it factors
+    assert conclusions == len(steps) > 0
+
+
 def test_eqfac_skips_two_ground_propositional_literals():
     q, r = const("q", O), const("r", O)
     for pos in (True, False):

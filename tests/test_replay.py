@@ -80,16 +80,17 @@ def test_swapped_paramodulation_parents_are_detected():
     # replays it in that direction only
     prob, res = run("problems/sur_cantor.p")
     proof = extract_proof(res.records, res.empty_id)
-    victim = res.records[1198]
-    assert victim in proof and victim.rule == "paramod_ordered"
-    assert victim.parents == (500, 399)
-    victim.parents = (399, 500)
+    (victim,) = [d for d in proof if d.rule == "paramod_ordered"]
+    assert victim.id == 1176
+    into, frm = victim.parents
+    assert (into, frm) == (490, 396)
+    victim.parents = (frm, into)
     complaints = ProofChecker(res.records, prob).check(proof)
-    assert complaints == ["1198 (paramod_ordered): "
+    assert complaints == ["1176 (paramod_ordered): "
                           "no paramod_ordered inference produces this clause"]
-    victim.parents = (399,)
+    victim.parents = (frm,)
     complaints = ProofChecker(res.records, prob).check(proof)
-    assert complaints == ["1198 (paramod_ordered): "
+    assert complaints == ["1176 (paramod_ordered): "
                           "the parents are not the rule's premises"]
 
 
