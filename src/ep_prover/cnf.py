@@ -217,8 +217,8 @@ class _Clausifier:
     def expand(self, t: Term, pos: bool):
         """The clauses of [t]^pos as tuples of literals.  A quantifier is
         instantiated by a fresh variable, or by a Skolem term over the
-        free variables of t only (inner Skolemization).  A connective's
-        clauses are built last to first, as a worklist would mint."""
+        free variables of t only (inner Skolemization).  Clauses are
+        built last to first, as `test_cnf.reference_normalize` mints."""
         if t is FALSE:
             return ((),) if pos else ()
         if t is TRUE:

@@ -486,8 +486,9 @@ def _lifted(clauses, sig, minted, fv):
     out = {Clause([Literal(replace_consts(l.lhs, ins),
                            replace_consts(l.rhs, ins), l.pos)
                    for l in c.literals]) for c in clauses}
+    fresh = {f"V{n}" for n in range(fv + 1, sig._fv + 1)}
     syms = {v for c in out for v in c.free_vars()
-            if v.name[0] == "$" or v.name[0] == "V" and int(v.name[1:]) > fv}
+            if v.name[0] == "$" or v.name in fresh}
     return out, syms
 
 
