@@ -19,9 +19,9 @@ from typing import Iterator, Optional
 
 from .terms import (
     App, Const, Free, FunType, I, NOT, O, OR, Signature, SimpleType, Term,
-    TermError, TRUE, FALSE, app, base_types_in, bound, const, eq_const, fn,
-    head_of, is_eta_var, lam, neg, ordered_free_vars, pi_const, replace_at,
-    spine, subterm_positions, substitute,
+    TermError, TRUE, FALSE, app, base_types_in, bound, canon, const,
+    eq_const, fn, head_of, is_eta_var, lam, neg, ordered_free_vars,
+    pi_const, replace_at, spine, subterm_positions, substitute,
 )
 from .clauses import (
     Clause, Literal, cuts, match_terms, prop_literal, rename_clause,
@@ -44,35 +44,49 @@ def _para_target(sub: Term) -> bool:
     return True
 
 
+def _rest(c: Clause, i: int, d: Clause, j: int) -> tuple:
+    """The literals of c but its i-th and of d but its j-th."""
+    return c.literals[:i] + c.literals[i + 1:] \
+        + d.literals[:j] + d.literals[j + 1:]
+
+
 def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
     """All paramodulation inferences from equations of d into c.
 
-    The subterm at position pi of one side s of a literal of c is
-    rewritten by an equation l = r of d; the conclusion carries the
-    unification constraint between that subterm and l.  The premises
-    must already be variable-disjoint.
+    The subterm sub at position pi of one side s of a literal [s ~ t]^a
+    of c is rewritten by an equation l = r of d, under the unification
+    constraint [sub ~ l]^ff; the premises must be variable-disjoint.  A
+    conclusion omits what `normalize` would only delete: the rewritten
+    literal when it is negative and its new side is t, and the constraint
+    when sub is l.  So ground resolution yields the bare resolvent.
 
     A ground atom [p]^tt does not rewrite a different ground atom [q]^ff
-    as a whole.  That conclusion only carries the ground Boolean
-    constraint [q = p]^ff, which the saturation loop splits at once into
-    two clauses, one containing d and the other c.
+    as a whole: its constraint [q = p]^ff splits at once into two
+    clauses, one containing d and the other c.  A constant q has no other
+    position, so it is not walked; its one conclusion is the resolvent,
+    when q is p.
     """
     for j, lit_d in enumerate(d.literals):
         if not lit_d.pos:
             continue
-        rest_d = d.literals[:j] + d.literals[j + 1:]
+        ground_atom = lit_d.is_shorthand and not lit_d.lhs.fvs
         for i, lit_c in enumerate(c.literals):
             if c is d and i == j:
                 continue
-            # redundant inferences between positive propositional literals
-            if lit_c.pos and lit_c.is_shorthand and lit_d.is_shorthand:
-                continue
-            # the root of a different ground atom: see the docstring
-            skip_root = lit_c.is_shorthand and lit_d.is_shorthand \
-                and not lit_c.lhs.fvs and not lit_d.lhs.fvs \
-                and lit_c.lhs is not lit_d.lhs
-            rest = [m for k, m in enumerate(c.literals) if k != i]
-            rest.extend(rest_d)
+            rest = None
+            skip_root = False
+            if lit_c.is_shorthand and lit_d.is_shorthand:
+                # redundant between positive propositional literals
+                if lit_c.pos:
+                    continue
+                q = lit_c.lhs
+                if ground_atom and not q.fvs:
+                    if type(q) is Const:
+                        if q is lit_d.lhs and q is not FALSE:
+                            yield Clause(_rest(c, i, d, j))
+                        continue
+                    # the root of a different ground atom: see above
+                    skip_root = q is not lit_d.lhs
             for swap in (False, True):
                 l, r = (lit_d.rhs, lit_d.lhs) if swap else (lit_d.lhs, lit_d.rhs)
                 if l is TRUE or l is FALSE:
@@ -87,9 +101,15 @@ def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
                             continue
                         if skip_root and sub is s:
                             continue
-                        yield Clause([Literal(replace_at(s, pi, r), t,
-                                              lit_c.pos)]
-                                     + rest + [Literal(sub, l, False)])
+                        if rest is None:
+                            rest = _rest(c, i, d, j)
+                        lits = list(rest)
+                        new = canon(replace_at(s, pi, r))
+                        if new is not t or lit_c.pos:
+                            lits.append(Literal(new, t, lit_c.pos))
+                        if canon(sub) is not l:
+                            lits.append(Literal(sub, l, False))
+                        yield Clause(lits)
 
 
 def paramod_ordered(into: Clause, frm: Clause,

@@ -4,7 +4,11 @@ The main loop is a DISCOUNT-style two-set algorithm: unprocessed clauses
 U and processed clauses P, a weight/age given-clause heuristic, forward
 and backward subsumption, renormalization of non-CNF conclusions, and
 eager (pre-)unification of constraint literals with retention of the
-raw constrained clause.
+raw constrained clause.  Paramodulation leaves out the literals of its
+conclusions that are false by construction, so a ground resolvent needs
+no renormalization; what is renormalized are literals over a connective
+or quantifier, and the trivial literals other steps make (a tautology's
+[t = t]^tt among them).
 """
 
 from __future__ import annotations
@@ -224,7 +228,9 @@ class Saturation:
             key = alpha_key(c)
             if key in self.seen:
                 continue
-            # renormalize non-CNF clauses
+            # renormalize non-CNF clauses (paramodulation yields no
+            # trivially false literal, so a ground resolvent comes here
+            # in CNF already)
             if _needs_cnf(c):
                 for nc in sorted(normalize(c, self.sig,
                                            self.config.naming_threshold,

@@ -36,16 +36,23 @@ def plit(t, pos=True):
 
 
 def test_para_rewrites_and_emits_constraint():
-    c = Clause([plit(app(p, a))])
-    eq = Clause([Literal(a, b, True)])
+    X = free("X", I)
+    c = Clause([plit(app(p, app(f, a)))])
+    eq = Clause([Literal(app(f, X), b, True)])
     out = list(para_candidates(c, eq))
     assert out
     rewritten = [x for x in out
                  if any(l.lhs is canon(app(p, b)) for l in x)]
-    assert rewritten
-    # the conclusion carries a negative unification constraint
-    assert any(not l.pos and not l.is_shorthand
-               for l in rewritten[0])
+    # the conclusion carries the negative unification constraint
+    assert rewritten == [Clause([plit(app(p, b)),
+                                 Literal(app(f, a), app(f, X), False)])]
+
+
+def test_para_emits_no_constraint_for_the_side_itself():
+    c = Clause([plit(app(p, a))])
+    eq = Clause([Literal(a, b, True)])
+    # a rewritten by a = b: the constraint [a = a]^ff is left out
+    assert Clause([plit(app(p, b))]) in list(para_candidates(c, eq))
 
 
 def test_para_skips_truth_constant_sides():
@@ -69,9 +76,13 @@ def test_para_keeps_ground_resolution():
     q = const("q", O)
     out = list(para_candidates(Clause([prop_literal(q, False)]),
                                Clause([prop_literal(q, True)])))
-    # [$true = $true]^ff and the trivial constraint [q = q]^ff
-    assert out == [Clause([Literal(TRUE, TRUE, False),
-                           Literal(q, q, False)])]
+    # the bare resolvent, without [$true = $true]^ff and [q = q]^ff
+    assert out == [Clause([])]
+    r = const("r", O)
+    out = list(para_candidates(
+        Clause([prop_literal(q, False), prop_literal(r, True)]),
+        Clause([prop_literal(q, True), prop_literal(r, False)])))
+    assert out == [Clause([prop_literal(r, True), prop_literal(r, False)])]
 
 
 def test_para_keeps_a_ground_atom_into_a_proper_subterm():
@@ -80,10 +91,33 @@ def test_para_keeps_a_ground_atom_into_a_proper_subterm():
     hq = canon(app(h, q))
     out = list(para_candidates(Clause([prop_literal(hq, False)]),
                                Clause([prop_literal(q, True)])))
-    assert Clause([prop_literal(canon(app(h, TRUE)), False),
-                   Literal(q, q, False)]) in out
-    # the whole atom h @ q is not rewritten
-    assert all(Literal(hq, q, False) not in x for x in out)
+    # the whole atom h @ q is not rewritten, and [q = q]^ff is left out
+    assert out == [Clause([prop_literal(canon(app(h, TRUE)), False)])]
+
+
+def test_para_walks_every_position_of_other_atoms():
+    """Only a ground atom into a constant atom skips the walk over
+    positions; a non-ground or non-constant atom keeps every one."""
+    q = const("q", O)
+    P = free("P", fn(I, res=O))
+    X = free("X", I)
+    PX = canon(app(P, X))
+    # a non-ground atom into a constant one: [$true = $true]^ff is left
+    # out, the constraint kept
+    assert list(para_candidates(Clause([prop_literal(q, False)]),
+                                Clause([prop_literal(PX, True)]))) \
+        == [Clause([Literal(q, PX, False)])]
+    # a ground atom into a non-ground one
+    assert list(para_candidates(Clause([prop_literal(PX, False)]),
+                                Clause([prop_literal(q, True)]))) \
+        == [Clause([Literal(PX, q, False)])]
+    # a ground atom into the proper subterms of a non-constant one
+    g = const("g", fn(O, O, res=O))
+    gqq = canon(app(g, q, q))
+    assert list(para_candidates(Clause([prop_literal(gqq, False)]),
+                                Clause([prop_literal(q, True)]))) \
+        == [Clause([prop_literal(canon(app(g, TRUE, q)), False)]),
+            Clause([prop_literal(canon(app(g, q, TRUE)), False)])]
 
 
 def test_para_keeps_atoms_with_free_variables():

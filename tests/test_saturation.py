@@ -622,6 +622,99 @@ def test_skipped_paramodulants_leave_corpus_searches_unchanged(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Leaving out the literals that are false by construction leaves the search
+# as it was
+# ---------------------------------------------------------------------------
+
+def _para_with_trivial_literals(c, d):
+    """`para_candidates` as it was before its conclusions left out the
+    rewritten literal [t ~ t]^ff and the constraint [l ~ l]^ff, which
+    the saturation loop then renormalized away."""
+    for j, lit_d in enumerate(d.literals):
+        if not lit_d.pos:
+            continue
+        rest_d = d.literals[:j] + d.literals[j + 1:]
+        for i, lit_c in enumerate(c.literals):
+            if c is d and i == j:
+                continue
+            if lit_c.pos and lit_c.is_shorthand and lit_d.is_shorthand:
+                continue
+            skip_root = lit_c.is_shorthand and lit_d.is_shorthand \
+                and not lit_c.lhs.fvs and not lit_d.lhs.fvs \
+                and lit_c.lhs is not lit_d.lhs
+            rest = [m for k, m in enumerate(c.literals) if k != i]
+            rest.extend(rest_d)
+            for swap in (False, True):
+                l, r = (lit_d.rhs, lit_d.lhs) if swap \
+                    else (lit_d.lhs, lit_d.rhs)
+                if l is TRUE or l is FALSE:
+                    continue
+                for side in (0, 1):
+                    s, t = (lit_c.lhs, lit_c.rhs) if side == 0 \
+                        else (lit_c.rhs, lit_c.lhs)
+                    if side == 1 and s is lit_c.lhs:
+                        continue
+                    for pi, sub in subterm_positions(s):
+                        if sub.ty is not l.ty or not _para_target(sub):
+                            continue
+                        if skip_root and sub is s:
+                            continue
+                        yield Clause([Literal(replace_at(s, pi, r), t,
+                                              lit_c.pos)]
+                                     + rest + [Literal(sub, l, False)])
+
+
+def test_para_yields_the_old_conclusions_as_renormalization_left_them():
+    """Pair by pair over the initial clauses of 40 seeded problems, each
+    conclusion normalizes as the old one did, and is the old one where
+    that needed no renormalization."""
+    sig = Signature()
+
+    def normal(x):
+        return normalize(x, sig, 10 ** 9) if _needs_cnf(x) else {x}
+    checked = 0
+    for make_problem in list(_seeded_problems())[:40]:
+        sat = Saturation(make_problem(), _SWEEP_CONFIG)
+        sat.preprocess()
+        clauses = [d.clause for d in sat.records.values()
+                   if d.clause is not None and not _needs_cnf(d.clause)]
+        for c in clauses:
+            for d in clauses:
+                old = list(_para_with_trivial_literals(c, d))
+                new = list(para_candidates(c, d))
+                assert len(new) == len(old)
+                for x, y in zip(old, new):
+                    assert normal(y) == normal(x)
+                    if not _needs_cnf(x):
+                        assert y == x
+                    checked += 1
+    assert checked > 1000
+
+
+def test_clean_paramodulants_leave_propositional_searches_unchanged(
+        monkeypatch):
+    resolvents = 0
+    for make_problem in _seeded_problems():
+        _assert_same_search(monkeypatch, make_problem, _SWEEP_CONFIG,
+                            "para_candidates", _para_with_trivial_literals)
+        records = saturate(make_problem(), _SWEEP_CONFIG).records
+        assert not any(d.rule == "cnf"
+                       and records[d.parents[0]].rule == "paramod_ordered"
+                       for d in records.values())
+        resolvents += sum(d.rule == "paramod_ordered"
+                          for d in records.values())
+    # 380 when this was written, each renormalized as a `cnf` step before
+    assert resolvents > 300
+
+
+def test_clean_paramodulants_leave_corpus_searches_unchanged(monkeypatch):
+    for make_problem in _corpus_problems():
+        _assert_same_search(monkeypatch, make_problem,
+                            ProverConfig(time_limit=60),
+                            "para_candidates", _para_with_trivial_literals)
+
+
+# ---------------------------------------------------------------------------
 # The given clause is checked only against P entries newer than its entry
 # into U
 # ---------------------------------------------------------------------------
