@@ -14,9 +14,11 @@ from .terms import (
 
 class Literal:
     """A signed equation [lhs ~ rhs]^polarity with symmetric storage.
-    Both sides are stored in canonical form (`canon`)."""
+    Both sides are stored in canonical form (`canon`).  `is_shorthand`
+    tells whether it is the stored form of a propositional literal [s]^a,
+    i.e. [s ~ $true]^a."""
 
-    __slots__ = ("lhs", "rhs", "pos", "_key")
+    __slots__ = ("lhs", "rhs", "pos", "_key", "is_shorthand")
 
     def __init__(self, lhs: Term, rhs: Term, pos: bool):
         if lhs.ty is not rhs.ty:
@@ -32,6 +34,7 @@ class Literal:
         self.rhs = rhs
         self.pos = pos
         self._key = (lk, rk, pos)
+        self.is_shorthand = rhs is TRUE and lhs is not TRUE
 
     def __eq__(self, other):
         return isinstance(other, Literal) and self.lhs is other.lhs \
@@ -43,11 +46,6 @@ class Literal:
     def __repr__(self):
         sign = "tt" if self.pos else "ff"
         return f"[{self.lhs!r} = {self.rhs!r}]^{sign}"
-
-    @property
-    def is_shorthand(self) -> bool:
-        """Stored form of a propositional literal [s]^a, i.e. [s ~ $true]^a."""
-        return self.rhs is TRUE and self.lhs is not TRUE
 
     def free_vars(self) -> frozenset:
         return union_fvs(self.lhs.fvs, self.rhs.fvs)

@@ -3,12 +3,17 @@
 The main loop is a DISCOUNT-style two-set algorithm: unprocessed clauses
 U and processed clauses P, a weight/age given-clause heuristic, forward
 and backward subsumption, renormalization of non-CNF conclusions, and
-eager (pre-)unification of constraint literals with retention of the
-raw constrained clause.  Paramodulation leaves out the literals of its
-conclusions that are false by construction, so a ground resolvent needs
-no renormalization; what is renormalized are literals over a connective
-or quantifier, and the trivial literals other steps make (a tautology's
-[t = t]^tt among them).
+unification of constraint literals with retention of the raw
+constrained clause.  Constraints in the pattern fragment, and clauses
+made only of constraints, are unified when the clause is made; any
+other constraint set of a kept clause is pre-unified only when the
+search picks its clause as the given clause, a simple form of solving
+constraints as the search needs them (Vukmirović et al., "Making
+Higher-Order Superposition Work", CADE 2021).  Paramodulation leaves
+out the literals of its conclusions that are false by construction, so
+a ground resolvent needs no renormalization; what is renormalized are
+literals over a connective or quantifier, and the trivial literals
+other steps make (a tautology's [t = t]^tt among them).
 """
 
 from __future__ import annotations
@@ -129,6 +134,9 @@ class Saturation:
         self.deadline = None
         self.inj_done: set = set()
         self.unif_memo: dict = {}     # pre-unification subtrees
+        # id of a clause in U -> (rest, pairs) of its constraint set that
+        # waits for the clause to be picked; see `_unify_at_intake`
+        self.deferred: dict = {}
         self.empty_id: Optional[int] = None
         self.picks = 0
         self.dropped_heavy = False    # the weight cut discarded a clause
@@ -220,7 +228,8 @@ class Saturation:
     # -- clause intake ------------------------------------------------------
 
     def insert_new(self, d: Derived):
-        """Simplify, renormalize, eagerly unify and enqueue a new clause."""
+        """Simplify, renormalize and enqueue a new clause, and unify its
+        constraints or defer them (`_unify_at_intake`)."""
         stack = [d]
         while stack:
             cur = stack.pop()
@@ -251,8 +260,7 @@ class Saturation:
                     stack.append(self.record("bool_ext", (cur.id,),
                                              clause=half))
                 continue
-            self._enqueue(cur, key)
-            self._eager_unify(cur)
+            self._unify_at_intake(cur, self._enqueue(cur, key))
 
     def _contract(self, d: Derived) -> Optional[Derived]:
         """d's clause contracted by the units of P: None when redundant, d
@@ -264,21 +272,23 @@ class Saturation:
         return self.record("rewrite" if used else "simp", (d.id,) + used,
                            clause=c)
 
-    def _enqueue(self, d: Derived, key: tuple):
-        """Keep a new clause in U unless it is cut or subsumed; `key` is
-        its `alpha_key`, which the caller found unseen."""
+    def _enqueue(self, d: Derived, key: tuple) -> bool:
+        """Keep a new clause in U unless it is cut or subsumed, and tell
+        whether it was kept; `key` is its `alpha_key`, which the caller
+        found unseen."""
         c = d.clause
         if is_empty_clause(c) and self.empty_id is None:
             self.empty_id = d.id
         if clause_weight(c) > MAX_CLAUSE_WEIGHT and not is_empty_clause(c):
             self.dropped_heavy = True
-            return
+            return False
         for pid in self.P:
             if subsumes(self.records[pid].clause, c):
-                return
+                return False
         self.seen.add(key)
         self.stamp[d.id] = self.appended
         self.U.append(d.id)
+        return True
 
     def _units(self) -> list:
         """(id, clause) of the non-flex-flex unit clauses in P."""
@@ -289,7 +299,13 @@ class Saturation:
                 out.append((pid, c))
         return out
 
-    def _eager_unify(self, d: Derived):
+    def _unify_at_intake(self, d: Derived, kept: bool):
+        """Unify the constraint literals of a new clause, which `_enqueue`
+        `kept` in U or not.  A pattern unifier is emitted at once, and so
+        are the pre-unifiers of a clause made only of constraints, since
+        any of them ends the run.  Any other constraint set outside the
+        pattern fragment waits in `deferred` until its clause is picked
+        (`_pre_unify_given`); that of a clause not kept is never solved."""
         c = d.clause
         constraints = [l for l in c.literals
                        if not l.pos and not l.is_shorthand]
@@ -302,7 +318,20 @@ class Saturation:
             return
         if res is not NOT_PATTERN:
             self._emit_unified(d, rest, res, (), "pattern_uni")
-            return
+        elif not rest:
+            self._pre_unify(d, rest, pairs)
+        elif kept:
+            self.deferred[d.id] = (rest, pairs)
+
+    def _pre_unify_given(self, gid: int):
+        """Solve the deferred constraint set of the given clause, if any.
+        Every deferred id is in U until it is picked, so a run that
+        empties U has solved every constraint set it kept."""
+        entry = self.deferred.pop(gid, None)
+        if entry is not None:
+            self._pre_unify(self.records[gid], *entry)
+
+    def _pre_unify(self, d: Derived, rest, pairs):
         out = pre_unify(pairs, self.sig, depth=self.config.unif_depth,
                         limit=self.config.unifiers_per_inference,
                         deadline=self.deadline, memo=self.unif_memo)
@@ -355,6 +384,9 @@ class Saturation:
             if self._next_id > MAX_CLAUSES:
                 return self._result("GaveUp")
             gid = self._select()
+            self._pre_unify_given(gid)
+            if self.empty_id is not None:   # a pre-unifier refuted it
+                continue
             # `_enqueue` found no P entry older than this stamp subsuming
             # the clause; a simplified clause is checked against all of P
             since = self.stamp[gid]

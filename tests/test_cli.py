@@ -157,7 +157,7 @@ def test_every_printed_refutation_parses_back(capsys, monkeypatch):
         for name, formula in expected.items():
             assert back[name] is formula, (argv, name)
     assert len(runs) == 27
-    assert (steps, binds) == (292, 41)
+    assert (steps, binds) == (293, 42)
 
 
 QUOTED = """

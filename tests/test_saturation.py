@@ -22,6 +22,7 @@ from ep_prover.terms import (
 )
 from ep_prover.tptp import AnnotatedFormula, Problem, parse_problem
 from ep_prover.modal import embed
+from ep_prover.replay import replay_proof
 
 from test_acceptance import _ATOMS, _gen_formula, _to_term
 from test_unification import _count_recalls
@@ -334,7 +335,7 @@ def _cold(sat, pairs, sig):
 
 
 def _memo_solve(sat, pairs, deadline=None):
-    """`pre_unify` as `Saturation._eager_unify` calls it."""
+    """`pre_unify` as `Saturation._pre_unify` calls it."""
     return pre_unify(pairs, sat.sig, depth=sat.config.unif_depth,
                      limit=sat.config.unifiers_per_inference,
                      deadline=deadline, memo=sat.unif_memo)
@@ -447,6 +448,117 @@ def test_the_memo_key_holds_both_budgets(monkeypatch):
         assert recalls == [], budget
         assert (len(outs[0].unifiers), outs[0].exhausted) \
             != (len(outs[1].unifiers), outs[1].exhausted), budget
+
+
+# ---------------------------------------------------------------------------
+# A constraint set outside the pattern fragment is pre-unified when its
+# clause is picked, not when the clause is made
+# ---------------------------------------------------------------------------
+
+def _counting_pre_unify(monkeypatch, sat):
+    """Patch `saturation.pre_unify` to note the pick count of `sat` at
+    each call; returns the list of notes."""
+    at_pick = []
+
+    def counted(*args, **kw):
+        at_pick.append(sat.picks)
+        return pre_unify(*args, **kw)
+    monkeypatch.setattr(saturation, "pre_unify", counted)
+    return at_pick
+
+
+@pytest.mark.parametrize("name", ["sur_cantor", "inj_cantor"])
+def test_pre_unify_runs_at_most_once_per_pick(monkeypatch, name):
+    prob = parse_problem(open(f"problems/{name}.p").read(), f"{name}.p")
+    sat = Saturation(prob, ProverConfig(time_limit=60))
+    at_pick = _counting_pre_unify(monkeypatch, sat)
+    assert sat.run().status == "Theorem"
+    # a clause made only of constraints is solved when it is made, any
+    # other constraint set outside the pattern fragment when its clause
+    # is picked
+    assert 0 < len(at_pick) <= sat.picks
+
+
+@pytest.mark.parametrize("name", ["sur_cantor", "inj_cantor"])
+def test_every_deferred_clause_is_in_u_at_each_pick(monkeypatch, name):
+    select = Saturation._select
+    deferred = []
+
+    def checked(self):
+        assert set(self.deferred) <= set(self.U)
+        deferred.append(len(self.deferred))
+        return select(self)
+    monkeypatch.setattr(Saturation, "_select", checked)
+    prob = parse_problem(open(f"problems/{name}.p").read(), f"{name}.p")
+    assert saturate(prob, ProverConfig(time_limit=60)).status == "Theorem"
+    assert max(deferred) > 0
+
+
+def _deferral_run():
+    """A run with p, f and a declared, its deadline set, and the clause
+    {[p a]^tt, [F a ~ f a]^ff}, whose constraint is outside the pattern
+    fragment."""
+    prob = parse_problem("""
+    thf(p_type, type, (p: $i > $o)).
+    thf(f_type, type, (f: $i > $i)).
+    thf(a_type, type, (a: $i)).
+    """, "t.p")
+    sat = Saturation(prob, ProverConfig(time_limit=30))
+    sat.deadline = time.monotonic() + 30
+    sig = sat.sig
+    p, f, a = (const(n, sig.constants[n]) for n in ("p", "f", "a"))
+    F = free("F", fn(I, res=I))
+    c = Clause([prop_literal(canon(app(p, a)), True),
+                Literal(canon(app(F, a)), canon(app(f, a)), False)])
+    return sat, c
+
+
+def test_a_kept_clause_waits_for_its_pick(monkeypatch):
+    sat, c = _deferral_run()
+    at_pick = _counting_pre_unify(monkeypatch, sat)
+    d = sat.record("cnf", clause=c)
+    sat.insert_new(d)
+    assert sat.U == [d.id] and list(sat.deferred) == [d.id]
+    assert at_pick == []
+    sat._pre_unify_given(d.id)
+    assert at_pick == [0] and sat.deferred == {}
+    assert any(r.rule == "pre_uni" and r.parents == (d.id,)
+               for r in sat.records.values())
+
+
+def test_a_subsumed_clause_is_never_pre_unified(monkeypatch):
+    sat, c = _deferral_run()
+    at_pick = _counting_pre_unify(monkeypatch, sat)
+    X = free("X", I)
+    p = const("p", sat.sig.constants["p"])
+    unit = sat.record("cnf", clause=Clause([prop_literal(canon(app(p, X)),
+                                                          True)]))
+    sat.stamp[unit.id] = 0
+    sat.P.append(unit.id)
+    d = sat.record("cnf", clause=c)
+    sat.insert_new(d)
+    assert sat.U == [] and sat.deferred == {} and at_pick == []
+
+
+def test_a_picked_clause_solves_its_deferred_constraint():
+    """The proof goes through the pre-unifier of an input clause that
+    has a literal besides its constraint, so it was solved at the
+    clause's pick."""
+    prob = parse_problem("""
+    thf(f_type, type, (f: $i > $i)).
+    thf(q_type, type, (q: $i > $o)).
+    thf(a_type, type, (a: $i)).
+    thf(b_type, type, (b: $i)).
+    thf(ax, axiom, ![F: $i > $i]: (((F @ a) = (f @ a)) => (q @ (F @ b)))).
+    thf(c, conjecture, q @ (f @ b)).
+    """, "t.p")
+    res = saturate(prob, ProverConfig(time_limit=30))
+    assert res.status == "Theorem"
+    proof = extract_proof(res.records, res.empty_id)
+    (step,) = [d for d in proof if d.rule == "pre_uni"]
+    (parent,) = step.parents
+    assert len(res.records[parent].clause.literals) == 2
+    assert replay_proof(res, prob) == []
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +844,10 @@ _ENQUEUE = Saturation._enqueue
 def _enqueue_stamped_zero(self, d, key):
     """`_enqueue` as if no clause had entered P yet, so that `run` checks
     every given clause against all of P, as it did before the stamps."""
-    _ENQUEUE(self, d, key)
+    kept = _ENQUEUE(self, d, key)
     if d.id in self.stamp:
         self.stamp[d.id] = 0
+    return kept
 
 
 def test_given_clause_skips_p_entries_it_was_enqueued_against(monkeypatch):
