@@ -178,18 +178,6 @@ def alpha_key(c: Clause, minted=frozenset()) -> tuple:
     return tuple(out)
 
 
-def pairs_key(pairs) -> tuple:
-    """(key, variables) of an ordered list of term pairs.  The key is
-    invariant under free-variable renaming only: unlike `alpha_key` it
-    keeps the order of the pairs and of their sides.  It is the `_blind`
-    id pair of each term pair followed by the variable numbers; the
-    variables come in the order `number_vars` numbers them, their first
-    occurrence."""
-    out: list = [(_blind(s), _blind(t)) for s, t in pairs]
-    names = number_vars([x for p in pairs for x in p], out)
-    return tuple(out), list(names)
-
-
 def rename_clause(c: Clause, sig) -> tuple:
     """Fresh variant of a clause; returns (variant, renaming dict)."""
     fvs = sorted(c.free_vars(), key=lambda v: v.name)

@@ -133,7 +133,6 @@ class Saturation:
         self.units: list = []         # _units() of the current P
         self.deadline = None
         self.inj_done: set = set()
-        self.unif_memo: dict = {}     # pre-unification subtrees
         # id of a clause in U -> (rest, pairs) of its constraint set that
         # waits for the clause to be picked; see `_unify_at_intake`
         self.deferred: dict = {}
@@ -334,7 +333,7 @@ class Saturation:
     def _pre_unify(self, d: Derived, rest, pairs):
         out = pre_unify(pairs, self.sig, depth=self.config.unif_depth,
                         limit=self.config.unifiers_per_inference,
-                        deadline=self.deadline, memo=self.unif_memo)
+                        deadline=self.deadline)
         for u in out.unifiers:
             self._emit_unified(d, rest, u.subst, u.residuals, "pre_uni")
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 import time
 from typing import NamedTuple, Optional
 
-from .clauses import pairs_key
 from .terms import (
     Const, Free, SimpleType, Subst, Term, app, arg_types, bound, canon,
     distinct_bound_args, fn, head_of, invert_pattern, is_eta_var,
-    result_type, same_rigid_head, spine, strip_binders, substitute,
-    wrap_binders,
+    result_type, same_rigid_head, spine, strip_binders, wrap_binders,
 )
 
 
@@ -31,12 +29,11 @@ class Unifier(NamedTuple):
 
 
 class UnifOutcome:
-    __slots__ = ("unifiers", "exhausted", "fresh")
+    __slots__ = ("unifiers", "exhausted")
 
     def __init__(self, unifiers: list, exhausted: bool = False):
         self.unifiers = unifiers
         self.exhausted = exhausted  # search hit the depth or time budget
-        self.fresh = []             # minted variables, in order
 
 
 class _Clash(Exception):
@@ -100,13 +97,11 @@ def simplify_pairs(pairs: list, subst: Subst):
 
 
 def general_bindings(var_ty: SimpleType, rigid_head: Optional[Term],
-                     sig, minted: Optional[list] = None) -> list:
+                     sig) -> list:
     """Partial bindings for a flexible head of type var_ty.
 
     The imitation binding (if rigid_head is a constant) comes first,
-    followed by the projection bindings in argument order.  The fresh
-    variables taken from sig are appended to `minted`, in the order they
-    were taken, when it is given.
+    followed by the projection bindings in argument order.
     """
     ats = list(arg_types(var_ty))
     res = result_type(var_ty)
@@ -115,8 +110,6 @@ def general_bindings(var_ty: SimpleType, rigid_head: Optional[Term],
 
     def fresh_applied(goal: SimpleType) -> Term:
         h = sig.fresh_free(fn(*ats, res=goal))
-        if minted is not None:
-            minted.append(h)
         return app(h, *xs) if xs else h
 
     out = []
@@ -135,36 +128,28 @@ def general_bindings(var_ty: SimpleType, rigid_head: Optional[Term],
 
 def pre_unify(pairs: list, sig, depth: int = DEFAULT_DEPTH,
               limit: int = DEFAULT_LIMIT,
-              deadline: Optional[float] = None,
-              memo: Optional[dict] = None) -> UnifOutcome:
+              deadline: Optional[float] = None) -> UnifOutcome:
     """Pre-unify a list of closed term pairs.
 
     Returns up to `limit` unifiers, each with its flex-flex residuals.
     Once `time.monotonic()` passes `deadline`, the search stops
     branching.  `exhausted` is set when a branch was cut off by the depth
     budget or the deadline, so an empty result list is only a definitive
-    failure when it is False.  `fresh` lists the variables the search
-    took from sig, in the order it took them.
-
-    `memo`, a dict shared by one run's calls, holds each subtree searched
-    up to renaming; a repeat gets what a new search would find and mint.
+    failure when it is False.
     """
     pairs = [(canon(a), canon(b)) for a, b in pairs]
     outcome = UnifOutcome([], False)
-    _search(pairs, Subst(), 0, sig, depth, limit, deadline, outcome, memo)
+    _search(pairs, Subst(), 0, sig, depth, limit, deadline, outcome)
     for u in outcome.unifiers:
         _verify(pairs, u)
     return outcome
 
 
 def _search(pairs: list, subst: Subst, d: int, sig, depth: int, limit: int,
-            deadline: Optional[float], outcome: UnifOutcome,
-            memo: Optional[dict]) -> None:
+            deadline: Optional[float], outcome: UnifOutcome) -> None:
     """The depth-first search of `pre_unify` below a node at depth d:
-    appends the unifiers found, and the variables taken from sig, to
-    outcome until it holds `limit` unifiers.  A branching node's subtree
-    is memoized on its pending pairs up to renaming and remaining depth
-    and limit, unless it ended past the deadline: see `_recall`."""
+    appends the unifiers found to outcome until it holds `limit`
+    unifiers."""
     if len(outcome.unifiers) >= limit:
         return
     try:
@@ -179,54 +164,15 @@ def _search(pairs: list, subst: Subst, d: int, sig, depth: int, limit: int,
         outcome.exhausted = True
         return
     pending = flex_rigid + flex_flex
-    if memo is not None:
-        key, xs = pairs_key(pending)
-        key = key, depth - d, limit - len(outcome.unifiers)
-        hit = memo.get(key)
-        if hit is not None:
-            _recall(hit, xs, subst, sig, outcome)
-            return
-    n, m, cut = len(outcome.unifiers), len(outcome.fresh), outcome.exhausted
-    outcome.exhausted = False
     s, t = flex_rigid[0]
     fv = head_of(s)
     rigid = head_of(t)
     head = rigid if isinstance(rigid, Const) else None
-    for b in general_bindings(fv.ty, head, sig, outcome.fresh):
+    for b in general_bindings(fv.ty, head, sig):
         if len(outcome.unifiers) >= limit:
             break
         _search(pending, subst.bind(fv, b), d + 1, sig, depth, limit,
-                deadline, outcome, memo)
-    if memo is not None and (deadline is None
-                             or time.monotonic() <= deadline):
-        k = len(subst.map)
-        memo[key] = (xs, [(list(u.subst.map.items())[k:], u.residuals)
-                          for u in outcome.unifiers[n:]],
-                     outcome.exhausted, outcome.fresh[m:])
-    outcome.exhausted = outcome.exhausted or cut
-
-
-def _recall(entry: tuple, xs: list, subst: Subst, sig,
-            outcome: UnifOutcome) -> None:
-    """Append to outcome what the memoized subtree `entry` found: per
-    unifier the bindings made below its node and the residuals, whether
-    it was cut, and the variables it minted, all renamed at once: its
-    node's variables ys to xs, each minted one to one minted now."""
-    ys, found, cut, minted = entry
-    ren = dict(zip(ys, xs))
-    for v in minted:
-        ren[v] = sig.fresh_free(v.ty)
-        outcome.fresh.append(ren[v])
-
-    def rename(t):  # t's variables only: substitute canons every image
-        return substitute(t, {v: ren[v] for v in t.fvs})
-    for binds, residuals in found:
-        u = subst
-        for v, r in binds:
-            u = u.bind(ren[v], rename(r))
-        outcome.unifiers.append(Unifier(u, tuple(
-            (rename(a), rename(b)) for a, b in residuals)))
-    outcome.exhausted = outcome.exhausted or cut
+                deadline, outcome)
 
 
 def _verify(pairs, u: Unifier):
@@ -286,7 +232,11 @@ def pattern_unify(pairs: list):
         if not distinct_bound_args(sargs):
             return NOT_PATTERN
         if hs in t.fvs:
-            return FAIL if occurs_rigidly(hs, tb) else NOT_PATTERN
+            # the same flexible head on both sides is a flex-flex pair,
+            # which the occurs check does not decide
+            if head_of(tb) is hs or not occurs_rigidly(hs, tb):
+                return NOT_PATTERN
+            return FAIL
         img = invert_pattern(sargs, tb)
         if img is None:
             # t mentions a binder the flexible head cannot see; deciding

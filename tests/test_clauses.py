@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from ep_prover import calculus, clauses, saturation, unification
+from ep_prover import calculus, clauses, saturation
 from ep_prover.terms import (
     Abs, Bound, Const, Free, I, O, Signature, app, base_type, bound, canon,
     const, disj, fn, free, invert_pattern, lam, neg, subterm_positions,
@@ -15,7 +15,7 @@ from ep_prover.terms import (
 from ep_prover.clauses import (
     Clause, EMPTY_CLAUSE, Literal, alpha_key, clause_weight, head_of,
     heads_fit, is_empty_clause, is_flex_flex, match_literal, match_terms,
-    pairs_key, prop_literal, rename_clause, subsumes,
+    prop_literal, rename_clause, subsumes,
 )
 from ep_prover.saturation import ProverConfig, Saturation, saturate
 from ep_prover.tptp import parse_problem
@@ -426,17 +426,16 @@ def _run_problem(path):
 
 @pytest.fixture(scope="module")
 def cantor_runs():
-    """Per Cantor problem: the records of its run, every (P clause, new
-    clause) pair of its `_enqueue` calls and the pending pairs of every
-    node that pre-unification looked up in its memo.  These runs solve
-    the constraint set of every clause they keep at intake, picked or
-    not: the search defers that to the pick and solves too few to sample
-    the keys."""
+    """Per Cantor problem: the records of its run and every (P clause, new
+    clause) pair of its `_enqueue` calls.  These runs solve the
+    constraint set of every clause they keep at intake, picked or not:
+    the search defers that to the pick, and the clauses those solves
+    make feed the `alpha_key` and `subsumes` samples below."""
     runs = {}
     enqueue = Saturation._enqueue
     unify_at_intake = Saturation._unify_at_intake
     for name in ("sur_cantor", "inj_cantor"):
-        pairs, problems = [], []
+        pairs = []
 
         def spy_enqueue(self, d, key):
             pairs.extend((self.records[p].clause, d.clause) for p in self.P)
@@ -447,23 +446,18 @@ def cantor_runs():
             entry = self.deferred.pop(d.id, None)
             if entry is not None:
                 self._pre_unify(d, *entry)
-
-        def spy_pairs_key(pending):
-            problems.append(list(pending))
-            return pairs_key(pending)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(Saturation, "_enqueue", spy_enqueue)
             m.setattr(Saturation, "_unify_at_intake", eager_unify)
-            m.setattr(unification, "pairs_key", spy_pairs_key)
             res = _run_problem(f"problems/{name}.p")
         assert res.status == "Theorem"
-        runs[name] = res.records, pairs, problems
+        runs[name] = res.records, pairs
     return runs
 
 
 def test_alpha_key_partitions_recorded_clauses_like_the_string_walk(
         cantor_runs):
-    runs = [records for records, _, _ in cantor_runs.values()]
+    runs = [records for records, _ in cantor_runs.values()]
     runs += [saturate(make(), ProverConfig(time_limit=60)).records
              for make in _corpus_problems()]
     assert len(runs) == 24
@@ -483,32 +477,6 @@ def test_alpha_key_partitions_recorded_clauses_like_the_string_walk(
     assert clauses_seen > 5000
     # some keys are shared by clauses that differ in their names
     assert shared > 0
-
-
-def _pairs_key_by_strings(pairs):
-    """`pairs_key` as it was before `_blind`: each pair's type, then both
-    sides walked as strings, variables numbered by first occurrence."""
-    names = {}
-    out = []
-    for s, t in pairs:
-        out.append(type_str(s.ty))
-        _sig_by_strings(s, names, out)
-        _sig_by_strings(t, names, out)
-    return tuple(out), list(names)
-
-
-def test_pairs_key_partitions_unification_problems_like_the_string_walk(
-        cantor_runs):
-    for _, _, problems in cantor_runs.values():
-        assert len(problems) > 100
-        keys = []
-        for pairs in problems:
-            key, xs = pairs_key(pairs)
-            old_key, old_xs = _pairs_key_by_strings(pairs)
-            assert xs == old_xs
-            keys.append((old_key, key))
-        # the memo hits: some problems are renamings of earlier ones
-        assert _assert_bijection(keys) < len(problems)
 
 
 def test_heads_fit_rejects_rigid_mismatches():

@@ -3,11 +3,10 @@
 import gc
 import random
 import time
-from types import SimpleNamespace
 
 import pytest
 
-from ep_prover import calculus, saturation, unification
+from ep_prover import calculus, saturation
 from ep_prover.clauses import Clause, Literal, prop_literal, subsumes
 from ep_prover.calculus import _para_target, para_candidates
 from ep_prover.cnf import OutOfTime, normalize
@@ -25,7 +24,6 @@ from ep_prover.modal import embed
 from ep_prover.replay import replay_proof
 
 from test_acceptance import _ATOMS, _gen_formula, _to_term
-from test_unification import _count_recalls
 
 
 def prove(text, timeout=30.0, **kw):
@@ -304,150 +302,6 @@ def test_normalize_returns_no_clause_that_needs_cnf():
             out = normalize(c, Signature(), threshold)
             assert not any(_needs_cnf(nc) for nc in out), c
     assert needing > 150
-
-
-# ---------------------------------------------------------------------------
-# The pre-unification memo: each subtree is searched once per run, up to
-# renaming, and a memo answer equals a cold search
-# ---------------------------------------------------------------------------
-
-def _memo_run():
-    prob = parse_problem("""
-    thf(f_type, type, (f: $i > $i)).
-    thf(a_type, type, (a: $i)).
-    """, "t.p")
-    return Saturation(prob, ProverConfig(time_limit=30))
-
-
-def _flex_problem(sig, f_name, h_name, k_name):
-    """F a = f a, then the flex-flex pair H a = K a: two unifiers, each
-    with a residual, and fresh variables minted by the imitations."""
-    f = const("f", sig.constants["f"])
-    a = const("a", sig.constants["a"])
-    F, H, K = (free(n, fn(I, res=I)) for n in (f_name, h_name, k_name))
-    return [(canon(app(F, a)), canon(app(f, a))),
-            (canon(app(H, a)), canon(app(K, a)))]
-
-
-def _cold(sat, pairs, sig):
-    return pre_unify(pairs, sig, depth=sat.config.unif_depth,
-                     limit=sat.config.unifiers_per_inference)
-
-
-def _memo_solve(sat, pairs, deadline=None):
-    """`pre_unify` as `Saturation._pre_unify` calls it."""
-    return pre_unify(pairs, sat.sig, depth=sat.config.unif_depth,
-                     limit=sat.config.unifiers_per_inference,
-                     deadline=deadline, memo=sat.unif_memo)
-
-
-def _assert_same_outcome(got, want):
-    assert [list(u.subst.map.items()) for u in got.unifiers] \
-        == [list(u.subst.map.items()) for u in want.unifiers]
-    assert [u.residuals for u in got.unifiers] \
-        == [u.residuals for u in want.unifiers]
-    assert got.exhausted == want.exhausted
-    assert got.fresh == want.fresh
-
-
-def test_renamed_problem_is_a_memo_hit_equal_to_a_cold_solve(monkeypatch):
-    sat = _memo_run()
-    recalls = _count_recalls(monkeypatch)
-    first = _memo_solve(sat, _flex_problem(sat.sig, "F", "H", "K"))
-    assert len(first.unifiers) == 2 and not recalls
-    # each copy names a variable after the one the first solve minted,
-    # so the renaming must be simultaneous: F, bound by the unifiers, and
-    # H, which stays in their residuals
-    (minted,) = first.fresh
-    for names in ((minted.name, "Y", "Z"), ("X", minted.name, "Z")):
-        pairs = _flex_problem(sat.sig, *names)
-        cold_sig = sat.sig.copy()
-        hit = _memo_solve(sat, pairs)
-        # the root of the copy was answered from the memo
-        assert recalls.pop()[1] == [free(n, minted.ty) for n in names]
-        assert not recalls
-        _assert_same_outcome(hit, _cold(sat, pairs, cold_sig))
-        assert sat.sig._fv == cold_sig._fv
-        assert all(u.residuals for u in hit.unifiers)
-
-
-def _clock(monkeypatch, late_from):
-    """Make `unification` read a clock that counts its readings: reading
-    number late_from and every later one is past the deadline 1.0."""
-    readings = []
-
-    def monotonic():
-        readings.append(None)
-        return 2.0 if len(readings) >= late_from else 0.0
-    monkeypatch.setattr(unification, "time",
-                        SimpleNamespace(monotonic=monotonic))
-    return readings
-
-
-def test_a_subtree_that_ends_past_the_deadline_is_not_stored(monkeypatch):
-    sat = _memo_run()
-    pairs = _flex_problem(sat.sig, "F", "H", "K")
-    assert _memo_solve(sat, pairs, time.monotonic() - 1).exhausted
-    assert sat.unif_memo == {}
-    # on time throughout: the inner node and then the root are stored
-    depth = sat.config.unif_depth
-    readings = _clock(monkeypatch, late_from=10 ** 9)
-    sat = _memo_run()
-    want = _memo_solve(sat, pairs, deadline=1.0)
-    assert not want.exhausted and len(want.unifiers) == 2
-    assert [k[1] for k in sat.unif_memo] == [depth - 1, depth]
-    # complete, but the clock passed the deadline at its last reading,
-    # after the last branching check: the root's subtree, which ended
-    # last, is not stored
-    _clock(monkeypatch, late_from=len(readings))
-    sat = _memo_run()
-    _assert_same_outcome(_memo_solve(sat, pairs, deadline=1.0), want)
-    assert [k[1] for k in sat.unif_memo] == [depth - 1]
-
-
-def test_every_memo_answer_of_a_run_equals_a_cold_solve(monkeypatch):
-    prob = parse_problem(open("problems/sur_cantor.p").read(), "s.p")
-    sat = Saturation(prob, ProverConfig(time_limit=60))
-    recalls = _count_recalls(monkeypatch)
-    hits = []
-
-    def checked(pairs, sig, **kw):
-        cold_sig = sig.copy()
-        cold = _cold(sat, pairs, cold_sig)
-        before = len(recalls)
-        out = pre_unify(pairs, sig, **kw)
-        _assert_same_outcome(out, cold)
-        assert sig._fv == cold_sig._fv
-        hits.append(len(recalls) > before)
-        return out
-    monkeypatch.setattr(saturation, "pre_unify", checked)
-    assert sat.run().status == "Theorem"
-    # some solves were answered in part from the memo
-    assert any(hits) and sat.unif_memo
-
-
-def test_the_memo_key_holds_both_budgets(monkeypatch):
-    """The same pending pairs met again under another remaining depth or
-    limit are searched again, not answered from the first entry, which
-    holds a different outcome."""
-    recalls = _count_recalls(monkeypatch)
-    for budget, first, second in (("depth", 1, 8), ("depth", 8, 1),
-                                  ("limit", 1, 4), ("limit", 4, 1)):
-        sat = _memo_run()
-        kw = {"depth": sat.config.unif_depth,
-              "limit": sat.config.unifiers_per_inference}
-        outs = []
-        for n, value in enumerate((first, second)):
-            kw[budget] = value
-            pairs = _flex_problem(sat.sig, f"F{n}", f"H{n}", f"K{n}")
-            cold_sig = sat.sig.copy()
-            cold = pre_unify(pairs, cold_sig, **kw)
-            outs.append(pre_unify(pairs, sat.sig, memo=sat.unif_memo, **kw))
-            _assert_same_outcome(outs[-1], cold)
-            assert sat.sig._fv == cold_sig._fv
-        assert recalls == [], budget
-        assert (len(outs[0].unifiers), outs[0].exhausted) \
-            != (len(outs[1].unifiers), outs[1].exhausted), budget
 
 
 # ---------------------------------------------------------------------------

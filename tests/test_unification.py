@@ -1,13 +1,10 @@
 """Pattern unification and Huet-style pre-unification."""
 
-import itertools
 import random
 import time
 
-from ep_prover import unification
 from ep_prover.terms import (
-    Const, I, O, Signature, Subst, app, arg_types, bound, canon, const, fn,
-    free, head_of, lam, substitute,
+    I, O, Signature, Subst, app, bound, canon, const, fn, free, head_of, lam,
 )
 from ep_prover.unification import (
     FAIL, NOT_PATTERN, _Clash, general_bindings, is_eta_var, pattern_unify,
@@ -16,6 +13,7 @@ from ep_prover.unification import (
 
 
 IO = fn(I, res=O)
+II = fn(I, res=I)
 III = fn(I, I, res=I)
 f = const("f", fn(I, res=I))
 g = const("g", III)
@@ -85,6 +83,25 @@ def test_pattern_unify_rejects_non_patterns():
     assert res is NOT_PATTERN
 
 
+def test_pattern_unify_hands_a_shared_flexible_head_to_pre_unification():
+    """Both sides headed by the same variable: the pair is unifiable, by
+    a constant image, so it is a flex-flex pair outside the fragment and
+    not an occurs-check failure."""
+    F, G, H = fv("F", III), fv("G", II), fv("H")
+    x, y = bound(1, I), bound(0, I)
+    swapped = (canon(lam(I, lam(I, app(F, x, y)))),
+               canon(lam(I, lam(I, app(F, y, x)))))
+    under_f = (canon(lam(I, app(G, y))), canon(lam(I, app(G, app(f, y)))))
+    for pair, image in ((swapped, lam(I, lam(I, H))), (under_f, lam(I, H))):
+        assert unify_ok([pair], Subst().bind(head_of(pair[0]), canon(image)))
+        assert pattern_unify([pair]) is NOT_PATTERN
+        out = pre_unify([pair], Signature())
+        assert [u.residuals for u in out.unifiers] == [(pair,)]
+    # a rigid context around the other side still fails the occurs check
+    assert pattern_unify([(canon(lam(I, app(G, y))),
+                           canon(lam(I, app(f, app(G, y)))))]) is FAIL
+
+
 def test_pre_unify_simple():
     X = fv("X")
     out = pre_unify([(canon(app(f, X)), canon(app(f, a)))], Signature())
@@ -141,6 +158,19 @@ def test_pre_unify_stops_at_an_expired_deadline():
     assert out.exhausted
 
 
+def test_pre_unify_reports_a_cut_branch_beside_a_solved_one():
+    """K a = b, F (f (f a)) = f (f a) at depth 2: the imitation for F
+    leaves G (f (f a)) = f a, cut one level further down; then the
+    projection leaves K a = b, solved without a cut.  The outcome keeps
+    both: exhausted, with one unifier."""
+    F, K = fv("F", II), fv("K", II)
+    ffa = canon(app(f, app(f, a)))
+    pairs = [(canon(app(K, a)), b), (canon(app(F, ffa)), ffa)]
+    out = pre_unify(pairs, Signature(), depth=2)
+    assert out.exhausted and len(out.unifiers) == 1
+    assert unify_ok(pairs, out.unifiers[0].subst)
+
+
 def _random_term(rng, depth, vars_):
     roll = rng.random()
     if depth == 0 or roll < 0.3:
@@ -164,153 +194,3 @@ def test_generated_solvable_sets_all_unifiers_verify():
         assert out.unifiers, f"solvable set not solved: {pairs}"
         for u in out.unifiers:
             assert unify_ok(pairs, u.subst)
-
-
-# ---------------------------------------------------------------------------
-# The subtree memo: a run's shared memo answers as a cold search would
-# ---------------------------------------------------------------------------
-
-II = fn(I, res=I)
-
-
-def _count_recalls(monkeypatch):
-    """The arguments of every memo answer, in order."""
-    calls = []
-    recall = unification._recall
-
-    def counted(*args):
-        calls.append(args)
-        return recall(*args)
-    monkeypatch.setattr(unification, "_recall", counted)
-    return calls
-
-
-def _assert_same_solve(out, sig, cold, cold_sig):
-    assert [list(u.subst.map.items()) for u in out.unifiers] \
-        == [list(u.subst.map.items()) for u in cold.unifiers]
-    assert [u.residuals for u in out.unifiers] \
-        == [u.residuals for u in cold.unifiers]
-    assert (out.exhausted, out.fresh) == (cold.exhausted, cold.fresh)
-    assert sig._fv == cold_sig._fv
-
-
-def test_a_memo_entry_holds_only_its_own_subtrees_cut(monkeypatch):
-    """K a = b, F (f (f a)) = f (f a) at depth 2: the imitation for F
-    leaves G (f (f a)) = f a, cut one level further down; then the
-    projection leaves K a = b, solved without a cut.  Met again as a
-    root at depth 1, that node is answered uncut."""
-    recalls = _count_recalls(monkeypatch)
-    F, K = fv("F", II), fv("K", II)
-    ffa = canon(app(f, app(f, a)))
-    sig, memo = Signature(), {}
-    first = pre_unify([(canon(app(K, a)), b), (canon(app(F, ffa)), ffa)],
-                      sig, depth=2, memo=memo)
-    assert first.exhausted and len(first.unifiers) == 1
-    pairs = [(canon(app(fv("L", II), a)), b)]
-    cold_sig = sig.copy()
-    cold = pre_unify(pairs, cold_sig, depth=1)
-    assert not cold.exhausted and cold.unifiers
-    _assert_same_solve(pre_unify(pairs, sig, depth=1, memo=memo), sig,
-                       cold, cold_sig)
-    assert len(recalls) == 1
-
-
-def _flex_term(rng, depth, leaves, heads):
-    roll = rng.random()
-    if depth == 0 or roll < 0.3:
-        return rng.choice(leaves)
-    sub = [_flex_term(rng, depth - 1, leaves, heads) for _ in range(2)]
-    if roll < 0.55:
-        h = rng.choice(heads)
-        return app(h, *sub[:len(arg_types(h.ty))])
-    if roll < 0.8:
-        return app(f, sub[0])
-    return app(g, *sub)
-
-
-def _rename(rng, pairs, pool, new_names):
-    """pairs with its variables renamed injectively and simultaneously,
-    each to a variable of its type drawn from pool or to a new one."""
-    xs = sorted({v for s, t in pairs for v in s.fvs | t.fvs},
-                key=lambda v: v.name)
-    ren = {}
-    for v in xs:
-        choices = [w for w in pool
-                   if w.ty is v.ty and w not in ren.values()]
-        ren[v] = rng.choice(choices) if choices and rng.random() < 0.7 \
-            else fv(next(new_names), v.ty)
-    return [(substitute(s, ren), substitute(t, ren)) for s, t in pairs]
-
-
-def _child(rng, pairs, new_names):
-    """The pending pairs of a child of the root of pairs' search: its
-    first flex-rigid pair's head bound to one of the partial bindings
-    tried there, their variables given new names; None for a problem
-    whose root does not branch."""
-    try:
-        _, flex_rigid, flex_flex = simplify_pairs(pairs, Subst())
-    except _Clash:
-        return None
-    if not flex_rigid:
-        return None
-    s, t = flex_rigid[0]
-    rigid = head_of(t)
-    minted = []
-    b = rng.choice(general_bindings(
-        head_of(s).ty, rigid if isinstance(rigid, Const) else None,
-        Signature(), minted))
-    b = substitute(b, {v: fv(next(new_names), v.ty) for v in minted})
-    return [(substitute(x, {head_of(s): b}), substitute(y, {head_of(s): b}))
-            for x, y in flex_rigid + flex_flex]
-
-
-def test_memoized_solves_equal_cold_solves(monkeypatch):
-    """A seeded sequence of problems, with renamed copies of earlier ones
-    and problems that share subproblems with them, solved with one
-    shared memo and each one cold on a copy of the signature."""
-    rng = random.Random(17)
-    recalls = _count_recalls(monkeypatch)
-    heads = [fv("F", II), fv("G", II), fv("H", III)]
-    leaves = [a, b, fv("X"), fv("Y")]
-    new_names = (f"R{k}" for k in itertools.count())
-    sig, memo = Signature(), {}
-    seen, minted = [], []
-    kinds = {"exhausted": 0, "residuals": 0, "unifiers": 0}
-    for _ in range(300):
-        # copies come from problems that branched, mostly with the
-        # original's budgets
-        roll = rng.random()
-        pairs, depth, limit = rng.choice(seen) if seen else (None, 4, 4)
-        if seen and roll < 0.3:
-            pairs = _rename(rng, pairs, heads + leaves + minted, new_names)
-        elif seen and roll < 0.45:
-            # a subproblem the earlier search met one level down
-            pairs, depth = _child(rng, pairs, new_names), depth - 1
-        elif seen and roll < 0.6:
-            # an earlier problem under a rigid context, or together with
-            # a renamed copy of another one
-            pairs = [(canon(app(f, s)), canon(app(f, t))) for s, t in pairs]
-            if rng.random() < 0.5:
-                pairs += _rename(rng, rng.choice(seen)[0], heads + leaves,
-                                 new_names)
-        else:
-            pairs = [(canon(_flex_term(rng, 3, leaves, heads)),
-                      canon(_flex_term(rng, 2, leaves, heads)))
-                     for _ in range(rng.randint(1, 2))]
-        if rng.random() < 0.3:
-            depth, limit = rng.choice((2, 4, 6)), rng.choice((1, 2, 4))
-        cold_sig = sig.copy()
-        cold = pre_unify(pairs, cold_sig, depth=depth, limit=limit)
-        out = pre_unify(pairs, sig, depth=depth, limit=limit, memo=memo)
-        _assert_same_solve(out, sig, cold, cold_sig)
-        if out.fresh:
-            seen.append((pairs, depth, limit))
-        minted += out.fresh
-        kinds["exhausted"] += out.exhausted
-        kinds["residuals"] += any(u.residuals for u in out.unifiers)
-        kinds["unifiers"] += bool(out.unifiers)
-    # answers at roots and below them, with and without unifiers
-    assert len(recalls) > 50, len(recalls)
-    assert sum(bool(subst) for _, _, subst, _, _ in recalls) > 5
-    assert sum(bool(entry[1]) for entry, *_ in recalls) > 30
-    assert min(kinds.values()) > 30, kinds
