@@ -4,12 +4,15 @@ The main loop is a DISCOUNT-style two-set algorithm: unprocessed clauses
 U and processed clauses P, a weight/age given-clause heuristic, forward
 and backward subsumption, renormalization of non-CNF conclusions, and
 unification of constraint literals with retention of the raw
-constrained clause.  Constraints in the pattern fragment, and clauses
-made only of constraints, are unified when the clause is made; any
-other constraint set of a kept clause is pre-unified only when the
-search picks its clause as the given clause, a simple form of solving
-constraints as the search needs them (Vukmirović et al., "Making
-Higher-Order Superposition Work", CADE 2021).  Paramodulation leaves
+constrained clause.  As in DISCOUNT, a new clause meets P when it is
+picked as the given clause, not when it is made: forward subsumption
+by P runs then, and a clause it discards is never used.  Constraints
+in the pattern fragment, and clauses made only of constraints, are
+unified when the clause is made; any other constraint set of a clause
+under the weight cut is pre-unified only when the search picks that
+clause and keeps it, a simple form of solving constraints as the
+search needs them (Vukmirović et al., "Making Higher-Order
+Superposition Work", CADE 2021).  Paramodulation leaves
 out the literals of its conclusions that are false by construction, so
 a ground resolvent needs no renormalization; what is renormalized are
 literals over a connective or quantifier, and the trivial literals
@@ -126,10 +129,6 @@ class Saturation:
         self.seen: set = set()        # alpha_keys
         self.U: list = []             # ids
         self.P: list = []             # ids
-        # id -> how many clauses had been appended to P when the clause
-        # entered U, and again when it was appended to P itself
-        self.stamp: dict = {}
-        self.appended = 0
         self.units: list = []         # _units() of the current P
         self.deadline = None
         self.inj_done: set = set()
@@ -272,20 +271,16 @@ class Saturation:
                            clause=c)
 
     def _enqueue(self, d: Derived, key: tuple) -> bool:
-        """Keep a new clause in U unless it is cut or subsumed, and tell
+        """Keep a new clause in U unless the weight cut drops it, and tell
         whether it was kept; `key` is its `alpha_key`, which the caller
-        found unseen."""
+        found unseen.  Whether P subsumes it is checked at its pick."""
         c = d.clause
         if is_empty_clause(c) and self.empty_id is None:
             self.empty_id = d.id
         if clause_weight(c) > MAX_CLAUSE_WEIGHT and not is_empty_clause(c):
             self.dropped_heavy = True
             return False
-        for pid in self.P:
-            if subsumes(self.records[pid].clause, c):
-                return False
         self.seen.add(key)
-        self.stamp[d.id] = self.appended
         self.U.append(d.id)
         return True
 
@@ -300,11 +295,12 @@ class Saturation:
 
     def _unify_at_intake(self, d: Derived, kept: bool):
         """Unify the constraint literals of a new clause, which `_enqueue`
-        `kept` in U or not.  A pattern unifier is emitted at once, and so
-        are the pre-unifiers of a clause made only of constraints, since
-        any of them ends the run.  Any other constraint set outside the
-        pattern fragment waits in `deferred` until its clause is picked
-        (`_pre_unify_given`); that of a clause not kept is never solved."""
+        `kept` in U or dropped by the weight cut.  A pattern unifier is
+        emitted at once, and so are the pre-unifiers of a clause made only
+        of constraints, since any of them ends the run.  Any other
+        constraint set outside the pattern fragment waits in `deferred`
+        until its clause is picked (`_pre_unify_given`); that of a clause
+        over the weight cut, or discarded at its pick, is never solved."""
         c = d.clause
         constraints = [l for l in c.literals
                        if not l.pos and not l.is_shorthand]
@@ -325,7 +321,8 @@ class Saturation:
     def _pre_unify_given(self, gid: int):
         """Solve the deferred constraint set of the given clause, if any.
         Every deferred id is in U until it is picked, so a run that
-        empties U has solved every constraint set it kept."""
+        empties U has solved the constraint set of every clause it did
+        not find redundant or subsumed."""
         entry = self.deferred.pop(gid, None)
         if entry is not None:
             self._pre_unify(self.records[gid], *entry)
@@ -383,33 +380,27 @@ class Saturation:
             if self._next_id > MAX_CLAUSES:
                 return self._result("GaveUp")
             gid = self._select()
+            # forward simplification against current units
+            g = self._contract(self.records[gid])
+            if g is not None and g.id != gid:
+                self.seen.add(alpha_key(g.clause))
+            # forward subsumption by all of P; a clause discarded here is
+            # never pre-unified
+            if g is None or any(subsumes(self.records[p].clause, g.clause)
+                                for p in self.P):
+                self.deferred.pop(gid, None)
+                continue
+            if is_empty_clause(g.clause):
+                self.empty_id = g.id
+                continue
             self._pre_unify_given(gid)
             if self.empty_id is not None:   # a pre-unifier refuted it
                 continue
-            # `_enqueue` found no P entry older than this stamp subsuming
-            # the clause; a simplified clause is checked against all of P
-            since = self.stamp[gid]
-            # forward simplification against current units
-            g = self._contract(self.records[gid])
-            if g is None:
-                continue
-            if g.id != gid:
-                self.seen.add(alpha_key(g.clause))
-                gid = g.id
-                since = 0
-            if is_empty_clause(g.clause):
-                self.empty_id = gid
-                continue
-            if any(subsumes(self.records[p].clause, g.clause)
-                   for p in self.P if self.stamp[p] >= since):
-                continue
             self.P = [p for p in self.P
                       if not subsumes(g.clause, self.records[p].clause)]
-            self.stamp[gid] = self.appended
-            self.appended += 1
-            self.P.append(gid)
+            self.P.append(g.id)
             self.units = self._units()
-            self._generate(gid)
+            self._generate(g.id)
         # unreachable
 
     def _select(self) -> int:

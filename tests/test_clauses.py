@@ -533,13 +533,21 @@ def test_match_memos_answer_as_a_cold_computation():
     run and of the corpus runs, which fill the matching memos as they
     go, equals the answer recomputed with all three memos cleared
     first.  The corpus runs cut and rewrite with units, which the
-    `sur_cantor` run does not."""
+    `sur_cantor` run does not.  The search checks a clause against P
+    only when it is picked, so the `subsumes` sample also takes every
+    (P clause, new clause) pair of each `_enqueue` call."""
     subsumed, cut, simplified = [], [], []
+    enqueue = Saturation._enqueue
 
     def spy_subsumes(c, d):
         out = clauses.subsumes(c, d)
         subsumed.append((c, d, out))
         return out
+
+    def spy_enqueue(self, d, key):
+        for p in self.P:
+            spy_subsumes(self.records[p].clause, d.clause)
+        return enqueue(self, d, key)
 
     def spy_cuts(unit, l):
         out = clauses.cuts(unit, l)
@@ -554,6 +562,7 @@ def test_match_memos_answer_as_a_cold_computation():
         m.setattr(saturation, "subsumes", spy_subsumes)
         m.setattr(calculus, "cuts", spy_cuts)
         m.setattr(saturation, "simplify", spy_simplify)
+        m.setattr(Saturation, "_enqueue", spy_enqueue)
         res = _run_problem("problems/sur_cantor.p")
         assert res.status == "Theorem"
         for make in _corpus_problems():
@@ -569,8 +578,8 @@ def test_match_memos_answer_as_a_cold_computation():
     for c, units, out in simplified:
         _clear_match_memos()
         assert calculus.simplify(c, units) == out
-    # 9,571 calls and 224 hits, 14,843 calls and 202 cuts, 1,837 calls
-    # and 199 rewrites or cuts when this was written
+    # 9,342 calls and 163 hits, 13,552 calls and 200 cuts, 1,633 calls
+    # and 197 rewrites or cuts when this was written
     assert len(subsumed) > 5000 and sum(o for *_, o in subsumed) > 100
     assert len(cut) > 5000 and sum(o for *_, o in cut) > 100
     assert sum(bool(used) for *_, (_, used) in simplified) > 100

@@ -387,10 +387,15 @@ def test_a_subsumed_clause_is_never_pre_unified(monkeypatch):
     p = const("p", sat.sig.constants["p"])
     unit = sat.record("cnf", clause=Clause([prop_literal(canon(app(p, X)),
                                                           True)]))
-    sat.stamp[unit.id] = 0
     sat.P.append(unit.id)
     d = sat.record("cnf", clause=c)
     sat.insert_new(d)
+    # the clause waits in U like any other: P is checked at the pick
+    assert sat.U == [d.id] and list(sat.deferred) == [d.id]
+    # the problem has no formulas, so the run picks only this clause and
+    # discards it; P keeps a non-ground clause, so the run gives up
+    assert sat.run().status == "GaveUp"
+    assert sat.picks == 1 and sat.P == [unit.id]
     assert sat.U == [] and sat.deferred == {} and at_pick == []
 
 
@@ -681,44 +686,76 @@ def test_clean_paramodulants_leave_corpus_searches_unchanged(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The given clause is checked only against P entries newer than its entry
-# into U
+# Forward subsumption by P is checked when a clause is picked, not when it
+# is made
 # ---------------------------------------------------------------------------
 
-def _counting_subsumes(calls):
+def test_no_subsumption_check_at_intake(monkeypatch):
+    insert_new = Saturation.insert_new
+    depth, at_intake, calls = [0], [0], [0]
+
+    def tracked(self, d):
+        depth[0] += 1
+        try:
+            return insert_new(self, d)
+        finally:
+            depth[0] -= 1
+
     def counted(c, d):
         calls[0] += 1
+        at_intake[0] += depth[0] > 0
         return subsumes(c, d)
-    return counted
+    monkeypatch.setattr(Saturation, "insert_new", tracked)
+    monkeypatch.setattr(saturation, "subsumes", counted)
+    for label, make_problem in _benchmark_problems():
+        res = saturate(make_problem(), ProverConfig(time_limit=60))
+        assert res.status in ("Theorem", "ContradictoryAxioms"), label
+    assert calls[0] > 0 and at_intake[0] == 0
 
 
-_ENQUEUE = Saturation._enqueue
+_PENDING = object()
 
 
-def _enqueue_stamped_zero(self, d, key):
-    """`_enqueue` as if no clause had entered P yet, so that `run` checks
-    every given clause against all of P, as it did before the stamps."""
-    kept = _ENQUEUE(self, d, key)
-    if d.id in self.stamp:
-        self.stamp[d.id] = 0
-    return kept
+def test_a_pick_is_discarded_exactly_when_p_subsumes_it(monkeypatch):
+    """Each pick that survives contraction and is not the run's last
+    enters P exactly when no clause of P at that pick subsumes it."""
+    select, contract = Saturation._select, Saturation._contract
+    generate = Saturation._generate
+    discarded = 0
+    for label, make_problem in _benchmark_problems():
+        picks, entered = [], set()
 
+        def picked(self):
+            gid = select(self)
+            # [picked id, P at the pick, its contracted record]
+            picks.append([gid, list(self.P), _PENDING])
+            return gid
 
-def test_given_clause_skips_p_entries_it_was_enqueued_against(monkeypatch):
-    problems = [(make, _SWEEP_CONFIG) for make in _seeded_problems()]
-    problems += [(make, ProverConfig(time_limit=60))
-                 for make in _corpus_problems()]
-    new_calls, old_calls = [0], [0]
-    for make_problem, config in problems:
-        new = _given_clauses(monkeypatch, make_problem, config, "subsumes",
-                             _counting_subsumes(new_calls))
+        def contracted(self, d):
+            out = contract(self, d)
+            if picks and picks[-1][2] is _PENDING:
+                # the first contraction after a pick is that of the pick
+                picks[-1][2] = out
+            return out
+
+        def generated(self, gid):
+            entered.add(gid)
+            return generate(self, gid)
         with monkeypatch.context() as m:
-            m.setattr(Saturation, "_enqueue", _enqueue_stamped_zero)
-            old = _given_clauses(monkeypatch, make_problem, config,
-                                 "subsumes", _counting_subsumes(old_calls))
-        assert new == old
-    # 6,029 against 6,389 when this was written
-    assert new_calls[0] < old_calls[0]
+            m.setattr(Saturation, "_select", picked)
+            m.setattr(Saturation, "_contract", contracted)
+            m.setattr(Saturation, "_generate", generated)
+            res = saturate(make_problem(), ProverConfig(time_limit=60))
+        assert res.status in ("Theorem", "ContradictoryAxioms"), label
+        for gid, P, g in picks[:-1]:
+            if g is None:
+                continue
+            subsumed = any(subsumes(res.records[p].clause, g.clause)
+                           for p in P)
+            assert subsumed is (g.id not in entered), (label, gid)
+            discarded += subsumed
+    # 13 when this was written
+    assert discarded > 0
 
 
 # ---------------------------------------------------------------------------

@@ -251,3 +251,49 @@ def test_no_function_of_the_package_has_an_unread_parameter():
                 continue
             found.append((p.name, line, name, param))
     assert found == []
+
+
+def unread_attributes(tree: ast.Module, using=()) -> list:
+    """(line, name) of each attribute that `tree` stores on `self` and
+    that neither `tree` nor a tree of `using` reads, on any object.
+    `self.x = v`, `self.x += v` and `self.x[k] = v` store `x`; any other
+    load of an attribute `x` reads it."""
+    stored, read = {}, set()
+    for t in (tree, *using):
+        into = {id(n.value) for n in ast.walk(t)
+                if isinstance(n, ast.Subscript)
+                and not isinstance(n.ctx, ast.Load)}
+        for n in ast.walk(t):
+            if not isinstance(n, ast.Attribute):
+                continue
+            if isinstance(n.ctx, ast.Load) and id(n) not in into:
+                read.add(n.attr)
+            elif t is tree and isinstance(n.value, ast.Name) \
+                    and n.value.id == "self":
+                stored.setdefault(n.attr, n.lineno)
+    return sorted((line, name) for name, line in stored.items()
+                  if name not in read)
+
+
+def test_the_checker_sees_unread_attributes():
+    lib = ast.parse("class C:\n    def __init__(self):\n"
+                    "        self.kept = 0\n        self.gone = 1\n"
+                    "        self.log = {}\n        self.count = 0\n"
+                    "    def step(self, k):\n        self.log[k] = 1\n"
+                    "        self.count += 1\n        return self.kept\n")
+    user = ast.parse("c = C()\nprint(c.count)\n")
+    assert unread_attributes(lib) == [(4, "gone"), (5, "log"), (6, "count")]
+    assert unread_attributes(lib, [user]) == [(4, "gone"), (5, "log")]
+
+
+def test_the_package_reads_every_attribute_it_stores():
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    found = []
+    for name, tree in trees.items():
+        for line, attr in unread_attributes(tree, list(trees.values())):
+            # perfbench and the tests read `UnifOutcome.exhausted`, and
+            # the run report of ROADMAP item 3 is to print it
+            if (name, attr) == ("unification.py", "exhausted"):
+                continue
+            found.append((name, line, attr))
+    assert found == []
