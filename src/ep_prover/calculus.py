@@ -50,7 +50,34 @@ def _rest(c: Clause, i: int, d: Clause, j: int) -> tuple:
         + d.literals[:j] + d.literals[j + 1:]
 
 
-def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
+def ordered_resolution(clauses) -> bool:
+    """Whether a run whose initial clauses are `clauses` resolves only on
+    maximal atoms: when every literal is a shorthand literal over a
+    constant.  Every conclusion of such clauses is one too, and ordered
+    resolution is refutationally complete for ground clauses (Bachmair &
+    Ganzinger, "Resolution Theorem Proving", Handbook of Automated
+    Reasoning, 2001).  The saturation loop asks once per run, after
+    preprocessing, and passes the answer to `paramod_ordered`."""
+    return all(l.is_shorthand and type(l.lhs) is Const
+               for c in clauses for l in c.literals)
+
+
+def _maximal(c: Clause, minted) -> int:
+    """The index of the maximal literal of c under the atom order of an
+    ordered run: constants named in `minted` rank below all other atoms,
+    and atoms of one class by `skey`, the order `Clause.literals` is
+    sorted by.  So it is the last literal whose atom is not minted, or
+    else the last literal; -1 for the empty clause."""
+    lits = c.literals
+    for k in range(len(lits) - 1, -1, -1):
+        a = lits[k].lhs
+        if type(a) is not Const or a.name not in minted:
+            return k
+    return len(lits) - 1
+
+
+def para_candidates(c: Clause, d: Clause,
+                    minted=None) -> Iterator[Clause]:
     """All paramodulation inferences from equations of d into c.
 
     The subterm sub at position pi of one side s of a literal [s ~ t]^a
@@ -65,7 +92,27 @@ def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
     clauses, one containing d and the other c.  A constant q has no other
     position, so it is not walked; its one conclusion is the resolvent,
     when q is p.
+
+    In a run of ground propositional clauses (`ordered_resolution`),
+    `minted` holds the names of the atoms the run minted, which rank
+    below the others (`_maximal`), and the only conclusion is the
+    resolvent on the maximal literals of both premises, [p]^tt of d and
+    [p]^ff of c.  Minted names then are eliminated last, as directional
+    resolution eliminates atoms in a fixed order (Dechter & Rish, KR
+    1994).  Factoring is implicit: `simplify` drops duplicate literals.
+    In any other run `minted` is None.
     """
+    if minted is not None:
+        j = _maximal(d, minted)
+        if j < 0 or not d.literals[j].pos:
+            return
+        i = _maximal(c, minted)
+        if i >= 0:
+            lit_d, lit_c = d.literals[j], c.literals[i]
+            if not lit_c.pos and lit_c.lhs is lit_d.lhs \
+                    and lit_c.is_shorthand and lit_d.is_shorthand:
+                yield Clause(_rest(c, i, d, j))
+        return
     for j, lit_d in enumerate(d.literals):
         if not lit_d.pos:
             continue
@@ -112,10 +159,13 @@ def para_candidates(c: Clause, d: Clause) -> Iterator[Clause]:
                         yield Clause(lits)
 
 
-def paramod_ordered(into: Clause, frm: Clause,
-                    sig: Signature) -> Iterator[Clause]:
+def paramod_ordered(into: Clause, frm: Clause, sig: Signature,
+                    ordered: bool) -> Iterator[Clause]:
     """All paramodulation inferences into `into` from a fresh variant of
-    `frm`, which is renamed at once."""
+    `frm`, which is renamed at once; in a run of `ordered_resolution`,
+    the resolvent on the maximal atoms, if any."""
+    if ordered:
+        return para_candidates(into, frm, sig.system)
     variant, _ = rename_clause(frm, sig)
     return para_candidates(into, variant)
 

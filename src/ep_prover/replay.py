@@ -44,12 +44,18 @@ class ProofChecker:
     `self.sig.system`.  Clauses of the rules that mint constants are
     compared up to renaming of the minted constants their parent does
     not hold; all others up to renaming of free variables only.
+
+    `ordered` tells whether the run resolved on maximal atoms only, as
+    `Result.ordered` does; `paramod_ordered` is then replayed through the
+    same restricted enumerator, so a step on another atom is a complaint.
     """
 
     def __init__(self, records: dict, problem,
-                 naming_threshold: int = NAMING_THRESHOLD):
+                 naming_threshold: int = NAMING_THRESHOLD,
+                 ordered: bool = False):
         self.records = records
         self.naming_threshold = naming_threshold   # as in the checked run
+        self.ordered = ordered                     # as in the checked run
         self.defs = definition_map(problem.formulas)
         self.sig = problem.signature.copy()
         self.inst_types = inst_types(self.sig)
@@ -178,7 +184,8 @@ class ProofChecker:
     # checker and the clauses of a step's parents.
     CONCLUSIONS = {
         "eqfactor_ordered": lambda self, c: eqfac_candidates(c),
-        "paramod_ordered": lambda self, c, e: paramod_ordered(c, e, self.sig),
+        "paramod_ordered": lambda self, c, e: paramod_ordered(
+            c, e, self.sig, self.ordered),
         "bool_ext": lambda self, c: [
             x for r, x in extensionality(c, self.sig) if r == "bool_ext"],
         "func_ext": lambda self, c: [
@@ -322,7 +329,8 @@ def replay_proof(result, problem) -> list:
     """Full structural replay plus ground checks of the refutation in
     `result`; `problem` is the problem that run saturated."""
     proof = extract_proof(result.records, result.empty_id)
-    checker = ProofChecker(result.records, problem, result.naming_threshold)
+    checker = ProofChecker(result.records, problem, result.naming_threshold,
+                           result.ordered)
     out = checker.check(proof)
     out.extend(check_ground_steps(result.records, proof))
     return out

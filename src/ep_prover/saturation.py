@@ -17,6 +17,12 @@ out the literals of its conclusions that are false by construction, so
 a ground resolvent needs no renormalization; what is renormalized are
 literals over a connective or quantifier, and the trivial literals
 other steps make (a tautology's [t = t]^tt among them).
+
+A run whose initial clauses are all ground propositional decides once,
+after preprocessing, to resolve only on the maximal atom of each
+premise, with the atoms it minted ranked lowest
+(`calculus.ordered_resolution`); its `Result` tells the proof checker.
+Every other run keeps the unordered calculus.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .cnf import (
 )
 from .calculus import (
     bool_ext, eqfac_candidates, extensionality, inj_rule, inst_types,
-    instantiate, paramod_ordered, prim_subst, simplify,
+    instantiate, ordered_resolution, paramod_ordered, prim_subst, simplify,
 )
 from .unification import (
     DEFAULT_DEPTH, DEFAULT_LIMIT, FAIL, NOT_PATTERN, pattern_unify,
@@ -108,15 +114,18 @@ class Derived:
 
 
 class Result:
-    __slots__ = ("status", "records", "empty_id", "naming_threshold")
+    __slots__ = ("status", "records", "empty_id", "naming_threshold",
+                 "ordered")
 
     def __init__(self, status: str, records: Optional[dict] = None,
                  empty_id: Optional[int] = None,
-                 naming_threshold: int = NAMING_THRESHOLD):
+                 naming_threshold: int = NAMING_THRESHOLD,
+                 ordered: bool = False):
         self.status = status
         self.records = {} if records is None else records
         self.empty_id = empty_id
         self.naming_threshold = naming_threshold  # clausification of the run
+        self.ordered = ordered      # the run resolved on maximal atoms only
 
 
 class Saturation:
@@ -138,6 +147,7 @@ class Saturation:
         self.empty_id: Optional[int] = None
         self.picks = 0
         self.dropped_heavy = False    # the weight cut discarded a clause
+        self.ordered = False          # see `ordered_resolution`
         self.inst_types = inst_types(self.sig)
         self.conjectured = any(f.role in ("conjecture", "negated_conjecture")
                                for f in problem.formulas)
@@ -370,6 +380,8 @@ class Saturation:
             self.preprocess()
         except RecursionError:
             return self._result("GaveUp")
+        self.ordered = ordered_resolution(self.records[i].clause
+                                          for i in self.U)
         while True:
             # a refutation found at the deadline still wins
             if self.empty_id is not None:
@@ -418,13 +430,15 @@ class Saturation:
         produced = [("eqfactor_ordered", (gid,), c, 0)
                     for c in eqfac_candidates(g.clause)]
         # paramodulation with every processed clause (including itself)
+        ordered = self.ordered
         for pid in list(self.P):
             self._poll()
             p = self.records[pid]
-            for c in paramod_ordered(g.clause, p.clause, self.sig):
+            for c in paramod_ordered(g.clause, p.clause, self.sig, ordered):
                 produced.append(("paramod_ordered", (gid, pid), c, 0))
             if pid != gid:
-                for c in paramod_ordered(p.clause, g.clause, self.sig):
+                for c in paramod_ordered(p.clause, g.clause, self.sig,
+                                         ordered):
                     produced.append(("paramod_ordered", (pid, gid), c, 0))
         for rule, c in extensionality(g.clause, self.sig):
             produced.append((rule, (gid,), c, 0))
@@ -445,7 +459,7 @@ class Saturation:
 
     def _result(self, status: str, empty_id: Optional[int] = None) -> Result:
         return Result(status, self.records, empty_id,
-                      self.config.naming_threshold)
+                      self.config.naming_threshold, self.ordered)
 
     def _refutation_result(self) -> Result:
         status = classify_refutation(self.records, self.empty_id,

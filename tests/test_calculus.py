@@ -17,7 +17,8 @@ from ep_prover.cnf import OutOfTime
 from ep_prover.calculus import (
     _orient, _rewrite_once, _try_der, bool_ext,
     eqfac_candidates, func_ext, finite_domain, inj_rule, instantiate,
-    match_injectivity, para_candidates, prim_subst, simplify,
+    match_injectivity, ordered_resolution, para_candidates, paramod_ordered,
+    prim_subst, simplify,
 )
 from ep_prover.modal import embed
 from ep_prover.saturation import ProverConfig, saturate
@@ -129,6 +130,65 @@ def test_para_keeps_atoms_with_free_variables():
                                 Clause([prop_literal(PX, True)])))
     assert list(para_candidates(Clause([prop_literal(PX, False)]),
                                 Clause([prop_literal(q, True)])))
+
+
+def test_ordered_resolution_resolves_on_maximal_atoms_only():
+    # q ranks above p: atoms of one class are ordered by skey
+    q, r = const("q", O), const("r", O)
+    p0 = const("p0", O)
+    pq = Clause([prop_literal(p0, True), prop_literal(q, True)])
+    not_p, not_q = (Clause([prop_literal(x, False)]) for x in (p0, q))
+    assert list(para_candidates(not_q, pq, set())) \
+        == [Clause([prop_literal(p0, True)])]
+    assert list(para_candidates(not_p, pq, set())) == []
+    # the unordered calculus resolves on either atom
+    assert list(para_candidates(not_p, pq)) \
+        == [Clause([prop_literal(q, True)])]
+    # a minted atom ranks below every other atom
+    assert list(para_candidates(not_p, pq, {"q"})) \
+        == [Clause([prop_literal(q, True)])]
+    assert list(para_candidates(not_q, pq, {"q"})) == []
+    # among minted atoms, skey decides again
+    assert list(para_candidates(not_q, pq, {"p0", "q"})) \
+        == [Clause([prop_literal(p0, True)])]
+    # the maximal literal of the other premise must be the negative one
+    rq = Clause([prop_literal(q, False), prop_literal(r, True)])
+    assert list(para_candidates(rq, pq, set())) == []
+    assert list(para_candidates(rq, Clause([prop_literal(r, False)]),
+                                set())) == []
+    # a clause with the atom at both polarities is no premise of itself
+    taut = Clause([prop_literal(q, False), prop_literal(q, True)])
+    assert list(para_candidates(taut, taut, set())) == []
+
+
+def test_paramod_ordered_takes_the_runs_decision():
+    sig = Signature()
+    q = const("q", O)
+    p0 = const("p0", O)
+    pq = Clause([prop_literal(p0, True), prop_literal(q, True)])
+    not_p = Clause([prop_literal(p0, False)])
+    assert list(paramod_ordered(not_p, pq, sig, True)) == []
+    assert list(paramod_ordered(not_p, pq, sig, False)) \
+        == [Clause([prop_literal(q, True)])]
+    sig.system.add("q")
+    assert list(paramod_ordered(not_p, pq, sig, True)) \
+        == [Clause([prop_literal(q, True)])]
+
+
+def test_ordered_resolution_needs_constant_atoms_only():
+    q = const("q", O)
+    X = free("X", I)
+    ground = [Clause([prop_literal(q, True)]),
+              Clause([prop_literal(q, False),
+                      prop_literal(const("r", O), True)])]
+    assert ordered_resolution(ground)
+    assert ordered_resolution([])
+    assert not ordered_resolution(ground + [Clause([plit(app(p, a))])])
+    assert not ordered_resolution([Clause([Literal(a, b, True)])])
+    assert not ordered_resolution([Clause([Literal(q, FALSE, True)])])
+    assert not ordered_resolution(
+        [Clause([prop_literal(free("P", O), True)])])
+    assert not ordered_resolution([Clause([Literal(X, a, False)])])
 
 
 def test_eqfac_merges_same_polarity_literals():

@@ -320,23 +320,53 @@ def test_timeout_exit_one():
     assert "% SZS status Timeout" in r.stdout
 
 
-def test_deep_iff_chain_keeps_the_time_limit(tmp_path):
-    # b0 <=> (b1 <=> ... b23): naming each link once clausifies the
-    # chain at once, and the search over its clauses must still stop at
-    # the deadline (it does not end within 20 s either); the deadline
-    # inside clausification is tested in test_cnf.py
-    atoms = [f"b{i}" for i in range(24)]
+def _iff_chain(tmp_path, n):
+    """b0 <=> (b1 <=> ... b(n-1)), a satisfiable parity formula whose
+    clausification names its links."""
+    atoms = [f"b{i}" for i in range(n)]
     body = atoms[-1]
     for b in reversed(atoms[:-1]):
         body = f"( {b} <=> {body} )"
-    f = tmp_path / "iff24.p"
+    f = tmp_path / f"iff{n}.p"
     f.write_text("".join(f"thf({b}_t,type,{b}: $o).\n" for b in atoms)
                  + f"thf(ax,axiom,{body}).\n")
+    return f
+
+
+@pytest.mark.parametrize("n", [8, 12, 24])
+def test_deep_iff_chains_end_satisfiable(tmp_path, n):
+    # ground propositional clauses resolve on maximal atoms only, the
+    # minted names lowest, so the search ends at once; resolving on every
+    # atom, the 24-atom chain did not end within 20 s
+    f = _iff_chain(tmp_path, n)
+    t0 = time.monotonic()
+    r = run_cli(str(f), timeout=60)
+    assert time.monotonic() - t0 < 5
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[0] \
+        == f"% SZS status Satisfiable for iff{n}.p"
+
+
+COMMUTATIVITY = """
+thf(f_t,type,f:$i>$i>$i). thf(a_t,type,a:$i). thf(b_t,type,b:$i).
+thf(q_t,type,q:$i>$o).
+thf(comm,axiom,![X:$i,Y:$i]: ((f@X@Y) = (f@Y@X))).
+thf(goal,conjecture,q@(f@a@b)).
+"""
+
+
+def test_commutativity_flood_keeps_the_time_limit(tmp_path):
+    # the unorientable unit is paramodulated into itself and into every
+    # conclusion, so the search does not end, and must still stop at the
+    # deadline; the deadline inside clausification is tested in
+    # test_cnf.py
+    f = tmp_path / "comm.p"
+    f.write_text(COMMUTATIVITY)
     t0 = time.monotonic()
     r = run_cli(str(f), "-t", "2", timeout=60)
     assert time.monotonic() - t0 < 6
     assert r.returncode == 1
-    assert r.stdout.splitlines()[0] == "% SZS status Timeout for iff24.p"
+    assert r.stdout.splitlines()[0] == "% SZS status Timeout for comm.p"
 
 
 # u1 duplicates X, so rewriting with u1 and u2 would cycle on

@@ -26,15 +26,16 @@ def run(path, timeout=30.0):
 
 def test_valid_proof_replays_cleanly():
     prob, res = run("problems/sur_cantor.p")
-    assert res.status == "Theorem"
+    assert (res.status, res.ordered) == ("Theorem", False)
     assert replay_proof(res, prob) == []
 
 
 def test_replay_uses_the_runs_naming_threshold():
+    # and its decision to resolve on maximal atoms only
     path = "problems/corpus/prop_equiv_comm.p"
     prob = parse_problem(open(path).read(), "prop_equiv_comm.p")
     res = saturate(prob, ProverConfig(time_limit=30, naming_threshold=2))
-    assert res.status == "Theorem"
+    assert (res.status, res.ordered) == ("Theorem", True)
     assert any(d.rule == "cnf"
                for d in extract_proof(res.records, res.empty_id))
     assert replay_proof(res, prob) == []
@@ -42,13 +43,13 @@ def test_replay_uses_the_runs_naming_threshold():
 
 def test_every_record_of_every_run_replays():
     """Not only the proof: every clause the clausifier and the rules made
-    on the way.  `paramod_ordered` is left out: the orientation of a
-    literal depends on variable names, so its replay rejects some valid
-    records."""
+    on the way.  A `paramod_ordered` record with free variables is left
+    out: the orientation of a literal depends on variable names, so its
+    replay rejects some valid records.  Every ground one is replayed."""
     paths = sorted(glob.glob("problems/*.p")
                    + glob.glob("problems/corpus/*.p"))
     assert len(paths) == 26
-    cnf_records = 0
+    cnf_records = ground_para = 0
     for path in paths:
         prob = parse_problem(open(path).read(), path.rsplit("/", 1)[-1])
         if prob.logic_spec is not None:
@@ -58,12 +59,55 @@ def test_every_record_of_every_run_replays():
         records = [res.records[i] for i in sorted(res.records)]
         cnf_records += sum(d.rule == "cnf" for d in records)
         checker = ProofChecker(res.records, prob, res.naming_threshold)
+        open_para = {f"{d.id} (paramod_ordered)" for d in records
+                     if d.rule == "paramod_ordered" and d.clause.free_vars()}
         complaints = [c for c in checker.check(records)
-                      if "(paramod_ordered)" not in c]
+                      if c.split(":")[0] not in open_para]
         assert complaints == [], path
+        ground_para += sum(d.rule == "paramod_ordered"
+                           and not d.clause.free_vars() for d in records)
     # 674 while each ground resolvent was renormalized as a `cnf` step,
     # 235 while every kept constraint set was pre-unified at intake
     assert cnf_records == 186
+    # ground resolvents and ground paramodulants, all replayed
+    assert ground_para == 14
+
+
+PQR = """
+thf(p_t, type, p: $o). thf(q_t, type, q: $o). thf(r_t, type, r: $o).
+thf(a1, axiom, ( p | r )). thf(a2, axiom, ( ~ p )).
+thf(a3, axiom, ( ~ r | q )).
+"""
+
+
+def test_ordered_run_replays_resolution_on_maximal_atoms_only():
+    # atoms rank p < q < r, so ordered resolution of {p | r} resolves on
+    # r only: into {~r | q} it may, into {~p} it may not
+    prob = parse_problem(PQR, "pqr.p")
+    res = saturate(prob, ProverConfig(time_limit=30))
+    assert (res.status, res.ordered) == ("Satisfiable", True)
+    records = dict(res.records)
+    by_clause = {d.clause: d.id for d in records.values() if d.rule == "cnf"}
+    p, q, r = (const(x, O) for x in "pqr")
+
+    def clause(*lits):
+        return Clause([prop_literal(a, pos) for a, pos in lits])
+    p_or_r = by_clause[clause((p, True), (r, True))]
+    not_p = by_clause[clause((p, False))]
+    not_r_or_q = by_clause[clause((r, False), (q, True))]
+    good = _step(records, "paramod_ordered", (not_r_or_q, p_or_r),
+                 clause=clause((p, True), (q, True)))
+    bad = _step(records, "paramod_ordered", (not_p, p_or_r),
+                clause=clause((r, True)))
+    steps = [records[i] for i in sorted(records)]
+    checker = ProofChecker(records, prob, res.naming_threshold, res.ordered)
+    assert checker.check(steps) == [
+        f"{bad.id} (paramod_ordered): "
+        "no paramod_ordered inference produces this clause"]
+    # both steps are sound, and the unordered calculus draws both
+    assert ground_step_valid([records[i].clause for i in bad.parents],
+                             bad.clause)
+    assert ProofChecker(records, prob).check(steps) == []
 
 
 def test_corrupted_clause_is_detected():

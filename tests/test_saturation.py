@@ -562,6 +562,15 @@ def _para_every_position(c, d):
                                      + rest + [Literal(sub, l, False)])
 
 
+def _unordered(monkeypatch):
+    """Make every run use the unordered calculus, which still serves every
+    problem that is not ground propositional: the differential tests of
+    paramodulation compare two unordered enumerators, on problems that
+    would otherwise resolve on maximal atoms only."""
+    monkeypatch.setattr(saturation, "ordered_resolution",
+                        lambda clauses: False)
+
+
 def _para_counting_skips(skipped):
     """`para_candidates` that adds to skipped[0] the conclusions it leaves
     out against `_para_every_position`."""
@@ -574,6 +583,7 @@ def _para_counting_skips(skipped):
 
 def test_skipped_paramodulants_leave_propositional_searches_unchanged(
         monkeypatch):
+    _unordered(monkeypatch)
     fired = 0
     for make_problem in _seeded_problems():
         skipped = [0]
@@ -586,6 +596,7 @@ def test_skipped_paramodulants_leave_propositional_searches_unchanged(
 
 
 def test_skipped_paramodulants_leave_corpus_searches_unchanged(monkeypatch):
+    _unordered(monkeypatch)
     for make_problem in _corpus_problems():
         _assert_same_search(monkeypatch, make_problem,
                             ProverConfig(time_limit=60),
@@ -638,7 +649,8 @@ def _para_with_trivial_literals(c, d):
 def test_para_yields_the_old_conclusions_as_renormalization_left_them():
     """Pair by pair over the initial clauses of 40 seeded problems, each
     conclusion normalizes as the old one did, and is the old one where
-    that needed no renormalization."""
+    that needed no renormalization.  `para_candidates` without `minted`
+    is the unordered calculus, which these problems would not run on."""
     sig = Signature()
 
     def normal(x):
@@ -664,6 +676,7 @@ def test_para_yields_the_old_conclusions_as_renormalization_left_them():
 
 def test_clean_paramodulants_leave_propositional_searches_unchanged(
         monkeypatch):
+    _unordered(monkeypatch)
     resolvents = 0
     for make_problem in _seeded_problems():
         _assert_same_search(monkeypatch, make_problem, _SWEEP_CONFIG,
@@ -679,6 +692,7 @@ def test_clean_paramodulants_leave_propositional_searches_unchanged(
 
 
 def test_clean_paramodulants_leave_corpus_searches_unchanged(monkeypatch):
+    _unordered(monkeypatch)
     for make_problem in _corpus_problems():
         _assert_same_search(monkeypatch, make_problem,
                             ProverConfig(time_limit=60),
