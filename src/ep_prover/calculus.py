@@ -5,9 +5,10 @@ functional extensionality, injectivity postulation, exhaustive finite
 instantiation, and clause-level simplification.  Each generating rule
 has one enumerator of the conclusions it draws from its premises:
 `eqfac_candidates`, `paramod_ordered`, `extensionality` (both
-extensionality rules), `prim_subst`, `inj_rule` and `instantiate`.  The
-saturation loop keeps their conclusions, and the proof checker replays a
-step by finding the recorded clause among them.
+extensionality rules), `prim_subst`, `inj_rule` and `instantiate`, and
+`unified` builds the conclusion of a unifier.  The saturation loop
+keeps what they give, and the proof checker reruns them on a step's
+parents.
 """
 
 from __future__ import annotations
@@ -168,6 +169,25 @@ def paramod_ordered(into: Clause, frm: Clause, sig: Signature,
         return para_candidates(into, frm, sig.system)
     variant, _ = rename_clause(frm, sig)
     return para_candidates(into, variant)
+
+
+# ---------------------------------------------------------------------------
+# Unification of constraint literals
+# ---------------------------------------------------------------------------
+
+def constraint_pairs(c: Clause) -> list:
+    """The sides of c's constraint literals, its negative proper equations."""
+    return [(l.lhs, l.rhs) for l in c.literals
+            if not l.pos and not l.is_shorthand]
+
+
+def unified(c: Clause, subst, residuals) -> Clause:
+    """The conclusion of a unifier of c's constraints: the other literals
+    of c under `subst`, and the pairs the unifier left unsolved
+    (`residuals`) as constraints."""
+    return Clause([Literal(subst.apply(l.lhs), subst.apply(l.rhs), l.pos)
+                   for l in c.literals if l.pos or l.is_shorthand]
+                  + [Literal(a, b, False) for a, b in residuals])
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Independent validation of emitted refutations.
 
-Each derivation record is re-derived from its recorded parents: the
-checker either reruns the inference and compares the results up to
-renaming, or replays recorded unifier bindings by substitution.  A
-generating step is rerun through the search's own enumerator of its
-rule, on the parents in their recorded order.
+Every derivation record is checked in the same three steps.  Its
+parents must be the rule's premises: as many as the rule takes, each
+holding the formula or clause the rule reads.  The function the search
+used for the step is rerun on them: a preprocessing function,
+`normalize`, the search's enumerator of a generating rule (on the
+parents in their recorded order), `simplify` by the recorded units, or
+`calculus.unified` by the recorded bindings.  The record's formula must
+be what it gives, or its clause one of the clauses it draws.
 Ground propositional steps are additionally validated by exhaustive
 truth-valuation checking.
 """
 
 from __future__ import annotations
 
+import sys
+from operator import attrgetter
 from typing import Optional
 
 from .terms import (
@@ -19,12 +24,11 @@ from .terms import (
 )
 from .clauses import Clause, Literal, alpha_key, prop_literal
 from .cnf import (
-    NAMING_THRESHOLD, definition_map, expand_definitions, formula_kind,
-    miniscope, normalize,
+    definition_map, expand_definitions, formula_kind, miniscope, normalize,
 )
 from .calculus import (
-    eqfac_candidates, extensionality, inj_rule, inst_types, instantiate,
-    paramod_ordered, prim_subst, simplify,
+    constraint_pairs, eqfac_candidates, extensionality, inj_rule,
+    inst_types, instantiate, paramod_ordered, prim_subst, simplify, unified,
 )
 from .saturation import extract_proof
 from .unification import _Clash, simplify_pairs
@@ -35,27 +39,37 @@ class ReplayError(Exception):
     pass
 
 
+# what a rule reads of each parent: its formula, its clause, or either
+_formula, _clause = attrgetter("formula"), attrgetter("clause")
+
+
+def _either(p):
+    if p.clause is None and p.formula is not None:
+        return Clause([prop_literal(p.formula, True)])
+    return p.clause
+
+
+# the parent counts of a contraction: its clause, then any units
+UNITS = range(1, sys.maxsize)
+
+
 class ProofChecker:
-    """Replays the records of one run of `problem`.
+    """Replays the records of `result`, a run of `problem`, with the
+    run's naming threshold and, when `Result.ordered`, its resolution on
+    maximal atoms only.
 
     Every symbol the replay mints comes from one copy of the run's
     signature, past the run's own fresh symbols, so a constant is minted
     by the run or by the replay exactly when its name is in
-    `self.sig.system`.  Clauses of the rules that mint constants are
-    compared up to renaming of the minted constants their parent does
-    not hold; all others up to renaming of free variables only.
-
-    `ordered` tells whether the run resolved on maximal atoms only, as
-    `Result.ordered` does; `paramod_ordered` is then replayed through the
-    same restricted enumerator, so a step on another atom is a complaint.
+    `self.sig.system`.  Clauses of the esa rules, which mint constants,
+    are compared up to renaming of the minted constants their first
+    parent does not hold; all others up to renaming of free variables.
     """
 
-    def __init__(self, records: dict, problem,
-                 naming_threshold: int = NAMING_THRESHOLD,
-                 ordered: bool = False):
-        self.records = records
-        self.naming_threshold = naming_threshold   # as in the checked run
-        self.ordered = ordered                     # as in the checked run
+    def __init__(self, result, problem):
+        self.records = result.records
+        self.naming_threshold = result.naming_threshold
+        self.ordered = result.ordered
         self.defs = definition_map(problem.formulas)
         self.sig = problem.signature.copy()
         self.inst_types = inst_types(self.sig)
@@ -77,133 +91,106 @@ class ProofChecker:
             if d.status != rule_status(d.rule):
                 complaints.append(
                     f"{d.id}: status {d.status} for rule {d.rule}")
-            replay = self.REPLAY.get(d.rule)
-            if replay is None:
+            if d.rule not in self.REPLAY:
                 complaints.append(f"{d.id}: no replay for rule {d.rule}")
             elif not missing:
                 try:
-                    replay(self, d, [self.records[p] for p in d.parents])
+                    self._replay(d, [self.records[p] for p in d.parents])
                 except ReplayError as e:
                     complaints.append(f"{d.id} ({d.rule}): {e}")
         return complaints
 
-    def _minted_for(self, parent) -> set:
-        """The constants a step of `parent` may rename: those minted by
-        the run or the replay that the parent does not hold.  The
-        parent's own minted constants must come through unchanged."""
-        held = {k.name for t in parent.terms() for k in constants(t)}
-        return self.sig.system - held
-
-    # -- per rule -----------------------------------------------------------
-
-    def _r_input(self, d, parents):
-        if d.formula is None:
-            raise ReplayError("input without formula")
-
-    def _r_neg_conjecture(self, d, parents):
-        if parents:
-            if d.formula is not canon(neg(parents[0].formula)):
-                raise ReplayError("not the negation of its parent")
-
-    def _r_defexp_and_simp_and_etaexpand(self, d, parents):
-        if expand_definitions(parents[0].formula, self.defs) is not d.formula:
-            raise ReplayError("definition expansion does not replay")
-
-    def _r_miniscope(self, d, parents):
-        if canon(miniscope(parents[0].formula)) is not d.formula:
-            raise ReplayError("miniscoping does not replay")
-
-    def _r_cnf(self, d, parents):
-        p = parents[0]
-        if p.clause is None:
-            start = Clause([prop_literal(p.formula, True)])
-        else:
-            start = p.clause
-        out = normalize(start, self.sig, self.naming_threshold)
-        minted = self._minted_for(p)
-        keys = {alpha_key(c, minted) for c in out}
-        if alpha_key(d.clause, minted) not in keys:
-            raise ReplayError("clausification does not produce this clause")
-
-    def _replay_generating(self, d, parents):
-        """Look for the clause among the conclusions the search's
-        enumerator of the rule draws from the parents, in their recorded
-        order.  The rules that mint constants are the esa ones."""
-        premises = [p.clause for p in parents]
-        if any(c is None for c in premises) \
-                or len(premises) != (2 if d.rule == "paramod_ordered" else 1):
+    def _replay(self, d, parents):
+        """Check that the parents are the rule's premises, rerun the
+        rule's step on them and look for d's formula or clause among
+        what it gives."""
+        reads, counts, step, complaint = self.REPLAY[d.rule]
+        premises = [reads(p) for p in parents]
+        if len(premises) not in counts or any(x is None for x in premises):
             raise ReplayError("the parents are not the rule's premises")
-        conclusions = list(self.CONCLUSIONS[d.rule](self, *premises))
-        # after the enumerator, so that the constants it minted count
-        minted = self._minted_for(parents[0]) \
-            if rule_status(d.rule) == "esa" else frozenset()
-        want = alpha_key(d.clause, minted)
-        if not any(alpha_key(x, minted) == want for x in conclusions):
-            raise ReplayError(f"no {d.rule} inference produces this clause")
+        out = list(step(self, d, *premises))
+        # an esa step may rename the constants minted by the run or the
+        # replay, the step's own included, that its first parent does
+        # not hold; the parent's own must come through unchanged
+        minted = frozenset()
+        if rule_status(d.rule) == "esa":
+            minted = self.sig.system - {
+                k.name for t in parents[0].terms() for k in constants(t)}
 
-    def _replay_simplify(self, d, parents):
-        c = parents[0].clause
-        if c is None:
-            raise ReplayError("simplification of a non-clause")
-        units = [(p.id, p.clause) for p in parents[1:]]
-        # the search records a rewrite step exactly when units were used
+        def key(x):
+            return x if isinstance(x, Term) else alpha_key(x, minted)
+        made = d.formula if d.clause is None else d.clause
+        if made is None or key(made) not in map(key, out):
+            raise ReplayError(
+                complaint or f"no {d.rule} inference produces this clause")
+
+    def _contract(self, d, c, *units):
+        """`simplify` by the unit parents.  The search records a rewrite
+        step exactly when units rewrote or cut the clause."""
         if d.rule == "rewrite" and not units:
             raise ReplayError("a rewrite step without a unit parent")
         if d.rule == "simp" and units:
             raise ReplayError("a simp step with a unit parent")
-        out, _ = simplify(c, units)
-        if out is None:
-            raise ReplayError("parent simplifies to a tautology")
-        if alpha_key(out) != alpha_key(d.clause):
-            raise ReplayError("simplification does not replay")
+        out, _ = simplify(c, list(zip(d.parents[1:], units)))
+        return () if out is None else (out,)
 
-    def _replay_unifier(self, d, parents):
-        c = parents[0].clause
+    def _unify(self, d, c):
+        """c's constraints unified by the recorded bindings, which may
+        leave only flex-flex pairs."""
         subst = Subst()
         for v, t in d.bindings:
             subst = subst.bind(v, t)
-        kept = []
-        constraints = []
-        for l in c.literals:
-            if l.pos or l.is_shorthand:
-                kept.append(Literal(subst.apply(l.lhs),
-                                    subst.apply(l.rhs), l.pos))
-            else:
-                constraints.append((l.lhs, l.rhs))
         try:
-            _, flex_rigid, flex_flex = simplify_pairs(constraints, subst)
+            _, flex_rigid, flex_flex = simplify_pairs(constraint_pairs(c),
+                                                      subst)
         except _Clash:
             raise ReplayError("recorded bindings clash with the constraints")
         if flex_rigid:
             raise ReplayError("recorded bindings leave a rigid constraint")
-        lits = kept + [Literal(a, b, False) for a, b in flex_flex]
-        if alpha_key(Clause(lits)) != alpha_key(d.clause):
-            raise ReplayError("substituted clause differs from the record")
+        return (unified(c, subst, flex_flex),)
 
-    # The search's enumerator of each generating rule, given the
-    # checker and the clauses of a step's parents.
-    CONCLUSIONS = {
-        "eqfactor_ordered": lambda self, c: eqfac_candidates(c),
-        "paramod_ordered": lambda self, c, e: paramod_ordered(
-            c, e, self.sig, self.ordered),
-        "bool_ext": lambda self, c: [
-            x for r, x in extensionality(c, self.sig) if r == "bool_ext"],
-        "func_ext": lambda self, c: [
-            x for r, x in extensionality(c, self.sig) if r == "func_ext"],
-        "prim_subst": lambda self, c: prim_subst(c, self.sig,
-                                                 self.inst_types),
-        "inj": lambda self, c: inj_rule(c, self.sig, set()),
-        "instantiate": lambda self, c: instantiate(c),
-    }
-
-    # The replay of each rule of RULE_VOCABULARY and of input formulas.
+    # rule -> (what it reads of each parent, its parent counts, its step
+    # as the search takes it on the checker, the record and the premises,
+    # and the complaint when the step does not give the record's formula
+    # or clause).  An input or a problem's negated conjecture is given.
     REPLAY = {
-        "input": _r_input, "neg_conjecture": _r_neg_conjecture,
-        "defexp_and_simp_and_etaexpand": _r_defexp_and_simp_and_etaexpand,
-        "miniscope": _r_miniscope, "cnf": _r_cnf,
-        "pre_uni": _replay_unifier, "pattern_uni": _replay_unifier,
-        "rewrite": _replay_simplify, "simp": _replay_simplify,
-        **dict.fromkeys(CONCLUSIONS, _replay_generating),
+        "input": (_formula, (0,), lambda self, d: (d.formula,),
+                  "input without formula"),
+        "neg_conjecture": (
+            _formula, (0, 1),
+            lambda self, d, *f: (canon(neg(f[0])) if f else d.formula,),
+            "not the negation of its parent"),
+        "defexp_and_simp_and_etaexpand": (
+            _formula, (1,),
+            lambda self, d, f: (expand_definitions(f, self.defs),),
+            "definition expansion does not replay"),
+        "miniscope": (_formula, (1,),
+                      lambda self, d, f: (canon(miniscope(f)),),
+                      "miniscoping does not replay"),
+        "cnf": (_either, (1,), lambda self, d, c: normalize(
+            c, self.sig, self.naming_threshold),
+            "clausification does not produce this clause"),
+        **dict.fromkeys(("rewrite", "simp"), (
+            _clause, UNITS, _contract, "simplification does not replay")),
+        **dict.fromkeys(("pre_uni", "pattern_uni"), (
+            _clause, (1,), _unify,
+            "substituted clause differs from the record")),
+        # the generating rules, by the search's enumerator of each
+        "eqfactor_ordered": (_clause, (1,),
+                             lambda self, d, c: eqfac_candidates(c), None),
+        "paramod_ordered": (_clause, (2,), lambda self, d, c, e:
+                            paramod_ordered(c, e, self.sig, self.ordered),
+                            None),
+        **dict.fromkeys(("bool_ext", "func_ext"), (
+            _clause, (1,), lambda self, d, c: [
+                x for r, x in extensionality(c, self.sig) if r == d.rule],
+            None)),
+        "prim_subst": (_clause, (1,), lambda self, d, c: prim_subst(
+            c, self.sig, self.inst_types), None),
+        "inj": (_clause, (1,), lambda self, d, c: inj_rule(
+            c, self.sig, set()), None),
+        "instantiate": (_clause, (1,), lambda self, d, c: instantiate(c),
+                        None),
     }
 
 
@@ -329,8 +316,6 @@ def replay_proof(result, problem) -> list:
     """Full structural replay plus ground checks of the refutation in
     `result`; `problem` is the problem that run saturated."""
     proof = extract_proof(result.records, result.empty_id)
-    checker = ProofChecker(result.records, problem, result.naming_threshold,
-                           result.ordered)
-    out = checker.check(proof)
+    out = ProofChecker(result, problem).check(proof)
     out.extend(check_ground_steps(result.records, proof))
     return out

@@ -33,16 +33,17 @@ from typing import Optional
 
 from .terms import O, Term, canon, neg
 from .clauses import (
-    Clause, Literal, alpha_key, clause_weight, is_empty_clause,
-    is_flex_flex, prop_literal, subsumes,
+    Clause, alpha_key, clause_weight, is_empty_clause, is_flex_flex,
+    prop_literal, subsumes,
 )
 from .cnf import (
     NAMING_THRESHOLD, OutOfTime, definition_map, expand_definitions,
     formula_kind, miniscope, normalize,
 )
 from .calculus import (
-    bool_ext, eqfac_candidates, extensionality, inj_rule, inst_types,
-    instantiate, ordered_resolution, paramod_ordered, prim_subst, simplify,
+    bool_ext, constraint_pairs, eqfac_candidates, extensionality, inj_rule,
+    inst_types, instantiate, ordered_resolution, paramod_ordered, prim_subst,
+    simplify, unified,
 )
 from .unification import (
     DEFAULT_DEPTH, DEFAULT_LIMIT, FAIL, NOT_PATTERN, pattern_unify,
@@ -141,8 +142,8 @@ class Saturation:
         self.units: list = []         # _units() of the current P
         self.deadline = None
         self.inj_done: set = set()
-        # id of a clause in U -> (rest, pairs) of its constraint set that
-        # waits for the clause to be picked; see `_unify_at_intake`
+        # id of a clause in U -> the pairs of its constraint set, which
+        # wait for the clause to be picked; see `_unify_at_intake`
         self.deferred: dict = {}
         self.empty_id: Optional[int] = None
         self.picks = 0
@@ -311,45 +312,37 @@ class Saturation:
         constraint set outside the pattern fragment waits in `deferred`
         until its clause is picked (`_pre_unify_given`); that of a clause
         over the weight cut, or discarded at its pick, is never solved."""
-        c = d.clause
-        constraints = [l for l in c.literals
-                       if not l.pos and not l.is_shorthand]
-        if not constraints:
+        pairs = constraint_pairs(d.clause)
+        if not pairs:
             return
-        pairs = [(l.lhs, l.rhs) for l in constraints]
-        rest = [l for l in c.literals if l.pos or l.is_shorthand]
         res = pattern_unify(pairs)
         if res is FAIL:
             return
         if res is not NOT_PATTERN:
-            self._emit_unified(d, rest, res, (), "pattern_uni")
-        elif not rest:
-            self._pre_unify(d, rest, pairs)
+            self._emit_unified(d, res, (), "pattern_uni")
+        elif len(pairs) == len(d.clause.literals):
+            self._pre_unify(d, pairs)
         elif kept:
-            self.deferred[d.id] = (rest, pairs)
+            self.deferred[d.id] = pairs
 
     def _pre_unify_given(self, gid: int):
         """Solve the deferred constraint set of the given clause, if any.
         Every deferred id is in U until it is picked, so a run that
         empties U has solved the constraint set of every clause it did
         not find redundant or subsumed."""
-        entry = self.deferred.pop(gid, None)
-        if entry is not None:
-            self._pre_unify(self.records[gid], *entry)
+        pairs = self.deferred.pop(gid, None)
+        if pairs is not None:
+            self._pre_unify(self.records[gid], pairs)
 
-    def _pre_unify(self, d: Derived, rest, pairs):
+    def _pre_unify(self, d: Derived, pairs):
         out = pre_unify(pairs, self.sig, depth=self.config.unif_depth,
                         limit=self.config.unifiers_per_inference,
                         deadline=self.deadline)
         for u in out.unifiers:
-            self._emit_unified(d, rest, u.subst, u.residuals, "pre_uni")
+            self._emit_unified(d, u.subst, u.residuals, "pre_uni")
 
-    def _emit_unified(self, d: Derived, rest, subst, residuals, rule):
-        lits = [Literal(subst.apply(l.lhs), subst.apply(l.rhs), l.pos)
-                for l in rest]
-        for a, b in residuals:
-            lits.append(Literal(a, b, False))
-        nc = Clause(lits)
+    def _emit_unified(self, d: Derived, subst, residuals, rule):
+        nc = unified(d.clause, subst, residuals)
         if nc == d.clause:
             return
         binds = sorted(subst.items(d.clause.free_vars()),

@@ -443,9 +443,9 @@ def cantor_runs():
 
         def eager_unify(self, d, kept):
             unify_at_intake(self, d, kept)
-            entry = self.deferred.pop(d.id, None)
-            if entry is not None:
-                self._pre_unify(d, *entry)
+            pairs = self.deferred.pop(d.id, None)
+            if pairs is not None:
+                self._pre_unify(d, pairs)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(Saturation, "_enqueue", spy_enqueue)
             m.setattr(Saturation, "_unify_at_intake", eager_unify)

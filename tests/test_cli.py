@@ -306,6 +306,27 @@ def test_include_cycles_are_error(tmp_path):
         assert f"include cycle: {cycle}" in r.stderr
 
 
+def test_includes_resolve_against_the_current_directory(
+        tmp_path, monkeypatch, capsys):
+    # without --include-dir an include is looked up in the current
+    # directory, not in the directory of the problem file
+    inc = tmp_path / "inc"
+    inc.mkdir()
+    (inc / "defs.p").write_text("thf(p_type, type, (p: $o)).\n"
+                                "thf(ax, axiom, p).\n")
+    (inc / "top.p").write_text("include('defs.p').\n"
+                               "thf(c, conjecture, p).\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["inc/top.p"]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["% SZS status Error for top.p"]
+    assert "cannot resolve include 'defs.p'" in err
+    monkeypatch.chdir(inc)
+    assert main(["top.p"]) == 0
+    assert capsys.readouterr().out.splitlines() \
+        == ["% SZS status Theorem for top.p"]
+
+
 def test_modal_without_spec_is_error(tmp_path):
     f = tmp_path / "m.p"
     f.write_text("thf(p_type, type, (p: $o)).\n"

@@ -2,6 +2,8 @@
 
 import glob
 
+import pytest
+
 from ep_prover.terms import (
     O, Signature, TRUE, app, bound, canon, const, fn, free, I, lam, pi_const,
     substitute,
@@ -11,7 +13,7 @@ from ep_prover.cnf import normalize
 from ep_prover.modal import embed
 from ep_prover.replay import ProofChecker, ground_step_valid, replay_proof
 from ep_prover.saturation import (
-    Derived, ProverConfig, extract_proof, saturate,
+    Derived, ProverConfig, Result, extract_proof, saturate,
 )
 from ep_prover.tptp import (
     Problem, RULE_VOCABULARY, parse_problem, rule_status,
@@ -43,13 +45,16 @@ def test_replay_uses_the_runs_naming_threshold():
 
 def test_every_record_of_every_run_replays():
     """Not only the proof: every clause the clausifier and the rules made
-    on the way.  A `paramod_ordered` record with free variables is left
-    out: the orientation of a literal depends on variable names, so its
-    replay rejects some valid records.  Every ground one is replayed."""
+    on the way, with the run's own settings, so the ordered runs are
+    replayed by the ordered calculus.  A `paramod_ordered` record with
+    free variables is left out: the orientation of a literal depends on
+    variable names, so its replay rejects some valid records.  Every
+    ground one is replayed."""
     paths = sorted(glob.glob("problems/*.p")
                    + glob.glob("problems/corpus/*.p"))
     assert len(paths) == 26
     cnf_records = ground_para = 0
+    ordered = []
     for path in paths:
         prob = parse_problem(open(path).read(), path.rsplit("/", 1)[-1])
         if prob.logic_spec is not None:
@@ -58,7 +63,9 @@ def test_every_record_of_every_run_replays():
         assert res.empty_id is not None, path
         records = [res.records[i] for i in sorted(res.records)]
         cnf_records += sum(d.rule == "cnf" for d in records)
-        checker = ProofChecker(res.records, prob, res.naming_threshold)
+        if res.ordered:
+            ordered.append(prob.name)
+        checker = ProofChecker(res, prob)
         open_para = {f"{d.id} (paramod_ordered)" for d in records
                      if d.rule == "paramod_ordered" and d.clause.free_vars()}
         complaints = [c for c in checker.check(records)
@@ -71,6 +78,10 @@ def test_every_record_of_every_run_replays():
     assert cnf_records == 186
     # ground resolvents and ground paramodulants, all replayed
     assert ground_para == 14
+    # the ground propositional runs, which resolve on maximal atoms only
+    assert ordered == [
+        "contradictory.p", "bool_ext_simple.p", "prop_equiv_comm.p",
+        "prop_excluded_middle.p", "prop_k.p", "prop_peirce.p"]
 
 
 PQR = """
@@ -86,7 +97,7 @@ def test_ordered_run_replays_resolution_on_maximal_atoms_only():
     prob = parse_problem(PQR, "pqr.p")
     res = saturate(prob, ProverConfig(time_limit=30))
     assert (res.status, res.ordered) == ("Satisfiable", True)
-    records = dict(res.records)
+    records = res.records
     by_clause = {d.clause: d.id for d in records.values() if d.rule == "cnf"}
     p, q, r = (const(x, O) for x in "pqr")
 
@@ -100,14 +111,13 @@ def test_ordered_run_replays_resolution_on_maximal_atoms_only():
     bad = _step(records, "paramod_ordered", (not_p, p_or_r),
                 clause=clause((r, True)))
     steps = [records[i] for i in sorted(records)]
-    checker = ProofChecker(records, prob, res.naming_threshold, res.ordered)
-    assert checker.check(steps) == [
+    assert ProofChecker(res, prob).check(steps) == [
         f"{bad.id} (paramod_ordered): "
         "no paramod_ordered inference produces this clause"]
     # both steps are sound, and the unordered calculus draws both
     assert ground_step_valid([records[i].clause for i in bad.parents],
                              bad.clause)
-    assert ProofChecker(records, prob).check(steps) == []
+    assert ProofChecker(_result(records), prob).check(steps) == []
 
 
 def test_corrupted_clause_is_detected():
@@ -117,7 +127,7 @@ def test_corrupted_clause_is_detected():
     p = const("zzz", fn(I, res=O))
     a = const("zza", I)
     victim.clause = Clause([prop_literal(canon(app(p, a)), True)])
-    checker = ProofChecker(res.records, prob)
+    checker = ProofChecker(res, prob)
     assert any(str(victim.id) in c for c in checker.check(proof))
 
 
@@ -131,11 +141,11 @@ def test_swapped_paramodulation_parents_are_detected():
     into, frm = victim.parents
     assert (into, frm) == (441, 363)
     victim.parents = (frm, into)
-    complaints = ProofChecker(res.records, prob).check(proof)
+    complaints = ProofChecker(res, prob).check(proof)
     assert complaints == ["928 (paramod_ordered): "
                           "no paramod_ordered inference produces this clause"]
     victim.parents = (frm,)
-    complaints = ProofChecker(res.records, prob).check(proof)
+    complaints = ProofChecker(res, prob).check(proof)
     assert complaints == ["928 (paramod_ordered): "
                           "the parents are not the rule's premises"]
 
@@ -145,7 +155,8 @@ def test_missing_parent_is_a_complaint():
     records = {}
     _step(records, "input", formula=p)
     _step(records, "cnf", (99,), clause=Clause([prop_literal(p, True)]))
-    checker = ProofChecker(records, Problem(Signature(), [], None, "m.p"))
+    checker = ProofChecker(_result(records),
+                           Problem(Signature(), [], None, "m.p"))
     assert checker.check(list(records.values())) \
         == ["2: parent 99 not recorded"]
 
@@ -154,7 +165,7 @@ def test_unknown_rule_is_detected():
     prob, res = run("problems/sur_cantor.p")
     proof = extract_proof(res.records, res.empty_id)
     proof[-1].rule = "made_up_rule"
-    checker = ProofChecker(res.records, prob)
+    checker = ProofChecker(res, prob)
     assert any("unknown rule" in c for c in checker.check(proof))
 
 
@@ -166,12 +177,12 @@ def test_rewrite_and_simp_steps_are_told_apart_by_their_unit_parents():
     simp, rewrite = (d for d in proof if d.rule in ("simp", "rewrite"))
     assert (simp.rule, len(simp.parents)) == ("simp", 1)
     assert (rewrite.rule, len(rewrite.parents)) == ("rewrite", 2)
-    assert ProofChecker(res.records, prob).check(proof) == []
+    assert ProofChecker(res, prob).check(proof) == []
     rewrite.rule = "simp"
-    assert ProofChecker(res.records, prob).check(proof) \
+    assert ProofChecker(res, prob).check(proof) \
         == [f"{rewrite.id} (simp): a simp step with a unit parent"]
     rewrite.rule, simp.rule = "rewrite", "rewrite"
-    assert ProofChecker(res.records, prob).check(proof) \
+    assert ProofChecker(res, prob).check(proof) \
         == [f"{simp.id} (rewrite): a rewrite step without a unit parent"]
 
 
@@ -179,11 +190,30 @@ def test_every_rule_has_a_replay():
     assert set(ProofChecker.REPLAY) == set(RULE_VOCABULARY) | {"input"}
 
 
+@pytest.mark.parametrize("rule", sorted(ProofChecker.REPLAY))
+def test_a_step_off_its_rules_premises_is_a_complaint(rule):
+    # a parent that holds neither a formula nor a clause lacks what every
+    # rule reads of it; only an input and a negated conjecture of the
+    # problem have no parents
+    records = {}
+    bare = _step(records, "cnf")
+    cases = [(bare.id,)] if rule in ("input", "neg_conjecture") \
+        else [(bare.id,), ()]
+    checker = ProofChecker(_result(records),
+                           Problem(Signature(), [], None, "m.p"))
+    for parents in cases:
+        d = _step(records, rule, parents,
+                  clause=Clause([prop_literal(const("p", O), True)]))
+        complaints = checker.check([bare, d])
+        assert [c for c in complaints if c.startswith(f"{d.id} ")] \
+            == [f"{d.id} ({rule}): the parents are not the rule's premises"]
+
+
 def test_rule_without_replay_is_detected(monkeypatch):
     prob, res = run("problems/corpus/prop_k.p")
     proof = extract_proof(res.records, res.empty_id)
     monkeypatch.delitem(ProofChecker.REPLAY, proof[-1].rule)
-    complaints = ProofChecker(res.records, prob).check(proof)
+    complaints = ProofChecker(res, prob).check(proof)
     assert f"{proof[-1].id}: no replay for rule {proof[-1].rule}" \
         in complaints
 
@@ -214,6 +244,11 @@ def test_blind_key_identifies_skolem_renamings():
     assert q_key(s1, s1) != q_key(s1, s2)
 
 
+def _result(records):
+    """A result holding `records`, made with the default settings."""
+    return Result("Theorem", records)
+
+
 def _step(records, rule, parents=(), **fields):
     d = Derived(len(records) + 1, rule, rule_status(rule), parents, **fields)
     records[d.id] = d
@@ -232,7 +267,8 @@ def test_cnf_replay_mints_past_the_runs_variables():
     records = {}
     _step(records, "input", formula=parent)
     _step(records, "cnf", (1,), clause=clause)
-    checker = ProofChecker(records, Problem(sig, [], None, "v1.p"))
+    checker = ProofChecker(_result(records),
+                           Problem(sig, [], None, "v1.p"))
     assert checker.check(list(records.values())) == []
 
 
@@ -249,7 +285,8 @@ def test_cnf_step_may_not_rename_an_inherited_skolem():
     _step(records, "input", formula=canon(app(p, sk1)))
     _step(records, "cnf", (1,),
           clause=Clause([prop_literal(canon(app(p, sk2)), True)]))
-    checker = ProofChecker(records, Problem(sig, [], None, "sk.p"))
+    checker = ProofChecker(_result(records),
+                           Problem(sig, [], None, "sk.p"))
     assert checker.check(list(records.values())) \
         == ["2 (cnf): clausification does not produce this clause"]
 
@@ -271,7 +308,7 @@ def test_swapped_user_constants_named_like_skolems_are_detected():
     p = l.lhs.head
     sk1, sk2 = l.lhs.args
     victim.clause = Clause([prop_literal(app(p, sk2, sk1), l.pos)])
-    complaints = ProofChecker(res.records, prob).check(proof)
+    complaints = ProofChecker(res, prob).check(proof)
     assert any(c.startswith(f"{victim.id} (cnf)") for c in complaints)
 
 
@@ -298,7 +335,7 @@ def test_prim_subst_replays_at_the_runs_types():
     _step(records, "cnf", (1,), clause=clause)
     _step(records, "prim_subst", (2,),
           clause=Clause([l, Literal(P, binding, False)]))
-    checker = ProofChecker(records, prob)
+    checker = ProofChecker(_result(records), prob)
     assert checker.check(list(records.values())) == []
 
 
@@ -321,7 +358,8 @@ def test_instantiate_replays_only_the_first_finite_variable():
         (l,) = clause.literals
         _step(records, "instantiate", (2,), clause=Clause([prop_literal(
             substitute(l.lhs, {x: TRUE}), l.pos)]))
-        return ProofChecker(records, prob).check(list(records.values()))
+        return ProofChecker(_result(records), prob).check(
+            list(records.values()))
     assert instance_of(first) == []
     assert instance_of(later) == [
         "3 (instantiate): no instantiate inference produces this clause"]

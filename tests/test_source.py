@@ -241,10 +241,6 @@ def test_no_function_of_the_package_has_an_unread_parameter():
     found = []
     for p in SOURCES:
         for line, name, param in unread_parameters(ast.parse(p.read_text())):
-            # every `ProofChecker._r_*` handler takes the (d, parents)
-            # that `REPLAY` dispatch passes, needed or not
-            if p.name == "replay.py" and name.startswith("ProofChecker._r_"):
-                continue
             # `saturate`'s `pre` is ignored, but the benchmark harness
             # still passes it (ROADMAP item 8 removes both)
             if (p.name, name, param) == ("saturation.py", "saturate", "pre"):
