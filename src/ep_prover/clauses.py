@@ -301,16 +301,22 @@ def _rigid_head(t: Term):
 
 
 def _match_info(c: Clause) -> tuple:
-    """(rigid heads, matching order) of c, kept in `c._match`.  The heads
-    are (pos, lhs head, rhs head) per literal; the order puts a literal
-    that only matches once its variables are bound last."""
+    """(rigid heads, matching order, ground keys) of c, kept in
+    `c._match`.  The heads are (pos, lhs head, rhs head) per literal; the
+    order puts a literal that only matches once its variables are bound
+    last; the ground keys are the set of c's literal keys (`Clause._key`)
+    when c is ground, else None."""
     info = c._match
     if info is None:
+        lits = c.literals
         heads = tuple([(l.pos, _rigid_head(l.lhs), _rigid_head(l.rhs))
-                       for l in c.literals])
-        info = c._match = (heads,
-                           tuple(sorted(c.literals,
-                                        key=_needs_binding_literal)))
+                       for l in lits])
+        if any(l.lhs.fvs or l.rhs.fvs for l in lits):
+            info = (heads, tuple(sorted(lits, key=_needs_binding_literal)),
+                    None)
+        else:
+            info = (heads, lits, frozenset(c._key))
+        c._match = info
     return info
 
 
@@ -353,10 +359,20 @@ def cuts(unit: Clause, l: Literal) -> bool:
 def subsumes(c: Clause, d: Clause) -> bool:
     """True if some substitution of c's variables maps c into d as a
     literal multiset; c and d may share variable names (`match_terms`).
-    Matching starts only once `heads_fit` holds."""
-    if len(c) > len(d) or not heads_fit(c, d):
+
+    A ground literal matches only itself, and ground literals are
+    interned and oriented without variable names, so two are the same
+    exactly when their keys are: a ground c without repeated literals
+    subsumes d exactly when its literal keys are among d's.  Any other c
+    is matched, which starts only once `heads_fit` holds."""
+    if len(c) > len(d):
         return False
-    return _embed(_match_info(c)[1], d.literals, 0, {}, 0)
+    _, order, keys = _match_info(c)
+    if keys is not None and len(keys) == len(order):
+        dkeys = _match_info(d)[2]
+        return keys <= dkeys if dkeys is not None \
+            else keys.issubset(d._key)
+    return heads_fit(c, d) and _embed(order, d.literals, 0, {}, 0)
 
 
 def _embed(cl: tuple, dl: tuple, i: int, binding: dict, used: int) -> bool:

@@ -7,7 +7,10 @@ used for the step is rerun on them: a preprocessing function,
 `normalize`, the search's enumerator of a generating rule (on the
 parents in their recorded order), `simplify` by the recorded units, or
 `calculus.unified` by the recorded bindings.  The record's formula must
-be what it gives, or its clause one of the clauses it draws.
+be what it gives, or its clause one of the clauses it draws.  A record
+without parents, an input or a negated conjecture of the problem, must
+hold the problem formula its source names, stated with the record's
+rule and role as the search states it (`saturation.stated_as`).
 Ground propositional steps are additionally validated by exhaustive
 truth-valuation checking.
 """
@@ -30,7 +33,7 @@ from .calculus import (
     constraint_pairs, eqfac_candidates, extensionality, inj_rule,
     inst_types, instantiate, paramod_ordered, prim_subst, simplify, unified,
 )
-from .saturation import extract_proof
+from .saturation import extract_proof, stated_as
 from .unification import _Clash, simplify_pairs
 from .tptp import RULE_VOCABULARY, rule_status
 
@@ -73,6 +76,14 @@ class ProofChecker:
         self.defs = definition_map(problem.formulas)
         self.sig = problem.signature.copy()
         self.inst_types = inst_types(self.sig)
+        # (source, rule, role) -> the formulas of the problem a record
+        # without parents may state (`stated_as`)
+        self.stated = {}
+        for f in problem.formulas:
+            stated = stated_as(f.role)
+            if stated is not None:
+                self.stated.setdefault(((problem.name, f.name),) + stated,
+                                       []).append(f.formula)
 
     def check(self, proof: list) -> list:
         """Validate a record list; returns a list of complaints."""
@@ -124,6 +135,11 @@ class ProofChecker:
             raise ReplayError(
                 complaint or f"no {d.rule} inference produces this clause")
 
+    def _stated(self, d):
+        """The problem formulas d may state, by its source, rule and
+        role."""
+        return self.stated.get((d.source, d.rule, d.role), ())
+
     def _contract(self, d, c, *units):
         """`simplify` by the unit parents.  The search records a rewrite
         step exactly when units rewrote or cut the clause."""
@@ -152,14 +168,17 @@ class ProofChecker:
     # rule -> (what it reads of each parent, its parent counts, its step
     # as the search takes it on the checker, the record and the premises,
     # and the complaint when the step does not give the record's formula
-    # or clause).  An input or a problem's negated conjecture is given.
+    # or clause).  A record without parents, an input or a problem's
+    # negated conjecture, states the problem formula its source names.
     REPLAY = {
-        "input": (_formula, (0,), lambda self, d: (d.formula,),
-                  "input without formula"),
+        "input": (_formula, (0,), lambda self, d: self._stated(d),
+                  "not the problem formula its source names"),
         "neg_conjecture": (
             _formula, (0, 1),
-            lambda self, d, *f: (canon(neg(f[0])) if f else d.formula,),
-            "not the negation of its parent"),
+            lambda self, d, *f: (canon(neg(f[0])),) if f
+            else self._stated(d),
+            "neither its parent negated nor the problem formula its "
+            "source names"),
         "defexp_and_simp_and_etaexpand": (
             _formula, (1,),
             lambda self, d, f: (expand_definitions(f, self.defs),),

@@ -22,7 +22,12 @@ A run whose initial clauses are all ground propositional decides once,
 after preprocessing, to resolve only on the maximal atom of each
 premise, with the atoms it minted ranked lowest
 (`calculus.ordered_resolution`); its `Result` tells the proof checker.
-Every other run keeps the unordered calculus.
+Such a run reads each clause's maximal literal once, when the clause
+enters P, and pairs the given clause only with the clauses of P whose
+maximal literal has the same atom and the opposite sign, resolving into
+the negative one; it runs no other generating rule, since none can fire
+on ground propositional clauses, and computes no types for primitive
+substitution.  Every other run keeps the unordered calculus.
 """
 
 from __future__ import annotations
@@ -41,9 +46,9 @@ from .cnf import (
     formula_kind, miniscope, normalize,
 )
 from .calculus import (
-    bool_ext, constraint_pairs, eqfac_candidates, extensionality, inj_rule,
-    inst_types, instantiate, ordered_resolution, paramod_ordered, prim_subst,
-    simplify, unified,
+    _maximal, bool_ext, constraint_pairs, eqfac_candidates, extensionality,
+    inj_rule, inst_types, instantiate, ordered_resolution, paramod_ordered,
+    prim_subst, simplify, unified,
 )
 from .unification import (
     DEFAULT_DEPTH, DEFAULT_LIMIT, FAIL, NOT_PATTERN, pattern_unify,
@@ -149,7 +154,11 @@ class Saturation:
         self.picks = 0
         self.dropped_heavy = False    # the weight cut discarded a clause
         self.ordered = False          # see `ordered_resolution`
-        self.inst_types = inst_types(self.sig)
+        # id in P of an ordered run -> its maximal literal (`_maximal`)
+        self.maximal: dict = {}
+        # the types of primitive substitution, which `_run` computes
+        # only for a run where prim_subst can fire
+        self.inst_types = ()
         self.conjectured = any(f.role in ("conjecture", "negated_conjecture")
                                for f in problem.formulas)
 
@@ -183,22 +192,16 @@ class Saturation:
 
         work = []
         for f in prob.formulas:
-            if f.role in ("type", "logic", "definition"):
+            stated = stated_as(f.role)
+            if stated is None:
                 continue
-            src = (prob.name, f.name)
+            rule, role = stated
+            cur = self.record(rule, (), formula=f.formula, role=role,
+                              source=(prob.name, f.name))
             if f.role == "conjecture":
-                inp = self.record("input", (), formula=f.formula,
-                                  role="conjecture", source=src)
-                cur = self.record("neg_conjecture", (inp.id,),
+                cur = self.record("neg_conjecture", (cur.id,),
                                   formula=canon(neg(f.formula)),
                                   role="negated_conjecture")
-            elif f.role == "negated_conjecture":
-                cur = self.record("neg_conjecture", (),
-                                  formula=f.formula,
-                                  role="negated_conjecture", source=src)
-            else:
-                cur = self.record("input", (), formula=f.formula,
-                                  role="axiom", source=src)
             work.append(cur)
 
         clauses = []
@@ -375,6 +378,8 @@ class Saturation:
             return self._result("GaveUp")
         self.ordered = ordered_resolution(self.records[i].clause
                                           for i in self.U)
+        if not self.ordered:
+            self.inst_types = inst_types(self.sig)
         while True:
             # a refutation found at the deadline still wins
             if self.empty_id is not None:
@@ -420,27 +425,54 @@ class Saturation:
 
     def _generate(self, gid: int):
         g = self.records[gid]
-        produced = [("eqfactor_ordered", (gid,), c, 0)
-                    for c in eqfac_candidates(g.clause)]
-        # paramodulation with every processed clause (including itself)
-        ordered = self.ordered
-        for pid in list(self.P):
-            self._poll()
-            p = self.records[pid]
-            for c in paramod_ordered(g.clause, p.clause, self.sig, ordered):
-                produced.append(("paramod_ordered", (gid, pid), c, 0))
-            if pid != gid:
-                for c in paramod_ordered(p.clause, g.clause, self.sig,
-                                         ordered):
-                    produced.append(("paramod_ordered", (pid, gid), c, 0))
-        for rule, c in extensionality(g.clause, self.sig):
-            produced.append((rule, (gid,), c, 0))
-        if g.ps_depth < self.config.ps_limit:
-            for c in prim_subst(g.clause, self.sig, self.inst_types):
-                produced.append(("prim_subst", (gid,), c, 1))
-        if self.config.enable_inj:
-            for c in inj_rule(g.clause, self.sig, self.inj_done):
-                produced.append(("inj", (gid,), c, 0))
+        if self.ordered:
+            # Every clause is ground propositional (`ordered_resolution`),
+            # so of the generating rules only resolution can fire:
+            # - equality factoring: ground propositional pairs are not
+            #   factored (`eqfac_candidates`);
+            # - extensionality: no literal is a proper equation;
+            # - primitive substitution: no literal has a flexible head;
+            # - injectivity: no clause has the injectivity shape, which
+            #   needs proper equations.
+            # A pair of g and a clause of P resolves only when their
+            # maximal literals have one atom and opposite signs, and only
+            # into the negative one.
+            top = self.maximal[gid] = g.clause.literals[
+                _maximal(g.clause, self.sig.system)]
+            produced = []
+            for pid in self.P:
+                self._poll()
+                m = self.maximal[pid]
+                if m.lhs is top.lhs and m.pos is not top.pos:
+                    pair = (pid, gid) if top.pos else (gid, pid)
+                    for c in paramod_ordered(self.records[pair[0]].clause,
+                                             self.records[pair[1]].clause,
+                                             self.sig, True):
+                        produced.append(("paramod_ordered", pair, c, 0))
+        else:
+            produced = [("eqfactor_ordered", (gid,), c, 0)
+                        for c in eqfac_candidates(g.clause)]
+            # paramodulation with every processed clause (including
+            # itself)
+            for pid in list(self.P):
+                self._poll()
+                p = self.records[pid]
+                for c in paramod_ordered(g.clause, p.clause, self.sig,
+                                         False):
+                    produced.append(("paramod_ordered", (gid, pid), c, 0))
+                if pid != gid:
+                    for c in paramod_ordered(p.clause, g.clause, self.sig,
+                                             False):
+                        produced.append(("paramod_ordered", (pid, gid), c,
+                                         0))
+            for rule, c in extensionality(g.clause, self.sig):
+                produced.append((rule, (gid,), c, 0))
+            if g.ps_depth < self.config.ps_limit:
+                for c in prim_subst(g.clause, self.sig, self.inst_types):
+                    produced.append(("prim_subst", (gid,), c, 1))
+            if self.config.enable_inj:
+                for c in inj_rule(g.clause, self.sig, self.inj_done):
+                    produced.append(("inj", (gid,), c, 0))
         for rule, parents, clause, ps_extra in produced:
             if self.empty_id is not None:
                 return
@@ -468,6 +500,19 @@ class Saturation:
             return self._result("GaveUp")
         return self._result("CounterSatisfiable" if self.conjectured
                             else "Satisfiable")
+
+
+def stated_as(role: str) -> Optional[tuple]:
+    """(rule, role) of the record that states a problem formula of `role`
+    in a run, or None for a formula the run does not clausify.  A
+    conjecture is stated as an input, which the next record negates."""
+    if role in ("type", "logic", "definition"):
+        return None
+    if role == "conjecture":
+        return "input", "conjecture"
+    if role == "negated_conjecture":
+        return "neg_conjecture", "negated_conjecture"
+    return "input", "axiom"
 
 
 def _ground_bool_eq(c: Clause):

@@ -363,6 +363,46 @@ def test_subsumes_agrees_with_search_on_shared_names():
     assert verdicts[True] >= 100 and verdicts[False] >= 100
 
 
+def _ground_literals():
+    g = const("g", fn(I, res=I))
+    atoms = [canon(app(p, a)), canon(app(p, b)), canon(app(q, a)),
+             canon(app(q, app(g, a)))]
+    return ([lit(t, pos) for t in atoms for pos in (True, False)]
+            + [Literal(x, y, pos) for x, y in ((a, b), (app(g, a), b),
+                                               (atoms[0], atoms[2]))
+               for pos in (True, False)])
+
+
+def test_ground_subsumption_agrees_with_matching():
+    """A ground c without repeated literals subsumes d by inclusion of
+    literal keys; the answer must be that of `heads_fit` and `_embed`,
+    for ground c with repeated literals, non-ground d and the empty
+    clause too."""
+    rng = random.Random(13)
+    pool = _ground_literals()
+    open_lits = [lit(app(p, X)), Literal(X, a, True), lit(app(q, Y), False)]
+    seen = Counter()
+    for _ in range(3000):
+        c = Clause(rng.choice(pool) for _ in range(rng.randrange(4)))
+        d = list(rng.choice(pool) for _ in range(rng.randrange(6)))
+        if rng.random() < 0.5:
+            # d draws c's literals, so that many pairs subsume
+            d += rng.sample(c.literals, rng.randrange(len(c) + 1))
+        if rng.random() < 0.25:
+            d.append(rng.choice(open_lits))
+        d = Clause(d)
+        expected = heads_fit(c, d) and clauses._embed(
+            clauses._match_info(c)[1], d.literals, 0, {}, 0)
+        assert subsumes(c, d) is expected, (c, d)
+        repeated = len(set(c._key)) < len(c)
+        seen[expected, repeated, bool(d.free_vars()), len(c) == 0] += 1
+    for repeated, open_d, empty in product((False, True), repeat=3):
+        if empty and repeated:
+            continue
+        assert seen[True, repeated, open_d, empty] >= 10
+        assert empty or seen[False, repeated, open_d, empty] >= 10
+
+
 # ---------------------------------------------------------------------------
 # alpha_key from name-blind ids against the string walk it replaced, and
 # the rigid-head pre-check of subsumes, on the clauses of real runs

@@ -5,10 +5,12 @@ import glob
 import pytest
 
 from ep_prover.terms import (
-    O, Signature, TRUE, app, bound, canon, const, fn, free, I, lam, pi_const,
-    substitute,
+    FALSE, O, Signature, TRUE, app, bound, canon, const, fn, free, I, lam,
+    pi_const, substitute,
 )
-from ep_prover.clauses import Clause, Literal, alpha_key, prop_literal
+from ep_prover.clauses import (
+    EMPTY_CLAUSE, Clause, Literal, alpha_key, prop_literal,
+)
 from ep_prover.cnf import normalize
 from ep_prover.modal import embed
 from ep_prover.replay import ProofChecker, ground_step_valid, replay_proof
@@ -16,7 +18,7 @@ from ep_prover.saturation import (
     Derived, ProverConfig, Result, extract_proof, saturate,
 )
 from ep_prover.tptp import (
-    Problem, RULE_VOCABULARY, parse_problem, rule_status,
+    AnnotatedFormula, Problem, RULE_VOCABULARY, parse_problem, rule_status,
 )
 
 
@@ -152,11 +154,11 @@ def test_swapped_paramodulation_parents_are_detected():
 
 def test_missing_parent_is_a_complaint():
     p = const("p", O)
+    prob = _axioms(Signature(), "m.p", p)
     records = {}
-    _step(records, "input", formula=p)
+    _input(records, prob)
     _step(records, "cnf", (99,), clause=Clause([prop_literal(p, True)]))
-    checker = ProofChecker(_result(records),
-                           Problem(Signature(), [], None, "m.p"))
+    checker = ProofChecker(_result(records), prob)
     assert checker.check(list(records.values())) \
         == ["2: parent 99 not recorded"]
 
@@ -255,6 +257,53 @@ def _step(records, rule, parents=(), **fields):
     return d
 
 
+def _axioms(sig, name, *formulas):
+    """A problem `name` of the axioms ax1, ax2, ... over `sig`."""
+    return Problem(sig, [AnnotatedFormula(f"ax{k}", "axiom", f)
+                         for k, f in enumerate(formulas, 1)], None, name)
+
+
+def _input(records, prob):
+    """The record that states the last formula of `prob`, an axiom, as
+    the search states it."""
+    f = prob.formulas[-1]
+    return _step(records, "input", formula=f.formula, role="axiom",
+                 source=(prob.name, f.name))
+
+
+def test_a_stated_formula_off_the_problem_is_a_complaint():
+    """A record without parents must hold the problem formula its source
+    names, stated with the search's rule and role for it.  Planted with
+    an empty `cnf` child as the refutation, an input holding $false
+    replayed cleanly while inputs were taken as given."""
+    prob, res = run("problems/corpus/prop_k.p")
+    assert replay_proof(res, prob) == []
+    (conj,) = prob.formulas[-1:]
+    assert conj.role == "conjecture"
+    src = (prob.name, conj.name)
+    records = res.records
+    fake = _step(records, "input", formula=FALSE, role="conjecture",
+                 source=src)
+    res.empty_id = _step(records, "cnf", (fake.id,), clause=EMPTY_CLAUSE).id
+    assert replay_proof(res, prob) == [
+        f"{fake.id} (input): not the problem formula its source names"]
+    # the conjecture stated as an axiom, or as a negated conjecture
+    as_axiom = _step(records, "input", formula=conj.formula, role="axiom",
+                     source=src)
+    negated = _step(records, "neg_conjecture", formula=conj.formula,
+                    role="negated_conjecture", source=src)
+    nowhere = _step(records, "input", formula=conj.formula,
+                    role="conjecture", source=(prob.name, "no_such"))
+    assert ProofChecker(res, prob).check([as_axiom, negated, nowhere]) == [
+        f"{as_axiom.id} (input): not the problem formula its source names",
+        f"{negated.id} (neg_conjecture): neither its parent negated nor "
+        "the problem formula its source names",
+        f"{nowhere.id} (input): not the problem formula its source names"]
+    (stated,) = [d for d in records.values()
+                 if d.rule == "input" and d.id < fake.id]
+    assert ProofChecker(res, prob).check([stated]) == []
+
+
 def test_cnf_replay_mints_past_the_runs_variables():
     # the parent holds the run's V1 free under a quantifier, so the
     # variable the replay mints for y must not be called V1 too
@@ -264,11 +313,11 @@ def test_cnf_replay_mints_past_the_runs_variables():
     v1 = sig.fresh_free(I)
     parent = canon(app(pi_const(I), lam(I, app(q, bound(0, I), v1))))
     (clause,) = normalize(Clause([prop_literal(parent, True)]), sig)
+    prob = _axioms(sig, "v1.p", parent)
     records = {}
-    _step(records, "input", formula=parent)
+    _input(records, prob)
     _step(records, "cnf", (1,), clause=clause)
-    checker = ProofChecker(_result(records),
-                           Problem(sig, [], None, "v1.p"))
+    checker = ProofChecker(_result(records), prob)
     assert checker.check(list(records.values())) == []
 
 
@@ -281,12 +330,12 @@ def test_cnf_step_may_not_rename_an_inherited_skolem():
     sig.declare("p", p.ty)
     sk1 = sig.fresh_skolem(I)
     sk2 = sig.fresh_skolem(I)
+    prob = _axioms(sig, "sk.p", canon(app(p, sk1)))
     records = {}
-    _step(records, "input", formula=canon(app(p, sk1)))
+    _input(records, prob)
     _step(records, "cnf", (1,),
           clause=Clause([prop_literal(canon(app(p, sk2)), True)]))
-    checker = ProofChecker(_result(records),
-                           Problem(sig, [], None, "sk.p"))
+    checker = ProofChecker(_result(records), prob)
     assert checker.check(list(records.values())) \
         == ["2 (cnf): clausification does not produce this clause"]
 
@@ -331,7 +380,7 @@ def test_prim_subst_replays_at_the_runs_types():
     binding = lam(I, app(pi_const(j), lam(j, app(V, bound(1, I),
                                                 bound(0, j)))))
     records = {}
-    _step(records, "input", formula=ax)
+    _input(records, prob)
     _step(records, "cnf", (1,), clause=clause)
     _step(records, "prim_subst", (2,),
           clause=Clause([l, Literal(P, binding, False)]))
@@ -353,7 +402,7 @@ def test_instantiate_replays_only_the_first_finite_variable():
 
     def instance_of(x):
         records = {}
-        _step(records, "input", formula=ax)
+        _input(records, prob)
         _step(records, "cnf", (1,), clause=clause)
         (l,) = clause.literals
         _step(records, "instantiate", (2,), clause=Clause([prop_literal(

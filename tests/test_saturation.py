@@ -700,6 +700,75 @@ def test_clean_paramodulants_leave_corpus_searches_unchanged(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# An ordered run pairs only clauses that resolve and skips the rules that
+# cannot fire, and searches as it did with every rule on every pair
+# ---------------------------------------------------------------------------
+
+def _generate_every_pair(self, gid):
+    """`Saturation._generate` as it was before an ordered run paired only
+    clauses whose maximal literals resolve: every generating rule on the
+    given clause, and paramodulation both ways with every clause of P."""
+    g = self.records[gid]
+    produced = [("eqfactor_ordered", (gid,), c, 0)
+                for c in calculus.eqfac_candidates(g.clause)]
+    for pid in list(self.P):
+        p = self.records[pid]
+        for c in calculus.paramod_ordered(g.clause, p.clause, self.sig,
+                                          self.ordered):
+            produced.append(("paramod_ordered", (gid, pid), c, 0))
+        if pid != gid:
+            for c in calculus.paramod_ordered(p.clause, g.clause, self.sig,
+                                              self.ordered):
+                produced.append(("paramod_ordered", (pid, gid), c, 0))
+    for rule, c in calculus.extensionality(g.clause, self.sig):
+        produced.append((rule, (gid,), c, 0))
+    if g.ps_depth < self.config.ps_limit:
+        for c in calculus.prim_subst(g.clause, self.sig,
+                                     calculus.inst_types(self.sig)):
+            produced.append(("prim_subst", (gid,), c, 1))
+    if self.config.enable_inj:
+        for c in calculus.inj_rule(g.clause, self.sig, self.inj_done):
+            produced.append(("inj", (gid,), c, 0))
+    for rule, parents, clause, ps_extra in produced:
+        if self.empty_id is not None:
+            return
+        self.insert_new(self.record(rule, parents, clause=clause,
+                                    ps_extra=ps_extra))
+
+
+def _records(res):
+    return [(d.id, d.rule, d.parents, d.clause, d.formula, d.ps_depth)
+            for d in map(res.records.get, sorted(res.records))]
+
+
+def test_ordered_runs_pair_only_clauses_that_resolve(monkeypatch):
+    yields = []
+
+    def counted(into, frm, sig, ordered):
+        out = list(calculus.paramod_ordered(into, frm, sig, ordered))
+        yields.append(len(out))
+        return iter(out)
+
+    def never(*args):
+        raise AssertionError("a rule that cannot fire in an ordered run")
+    for make_problem in _seeded_problems():
+        with monkeypatch.context() as m:
+            m.setattr(saturation, "paramod_ordered", counted)
+            for name in ("eqfac_candidates", "extensionality", "prim_subst",
+                         "inj_rule"):
+                m.setattr(saturation, name, never)
+            res = saturate(make_problem(), _SWEEP_CONFIG)
+        assert res.ordered
+        with monkeypatch.context() as m:
+            m.setattr(Saturation, "_generate", _generate_every_pair)
+            every_pair = saturate(make_problem(), _SWEEP_CONFIG)
+        assert _records(res) == _records(every_pair)
+        assert res.status == every_pair.status
+    # 105 resolvents when this was written
+    assert len(yields) > 50 and set(yields) == {1}
+
+
+# ---------------------------------------------------------------------------
 # Forward subsumption by P is checked when a clause is picked, not when it
 # is made
 # ---------------------------------------------------------------------------
