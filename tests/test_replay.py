@@ -154,7 +154,7 @@ def test_swapped_paramodulation_parents_are_detected():
 
 def test_missing_parent_is_a_complaint():
     p = const("p", O)
-    prob = _axioms(Signature(), "m.p", p)
+    prob = _axiom(Signature(), "m.p", p)
     records = {}
     _input(records, prob)
     _step(records, "cnf", (99,), clause=Clause([prop_literal(p, True)]))
@@ -257,10 +257,10 @@ def _step(records, rule, parents=(), **fields):
     return d
 
 
-def _axioms(sig, name, *formulas):
-    """A problem `name` of the axioms ax1, ax2, ... over `sig`."""
-    return Problem(sig, [AnnotatedFormula(f"ax{k}", "axiom", f)
-                         for k, f in enumerate(formulas, 1)], None, name)
+def _axiom(sig, name, formula):
+    """A problem `name` over `sig` whose one formula is the axiom ax."""
+    return Problem(sig, [AnnotatedFormula("ax", "axiom", formula)], None,
+                   name)
 
 
 def _input(records, prob):
@@ -278,7 +278,7 @@ def test_a_stated_formula_off_the_problem_is_a_complaint():
     replayed cleanly while inputs were taken as given."""
     prob, res = run("problems/corpus/prop_k.p")
     assert replay_proof(res, prob) == []
-    (conj,) = prob.formulas[-1:]
+    conj = prob.formulas[-1]
     assert conj.role == "conjecture"
     src = (prob.name, conj.name)
     records = res.records
@@ -313,7 +313,7 @@ def test_cnf_replay_mints_past_the_runs_variables():
     v1 = sig.fresh_free(I)
     parent = canon(app(pi_const(I), lam(I, app(q, bound(0, I), v1))))
     (clause,) = normalize(Clause([prop_literal(parent, True)]), sig)
-    prob = _axioms(sig, "v1.p", parent)
+    prob = _axiom(sig, "v1.p", parent)
     records = {}
     _input(records, prob)
     _step(records, "cnf", (1,), clause=clause)
@@ -330,7 +330,7 @@ def test_cnf_step_may_not_rename_an_inherited_skolem():
     sig.declare("p", p.ty)
     sk1 = sig.fresh_skolem(I)
     sk2 = sig.fresh_skolem(I)
-    prob = _axioms(sig, "sk.p", canon(app(p, sk1)))
+    prob = _axiom(sig, "sk.p", canon(app(p, sk1)))
     records = {}
     _input(records, prob)
     _step(records, "cnf", (1,),

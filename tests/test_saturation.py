@@ -509,6 +509,8 @@ _SWEEP_CONFIG = ProverConfig(time_limit=30, naming_threshold=10 ** 9)
 
 def test_skipped_factorings_leave_propositional_searches_unchanged(
         monkeypatch):
+    # an ordered run does not factor at all
+    _unordered(monkeypatch)
     factored = 0
     for make_problem in _seeded_problems():
         given = _assert_same_search(monkeypatch, make_problem, _SWEEP_CONFIG,
