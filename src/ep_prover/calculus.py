@@ -475,17 +475,65 @@ def _orient(lhs: Term, rhs: Term):
     return big, small
 
 
+class UnitIndex:
+    """The unit clauses `simplify` contracts by, as (id, clause) pairs in
+    P order, which is how it iterates, split for lookup.
+
+    A ground unit that cannot rewrite, a negative one or a shorthand
+    [p]^tt, only cuts its complement, the literal with the same interned
+    sides and the other polarity (`Literal` orients equal sides alike).
+    `ground` maps the complement's key (lhs, rhs, pos) to (position, n,
+    id) of the first such unit: its position among the units and the
+    number n of `scan` entries placed before it.  Every other unit, an
+    open one or a positive ground equation, which can rewrite, is in
+    `scan` as (id, clause), in P order.  So `simplify` finds the earliest
+    ground cut with one lookup per literal and scans only the units
+    before it, which keeps the rule that the first unit in P order that
+    applies is used."""
+
+    __slots__ = ("units", "ground", "scan")
+
+    def __init__(self, units=()):
+        self.units = []
+        self.ground = {}
+        self.scan = []
+        for uid, c in units:
+            self.add(uid, c)
+
+    def add(self, uid, c: Clause):
+        """Place the clause c of record uid after the units added so far;
+        a clause that is not a unit neither rewrites nor cuts, and is
+        left out."""
+        if len(c.literals) != 1:
+            return
+        ul = c.literals[0]
+        if ul.lhs.fvs or ul.rhs.fvs or ul.pos and not ul.is_shorthand:
+            self.scan.append((uid, c))
+        else:
+            self.ground.setdefault((ul.lhs, ul.rhs, not ul.pos),
+                                   (len(self.units), len(self.scan), uid))
+        self.units.append((uid, c))
+
+    def __iter__(self):
+        return iter(self.units)
+
+
 def simplify(c: Clause, units=(),
              deadline: Optional[float] = None) -> tuple:
     """Clause contraction to a fixpoint.
 
     Returns (None, ()) when c is redundant, (c, ()) when nothing applies,
     and otherwise the contracted clause with the ids of the units that
-    rewrote or cut it, in order of first use.  units is a sequence of
-    (id, unit Clause) used for oriented rewriting and contextual unit
-    cutting.  Raises OutOfTime once `deadline` (a `time.monotonic()`
-    value) has passed at the end of a pass that changed the clause.
+    rewrote or cut it, in order of first use.  units is a `UnitIndex`, or
+    a sequence of (id, unit Clause) to build one from, used for oriented
+    rewriting and contextual unit cutting: in each pass the first unit
+    in its order that rewrites or cuts is used.  Raises OutOfTime once
+    `deadline` (a `time.monotonic()` value) has passed at the end of a
+    pass that changed the clause.
     """
+    if type(units) is not UnitIndex:
+        units = UnitIndex(units)
+    ground, scan = units.ground, units.scan
     lits = list(c.literals)
     changed = False
     used = []
@@ -520,9 +568,17 @@ def simplify(c: Clause, units=(),
             lits = der
             changed = True
             continue
-        # unit rewriting and unit cutting
-        for uid, unit in units:
-            if len(unit.literals) != 1 or unit is c:
+        # unit rewriting and unit cutting: the earliest ground unit that
+        # cuts a literal, by lookup, unless a unit of `scan` placed
+        # before it applies first
+        cut_by = None       # the `ground` entry of that unit
+        if ground:
+            for k, l in enumerate(lits):
+                h = ground.get((l.lhs, l.rhs, l.pos))
+                if h is not None and (cut_by is None or h[0] < cut_by[0]):
+                    cut_by, cut_at = h, k
+        for uid, unit in scan if cut_by is None else scan[:cut_by[1]]:
+            if unit is c:
                 continue
             ul = unit.literals[0]
             if ul.pos and not ul.is_shorthand:
@@ -557,6 +613,11 @@ def simplify(c: Clause, units=(),
                 progressed = True
                 used.append(uid)
                 break
+        else:
+            if cut_by is not None:
+                del lits[cut_at]
+                progressed = True
+                used.append(cut_by[2])
         if progressed:
             changed = True
             if deadline is not None and time.monotonic() > deadline:

@@ -343,8 +343,13 @@ def cuts(unit: Clause, l: Literal) -> bool:
     with its polarity flipped, is l: unit cutting may then drop l.  The
     polarities are not compared; the caller pairs opposite ones.  Each
     orientation of l is matched only once its rigid heads fit the
-    unit's, the test of `heads_fit`."""
+    unit's, the test of `heads_fit`.  A ground unit matches only itself:
+    interned sides are the same term exactly when they are one object,
+    and `Literal` orients equal sides alike, so it is decided by
+    identity."""
     ul = unit.literals[0]
+    if not (ul.lhs.fvs or ul.rhs.fvs):
+        return l.lhs is ul.lhs and l.rhs is ul.rhs
     _, a, b = _match_info(unit)[0][0]
     x = _rigid_head(l.lhs)
     y = _rigid_head(l.rhs)

@@ -30,7 +30,7 @@ from .cnf import (
     definition_map, expand_definitions, formula_kind, miniscope, normalize,
 )
 from .calculus import (
-    constraint_pairs, eqfac_candidates, extensionality, inj_rule,
+    UnitIndex, constraint_pairs, eqfac_candidates, extensionality, inj_rule,
     inst_types, instantiate, paramod_ordered, prim_subst, simplify, unified,
 )
 from .saturation import extract_proof, stated_as
@@ -44,6 +44,13 @@ class ReplayError(Exception):
 
 # what a rule reads of each parent: its formula, its clause, or either
 _formula, _clause = attrgetter("formula"), attrgetter("clause")
+
+
+def _conjecture(p):
+    """The formula of a conjecture as the search states it, an `input`
+    record of role `conjecture`: the one premise a negation step reads."""
+    return p.formula if p.rule == "input" and p.role == "conjecture" \
+        else None
 
 
 def _either(p):
@@ -147,7 +154,7 @@ class ProofChecker:
             raise ReplayError("a rewrite step without a unit parent")
         if d.rule == "simp" and units:
             raise ReplayError("a simp step with a unit parent")
-        out, _ = simplify(c, list(zip(d.parents[1:], units)))
+        out, _ = simplify(c, UnitIndex(zip(d.parents[1:], units)))
         return () if out is None else (out,)
 
     def _unify(self, d, c):
@@ -174,7 +181,7 @@ class ProofChecker:
         "input": (_formula, (0,), lambda self, d: self._stated(d),
                   "not the problem formula its source names"),
         "neg_conjecture": (
-            _formula, (0, 1),
+            _conjecture, (0, 1),
             lambda self, d, *f: (canon(neg(f[0])),) if f
             else self._stated(d),
             "neither its parent negated nor the problem formula its "

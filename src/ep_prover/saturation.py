@@ -46,9 +46,9 @@ from .cnf import (
     formula_kind, miniscope, normalize,
 )
 from .calculus import (
-    _maximal, bool_ext, constraint_pairs, eqfac_candidates, extensionality,
-    inj_rule, inst_types, instantiate, ordered_resolution, paramod_ordered,
-    prim_subst, simplify, unified,
+    UnitIndex, _maximal, bool_ext, constraint_pairs, eqfac_candidates,
+    extensionality, inj_rule, inst_types, instantiate, ordered_resolution,
+    paramod_ordered, prim_subst, simplify, unified,
 )
 from .unification import (
     DEFAULT_DEPTH, DEFAULT_LIMIT, FAIL, NOT_PATTERN, pattern_unify,
@@ -144,7 +144,7 @@ class Saturation:
         self.seen: set = set()        # alpha_keys
         self.U: list = []             # ids
         self.P: list = []             # ids
-        self.units: list = []         # _units() of the current P
+        self.units = UnitIndex()      # _units() of the current P
         self.deadline = None
         self.inj_done: set = set()
         # id of a clause in U -> the pairs of its constraint set, which
@@ -241,8 +241,11 @@ class Saturation:
 
     def insert_new(self, d: Derived):
         """Simplify, renormalize and enqueue a new clause, and unify its
-        constraints or defer them (`_unify_at_intake`)."""
+        constraints or defer them (`_unify_at_intake`).  A record that
+        `_contract` returned is not contracted again: `simplify` stops
+        only at a fixpoint, and the units do not change meanwhile."""
         stack = [d]
+        fresh = None        # the record `_contract` returned last
         while stack:
             cur = stack.pop()
             c = cur.clause
@@ -259,11 +262,13 @@ class Saturation:
                                  key=lambda x: x._key):
                     stack.append(self.record("cnf", (cur.id,), clause=nc))
                 continue
-            nxt = self._contract(cur)
-            if nxt is not cur:
-                if nxt is not None:
-                    stack.append(nxt)
-                continue
+            if cur is not fresh:
+                nxt = self._contract(cur)
+                if nxt is not cur:
+                    if nxt is not None:
+                        stack.append(nxt)
+                        fresh = nxt
+                    continue
             # splitting a ground Boolean equation is an equivalence, so
             # the parent clause can be replaced by the two halves
             gi = _ground_bool_eq(c)
@@ -298,14 +303,14 @@ class Saturation:
         self.U.append(d.id)
         return True
 
-    def _units(self) -> list:
-        """(id, clause) of the non-flex-flex unit clauses in P."""
-        out = []
+    def _units(self) -> UnitIndex:
+        """The index of the non-flex-flex unit clauses in P."""
+        index = UnitIndex()
         for pid in self.P:
             c = self.records[pid].clause
             if len(c.literals) == 1 and not is_flex_flex(c.literals[0]):
-                out.append((pid, c))
-        return out
+                index.add(pid, c)
+        return index
 
     def _unify_at_intake(self, d: Derived, kept: bool):
         """Unify the constraint literals of a new clause, which `_enqueue`
@@ -406,10 +411,14 @@ class Saturation:
             self._pre_unify_given(gid)
             if self.empty_id is not None:   # a pre-unifier refuted it
                 continue
-            self.P = [p for p in self.P
-                      if not subsumes(g.clause, self.records[p].clause)]
+            kept = [p for p in self.P
+                    if not subsumes(g.clause, self.records[p].clause)]
+            # the units of P change only when g is one or a clause left
+            changed = len(kept) < len(self.P) or len(g.clause.literals) == 1
+            self.P = kept
             self.P.append(g.id)
-            self.units = self._units()
+            if changed:
+                self.units = self._units()
             self._generate(g.id)
         # unreachable
 

@@ -15,7 +15,7 @@ from ep_prover.clauses import (
 )
 from ep_prover.cnf import OutOfTime
 from ep_prover.calculus import (
-    _orient, _rewrite_once, _try_der, bool_ext,
+    UnitIndex, _orient, _rewrite_once, _try_der, bool_ext,
     eqfac_candidates, func_ext, finite_domain, inj_rule, instantiate,
     match_injectivity, ordered_resolution, para_candidates, paramod_ordered,
     prim_subst, simplify,
@@ -522,15 +522,24 @@ def _simplify_with_probes(c, units=()):
     return Clause(lits), tuple(dict.fromkeys(used))
 
 
+def _looked_up(units: UnitIndex) -> set:
+    """The ids of the units that `simplify` finds by lookup: a unit it
+    used from these has cut a literal."""
+    return {uid for _, _, uid in units.ground.values()}
+
+
 def test_unit_cutting_without_probes_simplifies_as_before(monkeypatch):
     """Every `simplify` call of a `sur_cantor` run and of the corpus runs
-    returns what the probe-literal version returns."""
+    returns what the probe-literal version returns.  The cuts counted
+    are those of `cuts` and those of the units `simplify` found by
+    lookup (`UnitIndex.ground`), which never reach `cuts`."""
     calls, cuts, differ = [0], [0], []
 
     def both(c, units=(), deadline=None):
         got = simplify(c, units, deadline)
         want = _simplify_with_probes(c, units)
         calls[0] += 1
+        cuts[0] += len(set(got[1]) & _looked_up(units))
         # the same clause, and c itself exactly when nothing applied
         if got != want or (got[0] is c) is not (want[0] is c):
             differ.append((c, got, want))
@@ -554,7 +563,8 @@ def test_unit_cutting_without_probes_simplifies_as_before(monkeypatch):
         assert saturate(prob, ProverConfig(time_limit=60)).status in (
             "Theorem", "ContradictoryAxioms", "Unsatisfiable")
     assert differ == []
-    # 1,837 calls and 202 cuts when this was written
+    # 1,837 calls and 202 cuts when this was written; 1,449 calls and
+    # 200 cuts, 120 of them by lookup, since the unit index
     assert calls[0] > 1000 and cuts[0] > 100
 
 
@@ -569,3 +579,100 @@ def test_simplify_never_rewrites_toward_flexible_head():
 
 def test_head_of_on_eta_long_constant():
     assert head_of(canon(f)) is f
+
+
+q = const("q", IO)
+r = const("r", O)
+X = free("X", I)
+
+
+def _both_ways(c, pairs):
+    """simplify by the index of `pairs`, checked against the plain scan of
+    every unit in order."""
+    out = simplify(c, UnitIndex(pairs))
+    assert out == _simplify_with_probes(c, pairs)
+    assert simplify(c, pairs) == out
+    return out
+
+
+def test_unit_index_keeps_the_first_unit_in_order():
+    """The earliest unit that applies is used, whether it is found by
+    lookup (a ground unit that cannot rewrite) or by the ordered scan
+    (an open unit), with the same `used` order as a plain scan."""
+    ground = Clause([plit(app(q, b), False)])
+    open_unit = Clause([plit(app(q, X), False)])
+    index = UnitIndex([(1, open_unit), (2, ground)])
+    assert [e[2] for e in index.ground.values()] == [2]
+    assert index.scan == [(1, open_unit)]
+    assert list(index) == [(1, open_unit), (2, ground)]
+    # both cut [q b]^tt: the first in order is used
+    c = Clause([plit(app(q, b)), plit(app(p, a))])
+    for pairs, uid in (([(1, open_unit), (2, ground)], 1),
+                       ([(2, ground), (1, open_unit)], 2)):
+        assert _both_ways(c, pairs) == (Clause([plit(app(p, a))]), (uid,))
+    # each cuts its own literal: `used` follows the order of the units
+    other = Clause([plit(app(p, X), False)])
+    c = Clause([plit(app(q, b)), plit(app(p, a)), prop_literal(r, True)])
+    rest = Clause([prop_literal(r, True)])
+    assert _both_ways(c, [(1, other), (2, ground)]) == (rest, (1, 2))
+    assert _both_ways(c, [(2, ground), (1, other)]) == (rest, (2, 1))
+    # an earlier open equation rewrites the literal the ground unit
+    # would cut; a later one comes too late
+    eq = Clause([Literal(app(f, X), a, True)])
+    cut_pfb = Clause([plit(app(p, app(f, b)), False)])
+    c = Clause([plit(app(p, app(f, b)))])
+    assert _both_ways(c, [(1, eq), (2, cut_pfb)]) \
+        == (Clause([plit(app(p, a))]), (1,))
+    assert _both_ways(c, [(2, cut_pfb), (1, eq)]) == (Clause([]), (2,))
+
+
+def test_unit_index_lets_a_positive_ground_equation_rewrite():
+    eq = Clause([Literal(app(f, a), b, True)])
+    index = UnitIndex([(4, eq)])
+    assert index.scan == [(4, eq)] and not index.ground
+    c = Clause([plit(app(p, app(f, a))), prop_literal(r, True)])
+    assert _both_ways(c, [(4, eq)]) \
+        == (Clause([plit(app(p, b)), prop_literal(r, True)]), (4,))
+    # and cuts its complement by identity, in either orientation
+    for lit in (Literal(app(f, a), b, False), Literal(b, app(f, a), False)):
+        assert _both_ways(Clause([lit, prop_literal(r, True)]), [(4, eq)]) \
+            == (Clause([prop_literal(r, True)]), (4,))
+
+
+def test_unit_index_never_contracts_a_unit_by_itself():
+    for c in (Clause([Literal(app(f, a), b, True)]),
+              Clause([Literal(app(f, a), b, False)]),
+              Clause([plit(app(p, a), False)]),
+              Clause([Literal(app(f, X), a, True)])):
+        assert _both_ways(c, [(1, c)]) == (c, ())
+
+
+def test_replay_contracts_by_the_index_of_the_unit_parents(monkeypatch):
+    """The checker's `rewrite`/`simp` replay hands `simplify` the
+    `UnitIndex` of the step's unit parents, in their recorded order, as
+    the search hands it the index of P's units; among them are ground
+    units it finds by lookup."""
+    from ep_prover import replay
+    from ep_prover.replay import replay_proof
+    seen = []
+
+    def spy(c, units=(), deadline=None):
+        seen.append(units)
+        return simplify(c, units, deadline)
+    monkeypatch.setattr(replay, "simplify", spy)
+    prob = embed(parse_problem(open(
+        "problems/corpus/modal_s5_five.p").read(), "modal_s5_five.p"))
+    res = saturate(prob, ProverConfig(time_limit=60))
+    assert replay_proof(res, prob) == []
+    steps = [d for d in res.records.values()
+             if d.rule in ("rewrite", "simp")]
+    seen.clear()
+    complaints = replay.ProofChecker(res, prob).check(
+        [res.records[i] for i in sorted(res.records)])
+    assert not [m for m in complaints if " (rewrite)" in m or " (simp)" in m]
+    assert len(seen) == len(steps) > 0
+    for d, units in zip(steps, seen):
+        assert type(units) is UnitIndex
+        assert list(units) == [(i, res.records[i].clause)
+                               for i in d.parents[1:]]
+    assert any(units.ground for units in seen)

@@ -6,7 +6,7 @@ import pytest
 
 from ep_prover.terms import (
     FALSE, O, Signature, TRUE, app, bound, canon, const, fn, free, I, lam,
-    pi_const, substitute,
+    neg, pi_const, substitute,
 )
 from ep_prover.clauses import (
     EMPTY_CLAUSE, Clause, Literal, alpha_key, prop_literal,
@@ -446,3 +446,25 @@ def test_ground_step_valid_skips_nonpropositional():
     X = free("X", O)
     c = Clause([prop_literal(X, True)])
     assert ground_step_valid([c], c) is None
+
+
+def test_a_negated_axiom_is_no_negated_conjecture():
+    """A `neg_conjecture` step negates the conjecture: its parent must be
+    an `input` record of role `conjecture`.  Planted on the axiom's input
+    it replayed cleanly while any formula record was accepted."""
+    text = "thf(p_t,type,p:$o). thf(a,axiom,p). thf(c,conjecture,p)."
+    prob = parse_problem(text, "neg_ax.p")
+    res = saturate(prob, ProverConfig(time_limit=30))
+    assert replay_proof(res, prob) == []
+    records = res.records
+    (axiom,) = [d for d in records.values()
+                if d.rule == "input" and d.role == "axiom"]
+    (negated,) = [d for d in records.values() if d.rule == "neg_conjecture"]
+    checker = ProofChecker(res, prob)
+    assert checker.check([records[negated.parents[0]], negated]) == []
+    planted = _step(records, "neg_conjecture", (axiom.id,),
+                    formula=canon(neg(axiom.formula)),
+                    role="negated_conjecture")
+    assert checker.check([axiom, planted]) == [
+        f"{planted.id} (neg_conjecture): the parents are not the rule's "
+        "premises"]

@@ -921,3 +921,45 @@ def test_run_restores_the_collectors_state(monkeypatch, enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_intake_contracts_each_new_clause_once(monkeypatch):
+    """`insert_new` does not contract again a record that `_contract` has
+    just returned.  So no `simplify` call at intake receives the clause
+    the previous intake call returned, on `sur_cantor` and the corpus.
+    The skipped call would have changed nothing, so the records are
+    those of a run that made it: `simplify` stops only at a fixpoint,
+    and each contracted clause is one under the same units."""
+    intake, picking = [], [False]
+    select = Saturation._select
+
+    def spy_select(self):
+        picking[0] = True
+        return select(self)
+
+    def spy_simplify(c, units=(), deadline=None):
+        out = calculus.simplify(c, units, deadline)
+        if picking[0]:
+            picking[0] = False
+        else:
+            intake.append((c, units, out[0]))
+        return out
+    monkeypatch.setattr(Saturation, "_select", spy_select)
+    monkeypatch.setattr(saturation, "simplify", spy_simplify)
+    text = open("problems/sur_cantor.p").read()
+    makers = [lambda: parse_problem(text, "sur_cantor.p")]
+    for make_problem in makers + list(_corpus_problems()):
+        del intake[:]
+        res = saturate(make_problem(), ProverConfig(time_limit=60))
+        assert res.status in ("Theorem", "ContradictoryAxioms",
+                              "Unsatisfiable")
+        assert all(c is not prev for (c, _, _), (_, _, prev)
+                   in zip(intake[1:], intake))
+        contracted = [(units, out) for c, units, out in intake
+                      if out is not None and out is not c]
+        for units, out in contracted:
+            again, used = calculus.simplify(out, units)
+            assert again is out and used == ()
+        if make_problem is makers[0]:
+            # `simplify` ran 641 times at intake and picks, 524 now
+            assert len(contracted) > 50
